@@ -77,22 +77,22 @@ def obs_residuals(
     (at moderate tradeoff weights the sensing block typically vanishes).
     Residuals are relative; an empty sensing block reports residual 0.
     """
-    grad = sca.analytic_gradient(scene, steering, w, weights)
+    core = sca.solver_core(scene, steering, weights)
+    z = core.coords(w.matrix)
+    point = sca.evaluate(core, z)
+    d = sca.curvature(core, point)
+    grad = 2.0 * core.lift(sca.half_gradient(core, point, z, d))
     mu = recover_multiplier(w, grad)
     grad_norm = np.linalg.norm(grad)
     stationarity = (
         float(np.linalg.norm(grad - 2.0 * mu * w.matrix) / grad_norm) if grad_norm > 0 else 0.0
     )
-
-    aux = sca.comm_aux(scene, w)
-    saux = sca.sensing_aux(scene, steering, w) if weights.sense > 0 else None
-    hg, qs = sca.surrogate_matrices(scene.channels, aux, saux, weights)
-    hg = hg if not np.isscalar(hg) else np.zeros((scene.n_tx, scene.n_tx))
-    qs = qs if not np.isscalar(qs) else np.zeros((scene.n_tx, scene.n_tx))
+    # V D V^H = delta_c H Sigma2 H^H - delta_s Q, the antenna-domain curvature
+    curv = core.basis @ d @ core.basis.conj().T
 
     if scene.n_users and weights.comm > 0:
-        rhs = weights.comm * (scene.channels * aux.signal_coeff.conj()[None, :])
-        system = mu * np.eye(scene.n_tx) + hg - qs
+        rhs = weights.comm * (scene.channels * point.comm.signal_coeff.conj()[None, :])
+        system = mu * np.eye(scene.n_tx) + curv
         try:
             wc_hat = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as exc:
@@ -109,7 +109,7 @@ def obs_residuals(
         if np.any(active):
             ws = w.w_sense[:, active]
             sense_residual = float(
-                np.linalg.norm((qs - hg) @ ws - mu * ws) / np.linalg.norm(ws)
+                np.linalg.norm(curv @ ws + mu * ws) / np.linalg.norm(ws)
             )
         else:
             sense_residual = 0.0

@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
+            raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "scene", dict(self.scene))
 
@@ -142,10 +144,8 @@ def _run_trial(cfg: ExperimentConfig, value, seed: int, solver_name: str) -> Tri
     scene = scene_from_config(scene_cfg)
     t0 = time.perf_counter()
     try:
-        if solver_name == "lowdim":
-            result = lowdim.solve_ld(scene, weights, cfg.solver_config)
-        else:
-            result = sca.solve(scene, weights, cfg.solver_config, n_sense=n_sense)
+        front_end = lowdim.solve_ld if solver_name == "lowdim" else sca.solve
+        result = front_end(scene, weights, cfg.solver_config, n_sense=n_sense)
         wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.measure_time else 0.0
         status = "ok" if result.converged else "nonconverged"
         return TrialRecord(

@@ -1,10 +1,12 @@
-"""Reduced-dimension solver built on the stationary-point beamforming structure.
+"""Reduced-dimension front end built on the stationary-point beamforming structure.
 
-Instead of the full n_tx x (K + n_sense) beamformer, it optimizes a square
-coefficient matrix over the basis [channels, steering, steering derivatives],
-whose size is independent of the antenna count. All auxiliaries are computed
-from effective (basis-projected) channels with the same formulas as the full
-solver; per-iteration work never touches an n_tx-sized matrix.
+Instead of the full n_tx x (K + n_sense) beamformer W, it iterates on the
+coefficient matrix P with W = V P over the basis V = [channels, steering,
+steering derivatives], whose row count K + 3M is independent of the antenna
+count. The iteration is the shared core in `sca.run` in basis coordinates:
+Z = G P with G = V^H V, lift is the identity, and the projection scales P
+onto the ellipsoid tr(P^H G P) = power budget. The lifted beamformer stays in
+span(V), so the per-antenna constraint cannot be honoured here.
 """
 
 from __future__ import annotations
@@ -17,17 +19,14 @@ import numpy as np
 import scipy.linalg
 
 from . import metrics, sca
-from .metrics import Beamformer, SingularFisherError, Weights
-from .scene import Scene, SteeringSet, build_steering_set
+from .metrics import Weights
+from .scene import Scene, SteeringSet
 from .sca import SolveResult, SolverConfig
 
 __all__ = [
     "BasisSet",
-    "Coefficients",
     "RankDeficientBasisError",
     "build_basis",
-    "effective_channels",
-    "ld_step",
     "solve_ld",
 ]
 
@@ -53,39 +52,13 @@ class BasisSet:
         return scipy.linalg.cho_solve(self.gram_factor, rhs)
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """Square coefficient matrix, first n_users columns for communication."""
-
-    values: np.ndarray
-    n_users: int
-
-    @property
-    def comm(self) -> np.ndarray:
-        return self.values[:, : self.n_users]
-
-    @property
-    def sense(self) -> np.ndarray:
-        return self.values[:, self.n_users:]
-
-
-@dataclass(frozen=True)
-class EffectiveChannels:
-    """Basis-projected channels and steering matrices (all square-dim sized)."""
-
-    channels: np.ndarray
-    steering: SteeringSet
-
-
 def build_basis(scene: Scene, steering: SteeringSet) -> BasisSet:
     """Concatenate the four basis blocks and factorize the Gram matrix.
 
     A jitter of 1e-10 tr(G)/dim is added if the plain factorization fails;
     persistent failure raises RankDeficientBasisError.
     """
-    basis = np.concatenate(
-        [scene.channels, steering.A, steering.A_dtheta, steering.A_dphi], axis=1
-    )
+    basis = np.concatenate([scene.channels, metrics.steering_basis(steering)], axis=1)
     if basis.shape[1] == 0:
         raise RankDeficientBasisError("empty basis (no channels and no targets)")
     gram = basis.conj().T @ basis
@@ -102,150 +75,38 @@ def build_basis(scene: Scene, steering: SteeringSet) -> BasisSet:
     return BasisSet(basis=basis, gram=gram, gram_factor=factor)
 
 
-def effective_channels(scene: Scene, steering: SteeringSet, basis: BasisSet) -> EffectiveChannels:
-    """Project channels and transmit-side steering onto the basis; the receive
-    side is untouched."""
-    nh = basis.basis.conj().T
-    eff_steering = SteeringSet(
-        A=nh @ steering.A,
-        B=steering.B,
-        A_dtheta=nh @ steering.A_dtheta,
-        A_dphi=nh @ steering.A_dphi,
-        B_dtheta=steering.B_dtheta,
-        B_dphi=steering.B_dphi,
-        rcs=steering.rcs,
-    )
-    return EffectiveChannels(channels=nh @ scene.channels, steering=eff_steering)
-
-
-def _coeff_power(p: np.ndarray, gram: np.ndarray) -> float:
-    """tr(P P^H G), the transmit power of the lifted beamformer."""
-    return float(np.real(np.einsum("ij,ij->", (gram @ p), p.conj())))
-
-
-def ld_step(
-    basis: BasisSet,
-    p: np.ndarray,
-    linear: np.ndarray,
-    curvature: np.ndarray,
-    power_budget: float,
-) -> np.ndarray:
-    """Closed-form update: Gram-solve the surrogate ascent matrix, then scale
-    onto the ellipsoid tr(P P^H G) = power budget."""
-    l_mat = linear + curvature @ p
-    x = basis.gram_solve(l_mat)
-    denom = float(np.real(np.einsum("ij,ij->", x, l_mat.conj())))
-    if denom <= 0.0:
-        raise ValueError("degenerate update direction (zero surrogate matrix)")
-    return np.sqrt(power_budget / denom) * x
-
-
-def _eff_objective(
-    eff: EffectiveChannels, noise_comm: np.ndarray, noise_radar: float, slots: int,
-    p: np.ndarray, n_users: int, weights: Weights,
-) -> float:
-    value = 0.0
-    if weights.comm > 0 and n_users:
-        gains = eff.channels.conj().T @ p[:, :n_users]
-        desired = np.abs(np.diag(gains)) ** 2
-        total = np.sum(np.abs(eff.channels.conj().T @ p) ** 2, axis=1) + noise_comm
-        value += weights.comm * float(np.sum(np.log1p(desired / (total - desired))))
-    if weights.sense > 0:
-        fi = metrics.fim_from_covariance(eff.steering, p @ p.conj().T, noise_radar, slots)
-        value -= weights.sense * metrics.crlb_trace(fi)
-    return value
-
-
 def solve_ld(
     scene: Scene,
     weights: Weights,
     cfg: SolverConfig = SolverConfig(),
     steering: Optional[SteeringSet] = None,
+    n_sense: Optional[int] = None,
 ) -> SolveResult:
-    """Reduced-dimension iteration; the reported beamformer is lifted back to
-    the antenna domain (on-sphere there by construction).
+    """Reduced-dimension front end; the reported beamformer is lifted back to
+    the antenna domain (on the power sphere there by construction).
 
-    The sensing stream count is fixed to 3 * n_targets so the coefficient
-    matrix is square.
+    n_sense defaults to 3 * n_targets. The start is the matched-filter
+    beamformer's Gram-solve projection onto span(V). Raises ValueError for
+    power_constraint="per-antenna", whose projection leaves span(V).
     """
     t0 = time.perf_counter()
-    if steering is None:
-        steering = build_steering_set(scene)
-    basis = build_basis(scene, steering)
-    eff = effective_channels(scene, steering, basis)
-    k = scene.n_users
-    n_sense = 3 * scene.n_targets
-    dim = basis.dim
+    if cfg.power_constraint != "total":
+        raise ValueError("solve_ld honours only power_constraint='total'")
+    core, w0 = sca.prepare(scene, weights, cfg, n_sense, steering)
+    gram, budget = core.gram, scene.power_budget
 
-    w0 = sca.matched_filter_init(scene, steering, n_sense, cfg)
-    p = basis.gram_solve(basis.basis.conj().T @ w0.matrix)
-    power = _coeff_power(p, basis.gram)
-    if power <= 0:
-        raise ValueError("initial coefficients carry no power")
-    p *= np.sqrt(scene.power_budget / power)
+    def ellipsoid(p: np.ndarray) -> np.ndarray:
+        power = float(np.real(np.vdot(p, gram @ p)))
+        if power <= 0.0:
+            raise ValueError("coefficients carry no transmit power")
+        return np.sqrt(budget / power) * p
 
-    obj = _eff_objective(eff, scene.noise_comm, scene.noise_radar, scene.slots, p, k, weights)
-    trace = [obj]
-    t_setup = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    converged = False
-    for _ in range(cfg.max_iters):
-        aux = (
-            sca.comm_aux_core(eff.channels, scene.noise_comm, p[:, :k], p[:, k:])
-            if weights.comm > 0
-            else sca.CommAux(np.zeros(k), np.zeros(k, complex), np.zeros(k))
-        )
-        if weights.sense > 0:
-            fi = metrics.fim_from_covariance(
-                eff.steering, p @ p.conj().T, scene.noise_radar, scene.slots
-            )
-            inv = metrics.inverse_fisher(fi)
-            phi = inv @ inv
-            quad = sca.quad_matrix(eff.steering, phi, scene.noise_radar, scene.slots)
-            saux = sca.SensingAux(inv_sq=phi, quad=quad)
-        else:
-            saux = None
-        hg, qs = sca.surrogate_matrices(eff.channels, aux, saux, weights)
-        curv = -(hg if not np.isscalar(hg) else 0.0) + (qs if not np.isscalar(qs) else 0.0)
-        if np.isscalar(curv):
-            curv = np.zeros((dim, dim), complex)
-        # The power constraint here is the ellipsoid tr(P^H G P) = budget, so
-        # the term that is constant on the constraint set is shift * G, and
-        # the shift must dominate the curvature in the G metric (generalized
-        # eigenvalues; the coefficient dimension is small, so dense is fine).
-        curv_herm = 0.5 * (curv + curv.conj().T)
-        gen_eigs = scipy.linalg.eigh(-curv_herm, basis.gram, eigvals_only=True)
-        shift = max(cfg.lambda_floor, cfg.lambda_safety * float(np.max(np.abs(gen_eigs))))
-        linear = sca.linear_term(eff.channels, aux, weights, n_sense)
-        p = ld_step(basis, p, linear, curv + shift * basis.gram, scene.power_budget)
-        new_obj = _eff_objective(
-            eff, scene.noise_comm, scene.noise_radar, scene.slots, p, k, weights
-        )
-        trace.append(new_obj)
-        delta, obj = abs(new_obj - obj), new_obj
-        if delta <= cfg.tol_objective:
-            converged = True
-            break
-    t_iter = time.perf_counter() - t1
-    t2 = time.perf_counter()
-    w = Beamformer(
-        (basis.basis @ p)[:, :k], (basis.basis @ p)[:, k:], scene.power_budget
-    )
-    final_rate = sca.sum_rate_or_zero(scene, w)
-    final_crlb = sca.crlb_or_nan(scene, steering, w)
-    iterations = len(trace) - 1
-    timings = {
-        "setup_s": t_setup,
-        "iterations_s": t_iter,
-        "metrics_s": time.perf_counter() - t2,
-        "per_iteration_s": t_iter / max(iterations, 1),
-    }
-    return SolveResult(
-        beamformer=w,
-        objective_trace=np.array(trace),
-        sum_rate=final_rate,
-        crlb_trace=final_crlb,
-        iterations=iterations,
-        converged=converged,
-        timings=timings,
+    p0 = build_basis(scene, core.steering).gram_solve(core.coords(w0.matrix))
+    return sca.run(
+        core, ellipsoid(p0), cfg,
+        coords=lambda p: gram @ p,
+        lift=lambda y: y,
+        project=ellipsoid,
+        antenna=core.lift,
+        t0=t0,
     )

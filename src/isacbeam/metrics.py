@@ -19,6 +19,11 @@ __all__ = [
     "sum_rate",
     "fim",
     "fim_from_covariance",
+    "JacobianTable",
+    "jacobian_table",
+    "steering_basis",
+    "table_fim",
+    "table_adjoint",
     "crlb_trace",
     "objective",
 ]
@@ -146,9 +151,60 @@ def sum_rate(scene: Scene, w: Beamformer) -> float:
     return float(sum(user_rate(scene, w, k) for k in range(scene.n_users)))
 
 
-def _weighted(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # U X U^H with U = diag(u)
-    return (u[:, None] * x) * u.conj()[None, :]
+@dataclass(frozen=True)
+class JacobianTable:
+    """Fisher-information coefficients of the echo map G = B U A^H.
+
+    Every parameter derivative factors as dG/dxi_i = Bbar C_i Sbar^H, with
+    Bbar = [B, B_dtheta, B_dphi] and Sbar = [A, A_dtheta, A_dphi] (see
+    steering_basis). coeff holds the C_i, shape (4M, 3M, 3M), in the parameter
+    order azimuths, elevations, Re rcs, Im rcs; weighted holds
+    (2L / sigma^2) Bbar^H Bbar C_i. The transmit side enters only through
+    R_s = Sbar^H R_x Sbar, so table_fim is the linear map R_s -> F and
+    table_adjoint is its adjoint.
+    """
+
+    coeff: np.ndarray
+    weighted: np.ndarray
+
+
+def steering_basis(steering: SteeringSet) -> np.ndarray:
+    """Sbar = [A, A_dtheta, A_dphi], the transmit-side factor of every
+    echo-map derivative (n_tx x 3M)."""
+    return np.concatenate([steering.A, steering.A_dtheta, steering.A_dphi], axis=1)
+
+
+def jacobian_table(steering: SteeringSet, noise_radar: float, slots: int) -> JacobianTable:
+    """Coefficient table of dG/dxi for the scene's targets."""
+    m = steering.n_targets
+    u = steering.rcs
+    i = np.arange(m)
+    c = np.zeros((4 * m, 3 * m, 3 * m), dtype=complex)
+    c[i, m + i, i] = u  # azimuth: B_dtheta U A^H
+    c[i, i, m + i] = u  # azimuth: B U A_dtheta^H
+    c[m + i, 2 * m + i, i] = u  # elevation: B_dphi U A^H
+    c[m + i, i, 2 * m + i] = u  # elevation: B U A_dphi^H
+    c[2 * m + i, i, i] = 1.0  # Re rcs: B A^H
+    c[3 * m + i, i, i] = 1j  # Im rcs: j B A^H
+    bbar = np.concatenate([steering.B, steering.B_dtheta, steering.B_dphi], axis=1)
+    weighted = (2.0 * slots / noise_radar) * ((bbar.conj().T @ bbar) @ c)
+    return JacobianTable(coeff=c, weighted=weighted)
+
+
+def table_fim(table: JacobianTable, r_s: np.ndarray) -> FisherInfo:
+    """F_ij = (2L / sigma^2) Re tr(C_i^H Bbar^H Bbar C_j R_s)."""
+    n = table.coeff.shape[0]
+    f = np.real(table.coeff.conj().reshape(n, -1) @ (table.weighted @ r_s).reshape(n, -1).T)
+    return FisherInfo(0.5 * (f + f.T))
+
+
+def table_adjoint(table: JacobianTable, phi: np.ndarray) -> np.ndarray:
+    """The 3M x 3M matrix K with tr(phi^T F) = Re tr(K R_s) for every R_s:
+    K = (2L / sigma^2) sum_ij phi_ij C_i^H Bbar^H Bbar C_j (Hermitian when phi
+    is symmetric)."""
+    n3 = table.coeff.shape[1]
+    mixed = np.tensordot(phi, table.weighted, axes=1)
+    return table.coeff.conj().reshape(-1, n3).T @ mixed.reshape(-1, n3)
 
 
 def fim_from_covariance(
@@ -156,73 +212,8 @@ def fim_from_covariance(
 ) -> FisherInfo:
     """Fisher information for (azimuths, elevations, Re rcs, Im rcs) given the
     transmit covariance r_x."""
-    a, b = steering.A, steering.B
-    at, ap = steering.A_dtheta, steering.A_dphi
-    bt, bp = steering.B_dtheta, steering.B_dphi
-    u = steering.rcs
-    m = steering.n_targets
-
-    ra, rat, rap = r_x @ a, r_x @ at, r_x @ ap
-    gaa = a.conj().T @ ra
-    gat = a.conj().T @ rat
-    gap = a.conj().T @ rap
-    gta = at.conj().T @ ra
-    gtt = at.conj().T @ rat
-    gpa = ap.conj().T @ ra
-    gpt = ap.conj().T @ rat
-    gpp = ap.conj().T @ rap
-
-    bb = b.conj().T @ b
-    bt_b = bt.conj().T @ b
-    bp_b = bp.conj().T @ b
-    b_bt = b.conj().T @ bt
-    b_bp = b.conj().T @ bp
-    bt_bt = bt.conj().T @ bt
-    bt_bp = bt.conj().T @ bp
-    bp_bp = bp.conj().T @ bp
-
-    f11 = (
-        _weighted(u, gaa).T * bt_bt
-        + _weighted(u, gat).T * b_bt
-        + _weighted(u, gta).T * bt_b
-        + _weighted(u, gtt).T * bb
-    )
-    f12 = (
-        _weighted(u, gaa).T * bt_bp
-        + _weighted(u, gat).T * b_bp
-        + _weighted(u, gpa).T * bt_b
-        + _weighted(u, gpt).T * bb
-    )
-    f22 = (
-        _weighted(u, gaa).T * bp_bp
-        + _weighted(u, gap).T * b_bp
-        + _weighted(u, gpa).T * bp_b
-        + _weighted(u, gpp).T * bb
-    )
-    f13 = (gaa * u.conj()[None, :]).T * bt_b + (gat * u.conj()[None, :]).T * bb
-    f23 = (gaa * u.conj()[None, :]).T * bp_b + (gap * u.conj()[None, :]).T * bb
-    f33 = gaa.T * bb
-
-    f = np.empty((4 * m, 4 * m), dtype=float)
-    re, im = np.real, np.imag
-    f[0 * m:1 * m, 0 * m:1 * m] = re(f11)
-    f[0 * m:1 * m, 1 * m:2 * m] = re(f12)
-    f[0 * m:1 * m, 2 * m:3 * m] = re(f13)
-    f[0 * m:1 * m, 3 * m:4 * m] = -im(f13)
-    f[1 * m:2 * m, 0 * m:1 * m] = re(f12).T
-    f[1 * m:2 * m, 1 * m:2 * m] = re(f22)
-    f[1 * m:2 * m, 2 * m:3 * m] = re(f23)
-    f[1 * m:2 * m, 3 * m:4 * m] = -im(f23)
-    f[2 * m:3 * m, 0 * m:1 * m] = re(f13).T
-    f[2 * m:3 * m, 1 * m:2 * m] = re(f23).T
-    f[2 * m:3 * m, 2 * m:3 * m] = re(f33)
-    f[2 * m:3 * m, 3 * m:4 * m] = -im(f33)
-    f[3 * m:4 * m, 0 * m:1 * m] = -im(f13).T
-    f[3 * m:4 * m, 1 * m:2 * m] = -im(f23).T
-    f[3 * m:4 * m, 2 * m:3 * m] = -im(f33).T
-    f[3 * m:4 * m, 3 * m:4 * m] = re(f33)
-    f *= 2.0 * slots / noise_radar
-    return FisherInfo(f)
+    s = steering_basis(steering)
+    return table_fim(jacobian_table(steering, noise_radar, slots), s.conj().T @ r_x @ s)
 
 
 def fim(scene: Scene, steering: SteeringSet, w: Beamformer) -> FisherInfo:

@@ -1,8 +1,19 @@
-"""Two-layer successive convex approximation solver reduced to sphere projections.
+"""Successive convex approximation solver: one core in basis coordinates.
 
-Each iteration refreshes the communication and sensing auxiliaries at the
-current beamformer, estimates the spectral shift that convexifies the quadratic
-surrogate, and lands the next iterate with a single power projection.
+Stationary beamformers lie in the span of V = [H, A, A_dtheta, A_dphi], and
+every per-iteration quantity depends on the iterate only through Z = V^H W:
+the rates through the rows Z[:K], the Fisher matrix through
+R_s = Z_S Z_S^H with Z_S = Z[K:]. Each iteration evaluates the objective and
+the surrogate auxiliaries at Z once, then takes the majorization-minimization
+step (Sun, Babu & Palomar, IEEE TSP 2017)
+
+    X+ = Pi(lambda X + lift(E - D Z)),
+
+with D = blockdiag(delta_c diag(sigma2), -delta_s K) the surrogate curvature
+in basis coordinates and lambda = 1.1 max|eig(G^1/2 D G^1/2)|, G = V^H V, the
+exact spectral shift. `solve` keeps antenna coordinates (X = W, Z = V^H X,
+lift = V., sphere or per-antenna Pi); `lowdim.solve_ld` keeps basis
+coordinates. Both run the loop in `run`.
 """
 
 from __future__ import annotations
@@ -10,7 +21,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,23 +31,34 @@ from .scene import Scene, SteeringSet, build_steering_set
 
 __all__ = [
     "CommAux",
-    "SensingAux",
+    "Point",
     "SolverConfig",
+    "SolverCore",
     "SolveResult",
     "comm_aux",
-    "sensing_aux",
-    "quad_matrix",
+    "comm_aux_core",
+    "solver_core",
+    "evaluate",
+    "curvature",
+    "half_gradient",
     "shift_parameter",
-    "power_iteration",
+    "quad_matrix",
     "project_total_power",
     "project_per_antenna",
     "sca_step",
+    "prepare",
+    "run",
     "solve",
     "analytic_gradient",
     "matched_filter_init",
 ]
 
 logger = logging.getLogger(__name__)
+
+# The shift is this factor times the exact curvature radius, floored so that a
+# vanishing curvature still leaves a well-defined step.
+LAMBDA_SAFETY = 1.1
+LAMBDA_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,24 +75,11 @@ class CommAux:
 
 
 @dataclass(frozen=True)
-class SensingAux:
-    """Sensing-side expansion point: squared inverse Fisher matrix and the
-    matching transmit-side quadratic form."""
-
-    inv_sq: np.ndarray
-    quad: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
     tol_objective: float = 1e-4
     init_mode: str = "matched-filter"  # or "random"
     power_constraint: str = "total"  # or "per-antenna"
-    lambda_safety: float = 1.1
-    lambda_floor: float = 1e-8
-    power_iter_max: int = 200
-    power_iter_tol: float = 1e-8
     init_seed: int = 0
 
     def __post_init__(self):
@@ -78,8 +87,6 @@ class SolverConfig:
             raise ValueError("tol_objective must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.lambda_safety < 1.0 or self.lambda_floor <= 0:
-            raise ValueError("invalid shift-parameter settings")
         if self.init_mode not in ("matched-filter", "random"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.power_constraint not in ("total", "per-antenna"):
@@ -101,16 +108,78 @@ class SolveResult:
         return float(self.objective_trace[-1])
 
 
-def comm_aux_core(
-    channels: np.ndarray, noise: np.ndarray, w_comm: np.ndarray, w_sense: np.ndarray
-) -> CommAux:
-    """Rate-surrogate auxiliaries from raw matrices (shared with the
-    reduced-dimension solver, which passes effective channels)."""
-    gains = channels.conj().T @ w_comm  # (K, K): entry (k, j) = h_k^H w_cj
-    desired = np.diag(gains)
-    power_comm = np.abs(gains) ** 2
-    power_sense = np.sum(np.abs(channels.conj().T @ w_sense) ** 2, axis=1)
-    total = power_comm.sum(axis=1) + power_sense + noise
+@dataclass(frozen=True)
+class SolverCore:
+    """What the iteration needs of a scene, in basis coordinates.
+
+    basis is V = [H, A, A_dtheta, A_dphi] (n_tx x (K + 3M)), gram = V^H V and
+    gram_half its positive semidefinite square root (G may be singular, for
+    example with repeated targets). table is the Fisher Jacobian table, None
+    when the sensing weight is zero.
+    """
+
+    scene: Scene
+    steering: SteeringSet
+    weights: Weights
+    basis: np.ndarray
+    gram: np.ndarray
+    gram_half: np.ndarray
+    table: Optional[metrics.JacobianTable]
+
+    def coords(self, w: np.ndarray) -> np.ndarray:
+        """Z = V^H W."""
+        return self.basis.conj().T @ w
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """V Y, the antenna-domain matrix with basis coefficients Y."""
+        return self.basis @ y
+
+
+@dataclass(frozen=True)
+class Point:
+    """Objective value at an iterate and the surrogate auxiliaries there:
+    the rate auxiliaries and the squared inverse Fisher matrix (None without a
+    sensing term)."""
+
+    objective: float
+    comm: CommAux
+    inv_sq: Optional[np.ndarray]
+
+
+def solver_core(scene: Scene, steering: SteeringSet, weights: Weights) -> SolverCore:
+    """Basis, Gram square root and Jacobian table of a scene.
+
+    A positive sensing weight needs targets whose parameters are identifiable:
+    the Fisher matrix at R_x = I has the largest null space of any transmit
+    covariance, so when it is rank-deficient every beamformer's Fisher matrix
+    is singular (repeated targets, for example) and ValueError is raised.
+    """
+    basis = np.concatenate([scene.channels, metrics.steering_basis(steering)], axis=1)
+    gram = basis.conj().T @ basis
+    eigs, vecs = np.linalg.eigh(gram)
+    gram_half = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    table = None
+    if weights.sense > 0:
+        if scene.n_targets == 0:
+            raise ValueError("a positive sensing weight needs at least one target")
+        table = metrics.jacobian_table(steering, scene.noise_radar, scene.slots)
+        k = scene.n_users
+        widest = metrics.table_fim(table, gram[k:, k:]).matrix
+        if np.linalg.matrix_rank(widest, hermitian=True) < widest.shape[0]:
+            raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
+    return SolverCore(scene, steering, weights, basis, gram, gram_half, table)
+
+
+def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
+    """Rate-surrogate auxiliaries from the gains H^H W (K x streams, the first
+    K columns the communication streams).
+
+    Users with a vanishing desired signal get all three auxiliaries set to 0,
+    which drops the linear term from their surrogate.
+    """
+    k = gains.shape[0]
+    desired = np.diag(gains[:, :k])
+    total = np.sum(np.abs(gains) ** 2, axis=1) + noise
     signal = np.abs(desired) ** 2
     interference = total - signal
     sinr = np.where(signal > 0, signal / interference, 0.0)
@@ -121,140 +190,57 @@ def comm_aux_core(
 
 
 def comm_aux(scene: Scene, w: Beamformer) -> CommAux:
-    """Rate-surrogate auxiliaries at the current beamformer.
-
-    Users with a vanishing desired signal get all three auxiliaries set to 0,
-    which drops the linear term from their surrogate.
-    """
-    return comm_aux_core(scene.channels, scene.noise_comm, w.w_comm, w.w_sense)
+    """Rate-surrogate auxiliaries at the current beamformer."""
+    return comm_aux_core(scene.channels.conj().T @ w.matrix, scene.noise_comm)
 
 
-def _phi_blocks(phi: np.ndarray, m: int):
-    return [[phi[i * m:(i + 1) * m, j * m:(j + 1) * m] for j in range(4)] for i in range(4)]
+def evaluate(core: SolverCore, z: np.ndarray) -> Point:
+    """Objective and surrogate auxiliaries at the iterate with coordinates Z:
+    one Fisher matrix and one SPD factorization."""
+    k = core.scene.n_users
+    aux = comm_aux_core(z[:k], core.scene.noise_comm)
+    value = core.weights.comm * float(np.sum(np.log1p(aux.sinr)))
+    if core.table is None:
+        return Point(value, aux, None)
+    zs = z[k:]
+    inv = metrics.inverse_fisher(metrics.table_fim(core.table, zs @ zs.conj().T))
+    return Point(value - core.weights.sense * float(np.trace(inv)), aux, inv @ inv)
+
+
+def curvature(core: SolverCore, point: Point) -> np.ndarray:
+    """D = blockdiag(delta_c diag(sigma2), -delta_s K), Hermitian, so that the
+    antenna-domain surrogate curvature delta_c H Sigma2 H^H - delta_s Q is V D V^H."""
+    k = core.scene.n_users
+    d = np.zeros(core.gram.shape, dtype=complex)
+    d[:k, :k] = np.diag(core.weights.comm * point.comm.power_coeff)
+    if point.inv_sq is not None:
+        kmat = metrics.table_adjoint(core.table, point.inv_sq)
+        d[k:, k:] = -0.5 * core.weights.sense * (kmat + kmat.conj().T)
+    return d
+
+
+def half_gradient(core: SolverCore, point: Point, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """E - D Z, where E holds delta_c Sigma1^H in the user rows and columns:
+    the objective's gradient at the iterate is 2 V (E - D Z)."""
+    k = core.scene.n_users
+    g = -(d @ z)
+    g[:k, :k] += np.diag(core.weights.comm * point.comm.signal_coeff.conj())
+    return g
+
+
+def shift_parameter(core: SolverCore, d: np.ndarray) -> float:
+    """Safety factor times max|eig(G^1/2 D G^1/2)|, which equals the spectral
+    radius of the antenna-domain curvature V D V^H; floored away from zero."""
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(core.gram_half @ d @ core.gram_half))))
+    return max(LAMBDA_FLOOR, LAMBDA_SAFETY * radius)
 
 
 def quad_matrix(steering: SteeringSet, phi: np.ndarray, noise_radar: float, slots: int) -> np.ndarray:
     """Transmit-side quadratic form matching tr(phi^T F): the n_tx x n_tx
-    matrix Q with tr(phi^T F(W)) = Re tr(R_x Q)."""
-    a, b = steering.A, steering.B
-    at, ap = steering.A_dtheta, steering.A_dphi
-    bt, bp = steering.B_dtheta, steering.B_dphi
-    u = steering.rcs
-    m = steering.n_targets
-    p = _phi_blocks(np.asarray(phi, dtype=float), m)
-
-    bb = b.conj().T @ b
-    bt_b = bt.conj().T @ b
-    bp_b = bp.conj().T @ b
-    b_bt = b.conj().T @ bt
-    b_bp = b.conj().T @ bp
-    bt_bt = bt.conj().T @ bt
-    bt_bp = bt.conj().T @ bp
-    bp_bp = bp.conj().T @ bp
-
-    uc = u.conj()
-    mid = lambda x: (uc[:, None] * x) * u[None, :]  # U^H X U
-    left = lambda x: uc[:, None] * x  # U^H X
-    ah, ath, aph = a.conj().T, at.conj().T, ap.conj().T
-
-    q11 = (
-        a @ mid(p[0][0] * bt_bt) @ ah
-        + at @ mid(p[0][0] * b_bt) @ ah
-        + a @ mid(p[0][0] * bt_b) @ ath
-        + at @ mid(p[0][0] * bb) @ ath
-    )
-    q12 = 2.0 * (
-        a @ mid(p[0][1] * bt_bp) @ ah
-        + at @ mid(p[0][1] * b_bp) @ ah
-        + a @ mid(p[0][1] * bt_b) @ aph
-        + at @ mid(p[0][1] * bb) @ aph
-    )
-    q22 = (
-        a @ mid(p[1][1] * bp_bp) @ ah
-        + ap @ mid(p[1][1] * b_bp) @ ah
-        + a @ mid(p[1][1] * bp_b) @ aph
-        + ap @ mid(p[1][1] * bb) @ aph
-    )
-    c13 = 2.0 * p[0][2] + 2j * p[0][3]
-    q13 = a @ left(c13 * bt_b) @ ah + at @ left(c13 * bb) @ ah
-    c23 = 2.0 * p[1][2] + 2j * p[1][3]
-    q23 = a @ left(c23 * bp_b) @ ah + ap @ left(c23 * bb) @ ah
-    q33 = a @ ((p[2][2] + p[3][3] + 2j * p[2][3]) * bb) @ ah
-
-    return (2.0 * slots / noise_radar) * (q11 + q12 + q22 + q13 + q23 + q33)
-
-
-def sensing_aux(
-    scene: Scene, steering: SteeringSet, w: Beamformer, jitter: Optional[float] = None
-) -> SensingAux:
-    """Squared inverse Fisher matrix at w and its quadratic-form counterpart."""
-    fi = metrics.fim(scene, steering, w)
-    inv = metrics.inverse_fisher(fi, jitter)
-    phi = inv @ inv
-    quad = quad_matrix(steering, phi, scene.noise_radar, scene.slots)
-    return SensingAux(inv_sq=phi, quad=quad)
-
-
-def power_iteration(
-    mat: np.ndarray,
-    max_iters: int = 200,
-    tol: float = 1e-8,
-    start: Optional[np.ndarray] = None,
-) -> tuple[float, np.ndarray]:
-    """Dominant |eigenvalue| of a Hermitian matrix, plus the final vector.
-
-    The default start vector is deterministic (fixed-key Philox draw).
-    """
-    n = mat.shape[0]
-    if start is None or start.shape != (n,) or not np.isfinite(start).all():
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(0x5EED)))
-        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = start / np.linalg.norm(start)
-    value = 0.0
-    for _ in range(max_iters):
-        nxt = mat @ v
-        nrm = float(np.linalg.norm(nxt))
-        if nrm == 0.0:
-            return 0.0, v
-        v = nxt / nrm
-        if abs(nrm - value) <= tol * max(nrm, 1.0):
-            value = nrm
-            break
-        value = nrm
-    return value, v
-
-
-def surrogate_matrices(
-    channels: np.ndarray, aux: CommAux, saux: Optional[SensingAux], weights: Weights
-):
-    """Hermitian pieces of the quadratic surrogate: the channel-weighted Gram
-    delta_c H Sigma2 H^H and the symmetrized sensing quadratic."""
-    h = channels
-    hg = weights.comm * ((h * aux.power_coeff[None, :]) @ h.conj().T) if weights.comm > 0 else 0.0
-    if saux is not None and weights.sense > 0:
-        qs = 0.5 * weights.sense * (saux.quad + saux.quad.conj().T)
-    else:
-        qs = 0.0
-    return hg, qs
-
-
-def shift_parameter(
-    scene: Scene,
-    aux: CommAux,
-    saux: Optional[SensingAux],
-    weights: Weights,
-    cfg: SolverConfig,
-    start: Optional[np.ndarray] = None,
-) -> tuple[float, np.ndarray]:
-    """Safe spectral shift: safety times the dominant |eigenvalue| of the
-    surrogate curvature, floored away from zero. Returns (shift, eigvector)."""
-    hg, qs = surrogate_matrices(scene.channels, aux, saux, weights)
-    mat = hg - qs
-    if np.isscalar(mat):
-        return cfg.lambda_floor, start if start is not None else np.ones(scene.n_tx, complex)
-    mat = 0.5 * (mat + mat.conj().T)
-    value, vec = power_iteration(mat, cfg.power_iter_max, cfg.power_iter_tol, start)
-    return max(cfg.lambda_floor, cfg.lambda_safety * value), vec
+    matrix Q = Sbar K Sbar^H with tr(phi^T F(W)) = Re tr(R_x Q)."""
+    s = metrics.steering_basis(steering)
+    kmat = metrics.table_adjoint(metrics.jacobian_table(steering, noise_radar, slots), phi)
+    return s @ kmat @ s.conj().T
 
 
 def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
@@ -274,59 +260,35 @@ def project_per_antenna(x: np.ndarray, power_budget: float, n_tx: int) -> np.nda
     return x * np.sqrt(power_budget / n_tx / row_power)[:, None]
 
 
-def _project(x: np.ndarray, w: Beamformer, cfg: SolverConfig) -> np.ndarray:
+def _project(x: np.ndarray, power_budget: float, cfg: SolverConfig) -> np.ndarray:
     if cfg.power_constraint == "per-antenna":
-        return project_per_antenna(x, w.power_budget, x.shape[0])
-    return project_total_power(x, w.power_budget)
-
-
-def linear_term(channels: np.ndarray, aux: CommAux, weights: Weights, n_sense: int) -> np.ndarray:
-    """delta_c H Sigma1^H padded with zero sensing columns."""
-    cols = weights.comm * (channels * aux.signal_coeff.conj()[None, :])
-    return np.concatenate([cols, np.zeros((channels.shape[0], n_sense), complex)], axis=1)
+        return project_per_antenna(x, power_budget, x.shape[0])
+    return project_total_power(x, power_budget)
 
 
 def sca_step(
-    scene: Scene,
-    steering: SteeringSet,
-    w: Beamformer,
-    weights: Weights,
-    cfg: SolverConfig,
-    aux: Optional[CommAux] = None,
-    saux: Optional[SensingAux] = None,
-    shift_start: Optional[np.ndarray] = None,
-) -> tuple[Beamformer, float, np.ndarray]:
-    """One surrogate build + projection. Returns (next beamformer, shift, eigvec)."""
-    if aux is None:
-        aux = comm_aux(scene, w)
-    if saux is None and weights.sense > 0:
-        saux = sensing_aux(scene, steering, w)
-    shift, vec = shift_parameter(scene, aux, saux, weights, cfg, shift_start)
-    hg, qs = surrogate_matrices(scene.channels, aux, saux, weights)
-    c1 = linear_term(scene.channels, aux, weights, w.n_sense)
-    wmat = w.matrix
-    c2w = shift * wmat + (qs @ wmat if not np.isscalar(qs) else 0.0) - (
-        hg @ wmat if not np.isscalar(hg) else 0.0
-    )
-    nxt = _project(c1 + c2w, w, cfg)
-    return w.replace_matrix(nxt), shift, vec
+    core: SolverCore,
+    x: np.ndarray,
+    z: np.ndarray,
+    point: Point,
+    lift: Callable[[np.ndarray], np.ndarray],
+    project: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, float]:
+    """One surrogate maximization, X+ = Pi(lambda X + lift(E - D Z)).
+    Returns (next iterate, shift)."""
+    d = curvature(core, point)
+    shift = shift_parameter(core, d)
+    return project(shift * x + lift(half_gradient(core, point, z, d))), shift
 
 
 def analytic_gradient(
     scene: Scene, steering: SteeringSet, w: Beamformer, weights: Weights
 ) -> np.ndarray:
-    """Closed-form gradient of the tradeoff objective at w:
-    2 x linear term plus the curvature matrices applied to W."""
-    aux = comm_aux(scene, w)
-    saux = sensing_aux(scene, steering, w) if weights.sense > 0 else None
-    hg, qs = surrogate_matrices(scene.channels, aux, saux, weights)
-    wmat = w.matrix
-    grad = 2.0 * linear_term(scene.channels, aux, weights, w.n_sense)
-    if not np.isscalar(qs):
-        grad = grad + 2.0 * (qs @ wmat)
-    if not np.isscalar(hg):
-        grad = grad - 2.0 * (hg @ wmat)
-    return grad
+    """Closed-form gradient of the tradeoff objective at w: 2 V (E - D Z)."""
+    core = solver_core(scene, steering, weights)
+    z = core.coords(w.matrix)
+    point = evaluate(core, z)
+    return 2.0 * core.lift(half_gradient(core, point, z, curvature(core, point)))
 
 
 def matched_filter_init(
@@ -354,42 +316,64 @@ def matched_filter_init(
     if stacked.size == 0:
         raise ValueError("beamformer has no columns (n_users + n_sense = 0)")
     w = Beamformer(wc, ws, scene.power_budget)
-    return w.replace_matrix(_project(stacked, w, cfg))
+    return w.replace_matrix(_project(stacked, w.power_budget, cfg))
 
 
-def solve(
+def prepare(
     scene: Scene,
     weights: Weights,
-    cfg: SolverConfig = SolverConfig(),
-    n_sense: Optional[int] = None,
+    cfg: SolverConfig,
+    n_sense: Optional[int],
+    steering: Optional[SteeringSet],
     init: Optional[Beamformer] = None,
-    steering: Optional[SteeringSet] = None,
-) -> SolveResult:
-    """Run the full-dimension iteration to tolerance or iteration budget.
+) -> tuple[SolverCore, Beamformer]:
+    """Shared front-end validation: the solver core and the antenna-domain start.
 
-    n_sense defaults to 3 * n_targets (the structural stream bound). A run
-    that exhausts max_iters without meeting the tolerance is reported via
-    converged=False, never silently truncated.
+    n_sense defaults to 3 * n_targets (the structural stream bound).
     """
-    t0 = time.perf_counter()
     if steering is None:
         steering = build_steering_set(scene)
     if n_sense is None:
         n_sense = 3 * scene.n_targets
-    w = init if init is not None else matched_filter_init(scene, steering, n_sense, cfg)
-    obj = metrics.objective(scene, steering, w, weights)
-    trace = [obj]
+    core = solver_core(scene, steering, weights)
+    if init is None:
+        init = matched_filter_init(scene, steering, n_sense, cfg)
+    elif init.n_tx != scene.n_tx or init.n_users != scene.n_users:
+        raise ValueError("initial beamformer dimensions do not match the scene")
+    return core, init
+
+
+def run(
+    core: SolverCore,
+    x: np.ndarray,
+    cfg: SolverConfig,
+    coords: Callable[[np.ndarray], np.ndarray],
+    lift: Callable[[np.ndarray], np.ndarray],
+    project: Callable[[np.ndarray], np.ndarray],
+    antenna: Callable[[np.ndarray], np.ndarray],
+    t0: float,
+) -> SolveResult:
+    """The iteration shared by both front ends, from iterate x to tolerance or
+    iteration budget.
+
+    coords maps an iterate to Z = V^H W, lift maps basis coefficients into the
+    iterate's coordinates, project applies the power constraint there, and
+    antenna returns the antenna-domain beamformer matrix; t0 is the
+    front end's start time. A run that exhausts max_iters without meeting the
+    tolerance is reported via converged=False, never silently truncated.
+    """
+    z = coords(x)
+    point = evaluate(core, z)
+    trace = [point.objective]
     t_setup = time.perf_counter() - t0
     t1 = time.perf_counter()
     converged = False
-    vec = None
     for _ in range(cfg.max_iters):
-        aux = comm_aux(scene, w) if weights.comm > 0 else _zero_comm_aux(scene)
-        saux = sensing_aux(scene, steering, w) if weights.sense > 0 else None
-        w, _, vec = sca_step(scene, steering, w, weights, cfg, aux, saux, vec)
-        new_obj = metrics.objective(scene, steering, w, weights)
-        trace.append(new_obj)
-        delta, obj = abs(new_obj - obj), new_obj
+        x, _ = sca_step(core, x, z, point, lift, project)
+        z = coords(x)
+        new = evaluate(core, z)
+        trace.append(new.objective)
+        delta, point = abs(new.objective - point.objective), new
         if delta <= cfg.tol_objective:
             converged = True
             break
@@ -401,8 +385,14 @@ def solve(
             cfg.tol_objective,
         )
     t2 = time.perf_counter()
-    final_rate = sum_rate_or_zero(scene, w)
-    final_crlb = crlb_or_nan(scene, steering, w)
+    scene = core.scene
+    wmat = antenna(x)
+    w = Beamformer(wmat[:, : scene.n_users], wmat[:, scene.n_users :], scene.power_budget)
+    final_rate = metrics.sum_rate(scene, w)
+    try:
+        final_crlb = metrics.crlb_trace(metrics.fim(scene, core.steering, w))
+    except (ValueError, SingularFisherError):  # no targets, or a singular Fisher matrix
+        final_crlb = float("nan")
     iterations = len(trace) - 1
     timings = {
         "setup_s": t_setup,
@@ -421,19 +411,27 @@ def solve(
     )
 
 
-def _zero_comm_aux(scene: Scene) -> CommAux:
-    k = scene.n_users
-    return CommAux(np.zeros(k), np.zeros(k, complex), np.zeros(k))
+def solve(
+    scene: Scene,
+    weights: Weights,
+    cfg: SolverConfig = SolverConfig(),
+    n_sense: Optional[int] = None,
+    init: Optional[Beamformer] = None,
+    steering: Optional[SteeringSet] = None,
+) -> SolveResult:
+    """Full-dimension front end: iterates on the antenna-domain beamformer, so
+    it honours the per-antenna constraint and starts outside span(V).
 
-
-def sum_rate_or_zero(scene: Scene, w: Beamformer) -> float:
-    return metrics.sum_rate(scene, w) if scene.n_users else 0.0
-
-
-def crlb_or_nan(scene: Scene, steering: SteeringSet, w: Beamformer) -> float:
-    if scene.n_targets == 0:
-        return float("nan")
-    try:
-        return metrics.crlb_trace(metrics.fim(scene, steering, w))
-    except SingularFisherError:
-        return float("nan")
+    n_sense defaults to 3 * n_targets (the structural stream bound).
+    """
+    t0 = time.perf_counter()
+    core, w0 = prepare(scene, weights, cfg, n_sense, steering, init)
+    budget = scene.power_budget
+    return run(
+        core, w0.matrix, cfg,
+        coords=core.coords,
+        lift=core.lift,
+        project=lambda w: _project(w, budget, cfg),
+        antenna=lambda w: w,
+        t0=t0,
+    )

@@ -91,6 +91,13 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(missing)]) == cli.EXIT_BAD_CONFIG
 
 
+def test_lowdim_per_antenna_exits_one(scene_config, capsys):
+    argv = ["solve", "--config", str(scene_config), "--solver", "lowdim",
+            "--power-constraint", "per-antenna"]
+    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(scene_config, tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--config", str(scene_config), "--out", str(out)])

@@ -44,6 +44,11 @@ def test_config_validation():
         ExperimentConfig(solver="newton")
     with pytest.raises(ValueError):
         ExperimentConfig(workers=0)
+    per_antenna = SolverConfig(power_constraint="per-antenna")
+    for solver in ("lowdim", "both"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(solver=solver, solver_config=per_antenna)
+    ExperimentConfig(solver="full", solver_config=per_antenna)
 
 
 def test_near_square_factorization():
@@ -80,6 +85,18 @@ def test_csv_header_and_determinism():
     assert a.splitlines()[0] == CSV_HEADER
     assert a == b  # byte-identical with measure_time=False
     assert len(a.splitlines()) == 9
+
+
+def test_n_sense_sweep_front_ends_agree():
+    cfg = ExperimentConfig(
+        sweep_axis="n_sense", sweep_values=(0, 6), trials=1, solver="both", measure_time=False
+    )
+    records = run_experiment(cfg).records
+    for value in cfg.sweep_values:
+        full, ld = (r for r in records if r.sweep_value == value)
+        assert (full.solver, ld.solver) == ("full", "lowdim")
+        assert ld.iterations == full.iterations
+        assert ld.objective == pytest.approx(full.objective, rel=1e-6)
 
 
 def test_failed_trials_become_rows():

@@ -1,4 +1,6 @@
-"""Full-dimension solver: projections, auxiliaries, shift, step, convergence."""
+"""Solver core and front ends: projections, auxiliaries, shift, step, convergence."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from isacbeam import (
     build_steering_set,
     sample_scene,
     solve,
+    solve_ld,
 )
 from isacbeam import metrics, sca
 from isacbeam.scene import Scene
@@ -34,15 +37,6 @@ def test_project_per_antenna_rows(rng):
     x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     out = sca.project_per_antenna(x, 8.0, 4)
     assert np.allclose(np.sum(np.abs(out) ** 2, axis=1), 2.0)
-
-
-def test_power_iteration_dominant_eigenvalue(rng):
-    a = rng.standard_normal((6, 6))
-    mat = 0.5 * (a + a.T)
-    value, vec = sca.power_iteration(mat, max_iters=2000, tol=1e-12)
-    expect = np.max(np.abs(np.linalg.eigvalsh(mat)))
-    assert value == pytest.approx(expect, rel=1e-6)
-    assert np.linalg.norm(mat @ vec) == pytest.approx(value, rel=1e-6)
 
 
 def test_comm_aux_matches_direct_computation(rng):
@@ -99,29 +93,32 @@ def test_adjoint_identity_between_fim_and_quad(default_scene, default_steering, 
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
+def _curvature_at(scene, steering, w):
+    core = sca.solver_core(scene, steering, WTS)
+    z = core.coords(w.matrix)
+    point = sca.evaluate(core, z)
+    return core, z, point, sca.curvature(core, point)
+
+
 def test_shift_makes_curvature_positive_semidefinite(default_scene, default_steering):
     scene, steering = default_scene, default_steering
-    cfg = SolverConfig()
-    w = sca.matched_filter_init(scene, steering, 6, cfg)
-    aux = sca.comm_aux(scene, w)
-    saux = sca.sensing_aux(scene, steering, w)
-    shift, _ = sca.shift_parameter(scene, aux, saux, WTS, cfg)
-    hg, qs = sca.surrogate_matrices(scene.channels, aux, saux, WTS)
-    c2 = shift * np.eye(scene.n_tx) + qs - hg
+    w = sca.matched_filter_init(scene, steering, 6, SolverConfig())
+    core, _, _, d = _curvature_at(scene, steering, w)
+    shift = sca.shift_parameter(core, d)
+    c2 = shift * np.eye(scene.n_tx) - core.basis @ d @ core.basis.conj().T
     eigs = np.linalg.eigvalsh(0.5 * (c2 + c2.conj().T))
     assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
 
 def test_step_equals_projected_gradient_ascent(default_scene, default_steering):
     scene, steering = default_scene, default_steering
-    cfg = SolverConfig()
-    w = sca.matched_filter_init(scene, steering, 6, cfg)
-    aux = sca.comm_aux(scene, w)
-    saux = sca.sensing_aux(scene, steering, w)
-    nxt, shift, _ = sca.sca_step(scene, steering, w, WTS, cfg, aux, saux)
+    w = sca.matched_filter_init(scene, steering, 6, SolverConfig())
+    core, z, point, _ = _curvature_at(scene, steering, w)
+    project = lambda x: sca.project_total_power(x, scene.power_budget)
+    nxt, shift = sca.sca_step(core, w.matrix, z, point, core.lift, project)
     grad = sca.analytic_gradient(scene, steering, w, WTS)
     pga = sca.project_total_power(w.matrix + grad / (2.0 * shift), scene.power_budget)
-    assert np.linalg.norm(nxt.matrix - pga) <= 1e-10 * np.linalg.norm(pga)
+    assert np.linalg.norm(nxt - pga) <= 1e-10 * np.linalg.norm(pga)
 
 
 def test_analytic_gradient_matches_finite_differences(small_scene, small_steering):
@@ -145,12 +142,25 @@ def test_solve_monotone_and_on_sphere(default_scene):
     assert set(result.timings) == {"setup_s", "iterations_s", "metrics_s", "per_iteration_s"}
 
 
-def test_solve_reports_nonconvergence(default_scene):
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_solve_reports_nonconvergence(default_scene, front_end, caplog):
     from dataclasses import replace
 
-    result = solve(default_scene, WTS, replace(SolverConfig(), tol_objective=0.0, max_iters=4))
+    cfg = replace(SolverConfig(), tol_objective=0.0, max_iters=4)
+    with caplog.at_level(logging.WARNING, logger="isacbeam.sca"):
+        result = front_end(default_scene, WTS, cfg)
     assert not result.converged
     assert result.iterations == 4
+    assert [r.name for r in caplog.records] == ["isacbeam.sca"]
+    assert "max_iters=4" in caplog.records[0].getMessage()
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_sensing_weight_without_targets_raises(front_end):
+    scene = sample_scene(0, n_targets=0)
+    with pytest.raises(ValueError):
+        front_end(scene, WTS)
+    assert front_end(scene, Weights(1.0, 0.0)).converged
 
 
 def test_solve_random_init_mode(small_scene):
