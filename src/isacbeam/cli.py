@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import experiments, lowdim, sca
+from . import experiments
 from .metrics import Weights
 from .sca import SolverConfig
 from .scene import scene_from_config
@@ -76,10 +76,8 @@ def _cmd_solve(args) -> int:
     scene = scene_from_config(scene_cfg)
     weights = Weights(args.comm_weight, args.sense_weight)
     cfg = SolverConfig(power_constraint=args.power_constraint)
-    solvers = ("full", "lowdim") if args.solver == "both" else (args.solver,)
     report = {}
-    for name in solvers:
-        runner = lowdim.solve_ld if name == "lowdim" else sca.solve
+    for name, runner in experiments.front_ends(args.solver):
         result = runner(scene, weights, cfg)
         report[name] = {
             "sum_rate_nats": result.sum_rate,

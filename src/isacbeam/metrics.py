@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -15,10 +14,10 @@ __all__ = [
     "FisherInfo",
     "Weights",
     "SingularFisherError",
+    "sinr",
     "user_rate",
     "sum_rate",
     "fim",
-    "fim_from_covariance",
     "JacobianTable",
     "jacobian_table",
     "steering_basis",
@@ -30,7 +29,7 @@ __all__ = [
 
 
 class SingularFisherError(RuntimeError):
-    """Fisher information matrix is not positive definite (even with jitter)."""
+    """Fisher information matrix is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,8 @@ class Weights:
     sense: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.comm) and np.isfinite(self.sense)):
+            raise ValueError("weights must be finite")
         if self.comm < 0 or self.sense < 0:
             raise ValueError("weights must be nonnegative")
         if self.comm == 0 and self.sense == 0:
@@ -134,21 +135,31 @@ def _check_dims(scene: Scene, w: Beamformer) -> None:
         raise ValueError("beamformer dimensions do not match the scene")
 
 
+def sinr(gains: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user SINR and total received power from the gains H^H W (K x
+    streams, the first K columns the communication streams; every other
+    stream counts as interference). Users with no desired signal get SINR 0."""
+    k = gains.shape[0]
+    total = np.sum(np.abs(gains) ** 2, axis=1) + noise
+    signal = np.abs(np.diag(gains[:, :k])) ** 2
+    return np.where(signal > 0, signal / (total - signal), 0.0), total
+
+
+def _user_sinr(scene: Scene, w: Beamformer) -> np.ndarray:
+    _check_dims(scene, w)
+    return sinr(scene.channels.conj().T @ w.matrix, scene.noise_comm)[0]
+
+
 def user_rate(scene: Scene, w: Beamformer, k: int) -> float:
     """Achievable rate (nats/s/Hz) of user k (0-based), sensing beams as interference."""
-    _check_dims(scene, w)
     if not 0 <= k < scene.n_users:
         raise ValueError(f"user index {k} out of range")
-    h = scene.channels[:, k]
-    gains_comm = np.abs(h.conj() @ w.w_comm) ** 2
-    signal = gains_comm[k]
-    interference = gains_comm.sum() - signal + np.sum(np.abs(h.conj() @ w.w_sense) ** 2)
-    return float(np.log1p(signal / (interference + scene.noise_comm[k])))
+    return float(np.log1p(_user_sinr(scene, w)[k]))
 
 
 def sum_rate(scene: Scene, w: Beamformer) -> float:
     """Total rate over all users (nats/s/Hz)."""
-    return float(sum(user_rate(scene, w, k) for k in range(scene.n_users)))
+    return float(np.sum(np.log1p(_user_sinr(scene, w))))
 
 
 @dataclass(frozen=True)
@@ -207,54 +218,29 @@ def table_adjoint(table: JacobianTable, phi: np.ndarray) -> np.ndarray:
     return table.coeff.conj().reshape(-1, n3).T @ mixed.reshape(-1, n3)
 
 
-def fim_from_covariance(
-    steering: SteeringSet, r_x: np.ndarray, noise_radar: float, slots: int
-) -> FisherInfo:
-    """Fisher information for (azimuths, elevations, Re rcs, Im rcs) given the
-    transmit covariance r_x."""
-    s = steering_basis(steering)
-    return table_fim(jacobian_table(steering, noise_radar, slots), s.conj().T @ r_x @ s)
-
-
 def fim(scene: Scene, steering: SteeringSet, w: Beamformer) -> FisherInfo:
-    """Fisher information of the echo model under beamformer w."""
+    """Fisher information of the echo model under beamformer w, through
+    R_s = Z_S Z_S^H with Z_S = Sbar^H W."""
     _check_dims(scene, w)
     if scene.n_targets < 1:
         raise ValueError("scene has no targets")
-    return fim_from_covariance(steering, w.covariance, scene.noise_radar, scene.slots)
+    zs = steering_basis(steering).conj().T @ w.matrix
+    return table_fim(jacobian_table(steering, scene.noise_radar, scene.slots), zs @ zs.conj().T)
 
 
-def _spd_inverse(f: np.ndarray, jitter: Optional[float]) -> np.ndarray:
-    """Inverse of an SPD matrix via Cholesky, with jitter fallback."""
-    eye = np.eye(f.shape[0])
+def inverse_fisher(fi: FisherInfo) -> np.ndarray:
+    """Dense inverse of the Fisher matrix by Cholesky factorization; raises
+    SingularFisherError when the matrix is not numerically positive definite."""
     try:
-        factor = scipy.linalg.cho_factor(f, lower=True)
-        return scipy.linalg.cho_solve(factor, eye)
-    except scipy.linalg.LinAlgError:
-        pass
-    if jitter is None:
-        jitter = 1e-10 * np.trace(f) / f.shape[0]
-    try:
-        factor = scipy.linalg.cho_factor(f + jitter * eye, lower=True)
-        return scipy.linalg.cho_solve(factor, eye)
+        factor = scipy.linalg.cho_factor(fi.matrix, lower=True)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularFisherError(
-            "Fisher matrix is singular even with jitter; target geometry is unidentifiable"
-        ) from exc
+        raise SingularFisherError("Fisher matrix is singular; target geometry is unidentifiable") from exc
+    return scipy.linalg.cho_solve(factor, np.eye(fi.matrix.shape[0]))
 
 
-def crlb_trace(fi: FisherInfo, jitter: Optional[float] = None) -> float:
-    """Trace of the inverse Fisher matrix (sum of the parameter CRLBs).
-
-    Jitter is added only when the plain SPD factorization fails; the default
-    amount is 1e-10 tr(F)/(4M).
-    """
-    return float(np.trace(_spd_inverse(fi.matrix, jitter)))
-
-
-def inverse_fisher(fi: FisherInfo, jitter: Optional[float] = None) -> np.ndarray:
-    """Dense inverse of the Fisher matrix (SPD factorization, jitter fallback)."""
-    return _spd_inverse(fi.matrix, jitter)
+def crlb_trace(fi: FisherInfo) -> float:
+    """Trace of the inverse Fisher matrix (sum of the parameter CRLBs)."""
+    return float(np.trace(inverse_fisher(fi)))
 
 
 def objective(scene: Scene, steering: SteeringSet, w: Beamformer, weights: Weights) -> float:

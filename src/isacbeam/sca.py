@@ -35,7 +35,6 @@ __all__ = [
     "SolverConfig",
     "SolverCore",
     "SolveResult",
-    "comm_aux",
     "comm_aux_core",
     "solver_core",
     "evaluate",
@@ -83,8 +82,8 @@ class SolverConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.tol_objective <= 0 and self.tol_objective != 0.0:
-            raise ValueError("tol_objective must be nonnegative")
+        if not (np.isfinite(self.tol_objective) and self.tol_objective >= 0):
+            raise ValueError("tol_objective must be finite and nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.init_mode not in ("matched-filter", "random"):
@@ -177,21 +176,10 @@ def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
     Users with a vanishing desired signal get all three auxiliaries set to 0,
     which drops the linear term from their surrogate.
     """
-    k = gains.shape[0]
-    desired = np.diag(gains[:, :k])
-    total = np.sum(np.abs(gains) ** 2, axis=1) + noise
-    signal = np.abs(desired) ** 2
-    interference = total - signal
-    sinr = np.where(signal > 0, signal / interference, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        signal_coeff = np.where(signal > 0, sinr / np.where(desired == 0, 1.0, desired), 0.0)
-    power_coeff = np.where(signal > 0, sinr / total, 0.0)
-    return CommAux(sinr=sinr, signal_coeff=signal_coeff, power_coeff=power_coeff)
-
-
-def comm_aux(scene: Scene, w: Beamformer) -> CommAux:
-    """Rate-surrogate auxiliaries at the current beamformer."""
-    return comm_aux_core(scene.channels.conj().T @ w.matrix, scene.noise_comm)
+    sinr, total = metrics.sinr(gains, noise)
+    desired = np.diag(gains[:, : gains.shape[0]])
+    signal_coeff = sinr / np.where(desired == 0, 1.0, desired)
+    return CommAux(sinr=sinr, signal_coeff=signal_coeff, power_coeff=sinr / total)
 
 
 def evaluate(core: SolverCore, z: np.ndarray) -> Point:

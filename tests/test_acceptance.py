@@ -178,7 +178,7 @@ def test_rate_surrogate_tangent_and_lower_bound(default_scene, rng):
     scene = default_scene
     w0 = random_on_sphere(rng, (scene.n_tx, 10), scene.power_budget)
     bf0 = Beamformer(w0[:, :4], w0[:, 4:], scene.power_budget)
-    aux = sca.comm_aux(scene, bf0)
+    aux = sca.comm_aux_core(scene.channels.conj().T @ w0, scene.noise_comm)
     for k in range(scene.n_users):
         rate0 = metrics.user_rate(scene, bf0, k)
         assert _fp_rate_surrogate(scene, aux, w0, k) == pytest.approx(rate0, rel=1e-9)

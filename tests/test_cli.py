@@ -90,6 +90,8 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["solve", "--config", str(missing)]) == cli.EXIT_BAD_CONFIG
 
+    assert cli.main(["solve", "--comm-weight", "nan"]) == cli.EXIT_BAD_CONFIG
+
 
 def test_lowdim_per_antenna_exits_one(scene_config, capsys):
     argv = ["solve", "--config", str(scene_config), "--solver", "lowdim",

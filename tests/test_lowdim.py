@@ -12,28 +12,21 @@ from isacbeam import (
     SolverConfig,
     Weights,
     benchmark_targets,
-    build_steering_set,
     sample_scene,
     solve,
     solve_ld,
 )
-from isacbeam import lowdim
+from isacbeam import sca
 
 WTS = Weights(0.25, 1.0)
 
 
-def test_gram_solve_correctness(default_scene, default_steering, rng):
-    basis = lowdim.build_basis(default_scene, default_steering)
-    rhs = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
-    x = basis.gram_solve(rhs)
-    assert np.linalg.norm(basis.gram @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
 def test_basis_shape_and_gram(default_scene, default_steering):
-    basis = lowdim.build_basis(default_scene, default_steering)
+    core = sca.solver_core(default_scene, default_steering, WTS)
     k, m = default_scene.n_users, default_scene.n_targets
-    assert basis.basis.shape == (default_scene.n_tx, k + 3 * m)
-    assert np.allclose(basis.gram, basis.basis.conj().T @ basis.basis)
+    assert core.basis.shape == (default_scene.n_tx, k + 3 * m)
+    assert np.allclose(core.gram, core.basis.conj().T @ core.basis)
+    assert np.allclose(core.gram_half @ core.gram_half, core.gram)
 
 
 def test_lifted_beamformer_on_sphere(default_scene):
@@ -57,23 +50,28 @@ def test_parity_with_full_solver(seed):
     np.testing.assert_allclose(ld.objective_trace, full.objective_trace, rtol=1e-8)
 
 
-def test_duplicated_targets_survive_via_jitter(rng):
-    # a repeated target makes the Gram exactly singular; the jitter fallback
-    # must still produce a usable factorization
+def test_duplicated_targets_report_nan_crlb():
+    # a repeated target makes the Gram matrix and every Fisher matrix exactly
+    # singular; without a sensing weight both front ends still solve, agree,
+    # and report the unidentifiable CRLB as NaN
     target = benchmark_targets()[0]
     scene = sample_scene(0, targets=(target, target))
-    steering = build_steering_set(scene)
-    basis = lowdim.build_basis(scene, steering)
-    rhs = rng.standard_normal((basis.dim, 2))
-    x = basis.gram_solve(rhs)
-    assert np.all(np.isfinite(x))
+    weights = Weights(1.0, 0.0)
+    full = solve(scene, weights)
+    ld = solve_ld(scene, weights)
+    assert ld.iterations == full.iterations
+    np.testing.assert_allclose(ld.objective_trace, full.objective_trace, rtol=1e-8)
+    assert np.isnan(full.crlb_trace) and np.isnan(ld.crlb_trace)
 
 
 def test_empty_basis_raises():
+    # no users and no targets leave the basis without columns
     scene = sample_scene(0, n_users=0, n_targets=0)
-    steering = build_steering_set(scene)
-    with pytest.raises(lowdim.RankDeficientBasisError):
-        lowdim.build_basis(scene, steering)
+    weights = Weights(1.0, 0.0)
+    with pytest.raises(ValueError):
+        solve(scene, weights)
+    with pytest.raises(ValueError):
+        solve_ld(scene, weights)
 
 
 def test_per_antenna_constraint_rejected(small_scene):
@@ -107,10 +105,12 @@ def _monotone(trace):
 @example(seed=0, n_users=3, n_targets=2, tx=(4, 3), weights=Weights(0.25, 1.0), duplicate=True)
 @example(seed=223, n_users=3, n_targets=2, tx=(3, 1), weights=Weights(0.25, 1.0), duplicate=False)
 @example(seed=0, n_users=1, n_targets=2, tx=(1, 1), weights=Weights(0.25, 1.0), duplicate=False)
+@example(seed=0, n_users=0, n_targets=0, tx=(4, 3), weights=Weights(1.0, 0.0), duplicate=False)
 def test_front_ends_agree_or_both_raise(seed, n_users, n_targets, tx, weights, duplicate):
     """Both front ends run one iteration, so they agree or both raise.
 
-    Duplicated targets are unidentifiable, so both raise ValueError. The MM
+    Duplicated targets are unidentifiable, and a scene without users and
+    targets has no beamformer columns, so both raise ValueError. The MM
     guarantee covers monotone traces, where iteration counts and objectives
     must agree. With an ill-conditioned Fisher matrix (the seed 223 and
     single-antenna examples) the linearized sensing term does not minorize

@@ -93,6 +93,11 @@ def test_weights_validation():
         Weights(-0.1, 1.0)
     with pytest.raises(ValueError):
         Weights(0.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Weights(bad, 1.0)
+        with pytest.raises(ValueError):
+            Weights(0.25, bad)
 
 
 def test_fisher_info_validation():

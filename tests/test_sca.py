@@ -44,8 +44,7 @@ def test_comm_aux_matches_direct_computation(rng):
     shape = (scene.n_tx, scene.n_users + 2)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w = sca.project_total_power(w, scene.power_budget)
-    bf = Beamformer(w[:, :4], w[:, 4:], scene.power_budget)
-    aux = sca.comm_aux(scene, bf)
+    aux = sca.comm_aux_core(scene.channels.conj().T @ w, scene.noise_comm)
     for k in range(scene.n_users):
         h = scene.channels[:, k]
         gains = np.abs(h.conj() @ w) ** 2
@@ -153,6 +152,19 @@ def test_solve_reports_nonconvergence(default_scene, front_end, caplog):
     assert result.iterations == 4
     assert [r.name for r in caplog.records] == ["isacbeam.sca"]
     assert "max_iters=4" in caplog.records[0].getMessage()
+
+
+def test_solver_config_validation():
+    for tol in (np.nan, np.inf, -1e-4):
+        with pytest.raises(ValueError):
+            SolverConfig(tol_objective=tol)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        SolverConfig(init_mode="zeros")
+    with pytest.raises(ValueError):
+        SolverConfig(power_constraint="per-user")
+    assert SolverConfig(tol_objective=0.0).tol_objective == 0.0
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
