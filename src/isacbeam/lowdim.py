@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sca
 from .metrics import Weights
-from .scene import Scene, SteeringSet
+from .scene import Scene
 from .sca import SolveResult, SolverConfig
 
 __all__ = ["solve_ld"]
@@ -30,7 +30,6 @@ def solve_ld(
     scene: Scene,
     weights: Weights,
     cfg: SolverConfig = SolverConfig(),
-    steering: Optional[SteeringSet] = None,
     n_sense: Optional[int] = None,
 ) -> SolveResult:
     """Reduced-dimension front end; the reported beamformer is lifted back to
@@ -45,7 +44,7 @@ def solve_ld(
     t0 = time.perf_counter()
     if cfg.power_constraint != "total":
         raise ValueError("solve_ld honours only power_constraint='total'")
-    core, w0 = sca.prepare(scene, weights, cfg, n_sense, steering)
+    core, w0 = sca.prepare(scene, weights, cfg, n_sense)
     gram, budget = core.gram, scene.power_budget
 
     def ellipsoid(p: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "fim",
     "JacobianTable",
     "jacobian_table",
-    "steering_basis",
     "table_fim",
     "table_adjoint",
     "crlb_trace",
@@ -50,8 +49,8 @@ class Beamformer:
             raise ValueError("w_comm and w_sense must share the antenna dimension")
         if not (np.all(np.isfinite(wc)) and np.all(np.isfinite(ws))):
             raise ValueError("beamformer entries must be finite")
-        if self.power_budget <= 0:
-            raise ValueError("power budget must be positive")
+        if not 0 < self.power_budget < np.inf:
+            raise ValueError("power budget must be finite and positive")
         object.__setattr__(self, "w_comm", wc)
         object.__setattr__(self, "w_sense", ws)
 
@@ -167,8 +166,8 @@ class JacobianTable:
     """Fisher-information coefficients of the echo map G = B U A^H.
 
     Every parameter derivative factors as dG/dxi_i = Bbar C_i Sbar^H, with
-    Bbar = [B, B_dtheta, B_dphi] and Sbar = [A, A_dtheta, A_dphi] (see
-    steering_basis). coeff holds the C_i, shape (4M, 3M, 3M), in the parameter
+    Bbar = [B, B_dtheta, B_dphi] and Sbar = [A, A_dtheta, A_dphi] (SteeringSet's
+    rx and tx). coeff holds the C_i, shape (4M, 3M, 3M), in the parameter
     order azimuths, elevations, Re rcs, Im rcs; weighted holds
     (2L / sigma^2) Bbar^H Bbar C_i. The transmit side enters only through
     R_s = Sbar^H R_x Sbar, so table_fim is the linear map R_s -> F and
@@ -177,12 +176,6 @@ class JacobianTable:
 
     coeff: np.ndarray
     weighted: np.ndarray
-
-
-def steering_basis(steering: SteeringSet) -> np.ndarray:
-    """Sbar = [A, A_dtheta, A_dphi], the transmit-side factor of every
-    echo-map derivative (n_tx x 3M)."""
-    return np.concatenate([steering.A, steering.A_dtheta, steering.A_dphi], axis=1)
 
 
 def jacobian_table(steering: SteeringSet, noise_radar: float, slots: int) -> JacobianTable:
@@ -197,8 +190,7 @@ def jacobian_table(steering: SteeringSet, noise_radar: float, slots: int) -> Jac
     c[m + i, i, 2 * m + i] = u  # elevation: B U A_dphi^H
     c[2 * m + i, i, i] = 1.0  # Re rcs: B A^H
     c[3 * m + i, i, i] = 1j  # Im rcs: j B A^H
-    bbar = np.concatenate([steering.B, steering.B_dtheta, steering.B_dphi], axis=1)
-    weighted = (2.0 * slots / noise_radar) * ((bbar.conj().T @ bbar) @ c)
+    weighted = (2.0 * slots / noise_radar) * ((steering.rx.conj().T @ steering.rx) @ c)
     return JacobianTable(coeff=c, weighted=weighted)
 
 
@@ -224,7 +216,7 @@ def fim(scene: Scene, steering: SteeringSet, w: Beamformer) -> FisherInfo:
     _check_dims(scene, w)
     if scene.n_targets < 1:
         raise ValueError("scene has no targets")
-    zs = steering_basis(steering).conj().T @ w.matrix
+    zs = steering.tx.conj().T @ w.matrix
     return table_fim(jacobian_table(steering, scene.noise_radar, scene.slots), zs @ zs.conj().T)
 
 

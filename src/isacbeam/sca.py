@@ -153,7 +153,7 @@ def solver_core(scene: Scene, steering: SteeringSet, weights: Weights) -> Solver
     covariance, so when it is rank-deficient every beamformer's Fisher matrix
     is singular (repeated targets, for example) and ValueError is raised.
     """
-    basis = np.concatenate([scene.channels, metrics.steering_basis(steering)], axis=1)
+    basis = np.concatenate([scene.channels, steering.tx], axis=1)
     gram = basis.conj().T @ basis
     eigs, vecs = np.linalg.eigh(gram)
     gram_half = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
@@ -226,9 +226,8 @@ def shift_parameter(core: SolverCore, d: np.ndarray) -> float:
 def quad_matrix(steering: SteeringSet, phi: np.ndarray, noise_radar: float, slots: int) -> np.ndarray:
     """Transmit-side quadratic form matching tr(phi^T F): the n_tx x n_tx
     matrix Q = Sbar K Sbar^H with tr(phi^T F(W)) = Re tr(R_x Q)."""
-    s = metrics.steering_basis(steering)
     kmat = metrics.table_adjoint(metrics.jacobian_table(steering, noise_radar, slots), phi)
-    return s @ kmat @ s.conj().T
+    return steering.tx @ kmat @ steering.tx.conj().T
 
 
 def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
@@ -296,8 +295,7 @@ def matched_filter_init(
         norms = np.linalg.norm(scene.channels, axis=0)
         wc = scene.channels / np.where(norms > 0, norms, 1.0)[None, :]
         if n_sense and scene.n_targets:
-            cols = [steering.A[:, m % scene.n_targets] for m in range(n_sense)]
-            ws = np.column_stack(cols)
+            ws = steering.tx[:, np.arange(n_sense) % scene.n_targets]
         else:
             ws = np.ones((scene.n_tx, n_sense), complex) / np.sqrt(scene.n_tx)
     stacked = np.concatenate([wc, ws], axis=1)
@@ -312,20 +310,19 @@ def prepare(
     weights: Weights,
     cfg: SolverConfig,
     n_sense: Optional[int],
-    steering: Optional[SteeringSet],
     init: Optional[Beamformer] = None,
 ) -> tuple[SolverCore, Beamformer]:
     """Shared front-end validation: the solver core and the antenna-domain start.
 
     n_sense defaults to 3 * n_targets (the structural stream bound).
     """
-    if steering is None:
-        steering = build_steering_set(scene)
     if n_sense is None:
         n_sense = 3 * scene.n_targets
-    core = solver_core(scene, steering, weights)
+    elif n_sense < 0:
+        raise ValueError(f"n_sense must be nonnegative, got {n_sense}")
+    core = solver_core(scene, build_steering_set(scene), weights)
     if init is None:
-        init = matched_filter_init(scene, steering, n_sense, cfg)
+        init = matched_filter_init(scene, core.steering, n_sense, cfg)
     elif init.n_tx != scene.n_tx or init.n_users != scene.n_users:
         raise ValueError("initial beamformer dimensions do not match the scene")
     return core, init
@@ -405,7 +402,6 @@ def solve(
     cfg: SolverConfig = SolverConfig(),
     n_sense: Optional[int] = None,
     init: Optional[Beamformer] = None,
-    steering: Optional[SteeringSet] = None,
 ) -> SolveResult:
     """Full-dimension front end: iterates on the antenna-domain beamformer, so
     it honours the per-antenna constraint and starts outside span(V).
@@ -413,7 +409,7 @@ def solve(
     n_sense defaults to 3 * n_targets (the structural stream bound).
     """
     t0 = time.perf_counter()
-    core, w0 = prepare(scene, weights, cfg, n_sense, steering, init)
+    core, w0 = prepare(scene, weights, cfg, n_sense, init)
     budget = scene.power_budget
     return run(
         core, w0.matrix, cfg,

@@ -112,12 +112,12 @@ class Scene:
             noise = np.full(channels.shape[1], noise[0])
         if noise.shape != (channels.shape[1],):
             raise ValueError("noise_comm needs one entry per user")
-        if np.any(noise <= 0) or self.noise_radar <= 0:
-            raise ValueError("noise powers must be strictly positive")
+        if not (np.all((0 < noise) & (noise < np.inf)) and 0 < self.noise_radar < np.inf):
+            raise ValueError("noise powers must be finite and strictly positive")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
-        if self.power_budget <= 0:
-            raise ValueError("power budget must be positive")
+        if not 0 < self.power_budget < np.inf:
+            raise ValueError("power budget must be finite and positive")
         object.__setattr__(self, "channels", _freeze(channels))
         object.__setattr__(self, "noise_comm", _freeze(noise))
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -141,82 +141,68 @@ class Scene:
 
 @dataclass(frozen=True)
 class SteeringSet:
-    """Stacked per-target steering matrices and their angle derivatives.
+    """The stacked sensing geometry of a scene's M targets.
 
-    A, A_dtheta, A_dphi have shape (n_tx, M); B, B_dtheta, B_dphi have shape
-    (n_rx, M). rcs holds the complex reflection coefficients (diagonal of U).
+    tx is Sbar = [A, A_dtheta, A_dphi] (n_tx x 3M) and rx is
+    Bbar = [B, B_dtheta, B_dphi] (n_rx x 3M): column m of each block belongs
+    to target m, and the blocks follow the angle order of the Fisher
+    parameters (azimuths, then elevations). rcs holds the complex reflection
+    coefficients (diagonal of U).
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    A_dtheta: np.ndarray
-    A_dphi: np.ndarray
-    B_dtheta: np.ndarray
-    B_dphi: np.ndarray
+    tx: np.ndarray
+    rx: np.ndarray
     rcs: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "A_dtheta", "A_dphi", "B_dtheta", "B_dphi", "rcs"):
+        for name in ("tx", "rx", "rcs"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.complex128)))
 
     @property
     def n_targets(self) -> int:
-        return self.A.shape[1]
+        return self.rcs.size
 
 
-def _factors(geom: ArrayGeometry, azimuth: float, elevation: float):
-    n_h = np.arange(geom.n_horizontal)
-    n_v = np.arange(geom.n_vertical)
-    a_h = np.exp(1j * np.pi * n_h * np.sin(azimuth) * np.sin(elevation)) / np.sqrt(geom.n_horizontal)
-    a_v = np.exp(1j * np.pi * n_v * np.cos(elevation)) / np.sqrt(geom.n_vertical)
-    return n_h, n_v, a_h, a_v
+def _steering_columns(geom: ArrayGeometry, azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    """[a, da/d azimuth, da/d elevation] of the UPA steering vector
+    a = a_h(az, el) kron a_v(el) at M angle pairs: an n_elements x 3M array."""
+    az, el = np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
+    n_h = np.arange(geom.n_horizontal)[:, None]
+    n_v = np.arange(geom.n_vertical)[:, None]
+    a_h = np.exp(1j * np.pi * n_h * np.sin(az) * np.sin(el)) / np.sqrt(geom.n_horizontal)
+    a_v = np.exp(1j * np.pi * n_v * np.cos(el)) / np.sqrt(geom.n_vertical)
+    dah_daz = 1j * np.pi * np.cos(az) * np.sin(el) * n_h * a_h
+    dah_del = 1j * np.pi * np.sin(az) * np.cos(el) * n_h * a_h
+    dav_del = -1j * np.pi * np.sin(el) * n_v * a_v
+
+    def kron(h, v):  # column-wise h[:, m] kron v[:, m]
+        return (h[:, None, :] * v[None, :, :]).reshape(geom.n_elements, az.size)
+
+    return np.concatenate(
+        [kron(a_h, a_v), kron(dah_daz, a_v), kron(dah_del, a_v) + kron(a_h, dav_del)], axis=1
+    )
 
 
 def steering_vector(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:
     """Unit-norm UPA steering vector a_h(az, el) kron a_v(el)."""
     _check_angles(azimuth, elevation)
-    _, _, a_h, a_v = _factors(geom, azimuth, elevation)
-    return np.kron(a_h, a_v)
+    return _steering_columns(geom, [azimuth], [elevation])[:, 0]
 
 
 def steering_derivatives(geom: ArrayGeometry, azimuth: float, elevation: float):
     """Partial derivatives of the steering vector w.r.t. azimuth and elevation."""
     _check_angles(azimuth, elevation)
-    n_h, n_v, a_h, a_v = _factors(geom, azimuth, elevation)
-    dah_daz = 1j * np.pi * np.cos(azimuth) * np.sin(elevation) * n_h * a_h
-    dah_del = 1j * np.pi * np.sin(azimuth) * np.cos(elevation) * n_h * a_h
-    dav_del = -1j * np.pi * np.sin(elevation) * n_v * a_v
-    d_azimuth = np.kron(dah_daz, a_v)
-    d_elevation = np.kron(dah_del, a_v) + np.kron(a_h, dav_del)
-    return d_azimuth, d_elevation
+    cols = _steering_columns(geom, [azimuth], [elevation])
+    return cols[:, 1], cols[:, 2]
 
 
 def build_steering_set(scene: Scene) -> SteeringSet:
-    """Column-stack steering vectors and derivatives for every target."""
-    tx_cols, rx_cols = [], []
-    tx_dth, tx_dph, rx_dth, rx_dph = [], [], [], []
-    for t in scene.targets:
-        tx_cols.append(steering_vector(scene.tx_geometry, t.azimuth, t.elevation))
-        rx_cols.append(steering_vector(scene.rx_geometry, t.azimuth, t.elevation))
-        da, de = steering_derivatives(scene.tx_geometry, t.azimuth, t.elevation)
-        tx_dth.append(da)
-        tx_dph.append(de)
-        da, de = steering_derivatives(scene.rx_geometry, t.azimuth, t.elevation)
-        rx_dth.append(da)
-        rx_dph.append(de)
-    m = scene.n_targets
-    shape_tx = (scene.n_tx, m)
-    shape_rx = (scene.n_rx, m)
-    stack = lambda cols, shape: (
-        np.column_stack(cols) if cols else np.zeros(shape, dtype=np.complex128)
-    )
+    """Sbar, Bbar and the reflection coefficients of every target."""
+    az = np.array([t.azimuth for t in scene.targets], dtype=float)
+    el = np.array([t.elevation for t in scene.targets], dtype=float)
     return SteeringSet(
-        A=stack(tx_cols, shape_tx),
-        B=stack(rx_cols, shape_rx),
-        A_dtheta=stack(tx_dth, shape_tx),
-        A_dphi=stack(tx_dph, shape_tx),
-        B_dtheta=stack(rx_dth, shape_rx),
-        B_dphi=stack(rx_dph, shape_rx),
+        tx=_steering_columns(scene.tx_geometry, az, el),
+        rx=_steering_columns(scene.rx_geometry, az, el),
         rcs=np.array([t.rcs for t in scene.targets]),
     )
 
@@ -261,8 +247,8 @@ def sample_scene(
         raise ValueError("n_slots must be >= 1")
     if elevation_mode not in ("domain", "wide-clipped"):
         raise ValueError(f"unknown elevation_mode {elevation_mode!r}")
-    if channel_variance <= 0:
-        raise ValueError("channel_variance must be positive")
+    if not 0 < channel_variance < np.inf:
+        raise ValueError("channel_variance must be finite and positive")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n_tx = tx_geometry.n_elements
     h = np.sqrt(channel_variance / 2.0) * (

@@ -92,6 +92,11 @@ def test_invalid_config_exits_one(tmp_path, capsys):
 
     assert cli.main(["solve", "--comm-weight", "nan"]) == cli.EXIT_BAD_CONFIG
 
+    nan_power = tmp_path / "nan_power.json"
+    nan_power.write_text(json.dumps({**TINY_SCENE, "power_dbm": float("nan")}))
+    assert cli.main(["solve", "--config", str(nan_power)]) == cli.EXIT_BAD_CONFIG
+    assert "power budget" in capsys.readouterr().err
+
 
 def test_lowdim_per_antenna_exits_one(scene_config, capsys):
     argv = ["solve", "--config", str(scene_config), "--solver", "lowdim",

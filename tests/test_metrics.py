@@ -71,8 +71,9 @@ def test_beamformer_validation():
         Beamformer(np.ones((4, 1)), np.ones((3, 1)), 1.0)
     with pytest.raises(ValueError):
         Beamformer(np.full((2, 1), np.nan), np.zeros((2, 0)), 1.0)
-    with pytest.raises(ValueError):
-        Beamformer(np.ones((2, 1)), np.zeros((2, 0)), 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Beamformer(np.ones((2, 1)), np.zeros((2, 0)), bad)
 
 
 def test_beamformer_properties(rng):

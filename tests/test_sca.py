@@ -175,6 +175,12 @@ def test_sensing_weight_without_targets_raises(front_end):
     assert front_end(scene, Weights(1.0, 0.0)).converged
 
 
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_negative_n_sense_raises(front_end, small_scene):
+    with pytest.raises(ValueError, match="n_sense"):
+        front_end(small_scene, WTS, n_sense=-1)
+
+
 def test_solve_random_init_mode(small_scene):
     from dataclasses import replace
 

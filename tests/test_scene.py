@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from isacbeam import ArrayGeometry, Target, benchmark_targets, sample_scene
+from isacbeam import ArrayGeometry, Target, benchmark_targets, build_steering_set, sample_scene
 from isacbeam.scene import (
     dbm_to_linear,
     scene_config_to_json,
@@ -55,6 +55,25 @@ def test_steering_derivatives_match_finite_differences(rng):
 def test_azimuth_derivative_vanishes_at_zero_elevation():
     d_az, _ = steering_derivatives(ArrayGeometry(4, 4), 0.7, 0.0)
     assert np.allclose(d_az, 0.0)
+
+
+@pytest.mark.parametrize("n_targets", [0, 1, 3])
+def test_steering_set_column_layout(n_targets):
+    # column m of each block belongs to target m: tx = [A, A_dtheta, A_dphi],
+    # rx = [B, B_dtheta, B_dphi], the order jacobian_table indexes
+    scene = sample_scene(4, tx_geometry=ArrayGeometry(4, 3), n_targets=n_targets)
+    steering = build_steering_set(scene)
+    m = n_targets
+    assert steering.n_targets == m
+    assert steering.tx.shape == (scene.n_tx, 3 * m)
+    assert steering.rx.shape == (scene.n_rx, 3 * m)
+    for i, t in enumerate(scene.targets):
+        assert steering.rcs[i] == t.rcs
+        for geom, stack in ((scene.tx_geometry, steering.tx), (scene.rx_geometry, steering.rx)):
+            d_az, d_el = steering_derivatives(geom, t.azimuth, t.elevation)
+            assert np.array_equal(stack[:, i], steering_vector(geom, t.azimuth, t.elevation))
+            assert np.array_equal(stack[:, m + i], d_az)
+            assert np.array_equal(stack[:, 2 * m + i], d_el)
 
 
 def test_angle_validation():
@@ -113,6 +132,10 @@ def test_invalid_sampling_inputs():
         sample_scene(0, n_slots=0)
     with pytest.raises(ValueError):
         sample_scene(0, elevation_mode="bogus")
+    for bad in (np.nan, np.inf):
+        for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm", "channel_variance"):
+            with pytest.raises(ValueError):
+                sample_scene(0, **{key: bad})
     with pytest.raises(ValueError):
         sample_scene(0, channel_variance=0.0)
 
