@@ -10,11 +10,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import metrics, sca
 from .metrics import Beamformer, Weights
-from .scene import Scene, SteeringSet, Target, build_steering_set, steering_vector
+from .scene import Scene, SteeringSet, steering_vector
 
 __all__ = [
     "ObsReport",
@@ -76,8 +75,12 @@ def obs_residuals(
     through its zero-vector branch and are excluded from the eigen residual
     (at moderate tradeoff weights the sensing block typically vanishes).
     Residuals are relative; an empty sensing block reports residual 0.
+    steering must equal scene.steering exactly (ValueError otherwise).
     """
-    core = sca.solver_core(scene, steering, weights)
+    own = scene.steering
+    if not all(np.array_equal(getattr(steering, k), getattr(own, k)) for k in ("tx", "rx", "rcs")):
+        raise ValueError("steering set does not belong to the scene")
+    core = sca.solver_core(scene, weights)
     z = core.coords(w.matrix)
     point = sca.evaluate(core, z)
     d = sca.curvature(core, point)
@@ -136,13 +139,7 @@ def rank_check(w_sense: np.ndarray, threshold_ratio: float = 1e-6) -> int:
     return int(np.count_nonzero(s > threshold_ratio * s[0]))
 
 
-def fd_gradient(
-    scene: Scene,
-    steering: SteeringSet,
-    w: Beamformer,
-    weights: Weights,
-    step: float = 1e-5,
-) -> np.ndarray:
+def fd_gradient(scene: Scene, w: Beamformer, weights: Weights, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the tradeoff objective over every real and
     imaginary coordinate of the beamformer, packed as d/dRe + 1j d/dIm.
 
@@ -154,7 +151,7 @@ def fd_gradient(
     grad = np.zeros_like(base)
 
     def value(mat):
-        return metrics.objective(scene, steering, w.replace_matrix(mat), weights)
+        return metrics.objective(scene, w.replace_matrix(mat), weights)
 
     for i in range(base.shape[0]):
         for j in range(base.shape[1]):

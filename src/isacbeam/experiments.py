@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, lowdim, metrics, sca
-from .metrics import Beamformer, Weights
-from .scene import ArrayGeometry, build_steering_set, sample_scene, scene_from_config
+from .metrics import Weights
+from .scene import ArrayGeometry, sample_scene, scene_from_config
 from .sca import SolverConfig
 
 __all__ = [
@@ -290,22 +289,20 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     scene_cfg = dict(scene_config or {})
     scene_cfg.setdefault("seed", seed)
     scene = scene_from_config(scene_cfg)
-    steering = build_steering_set(scene)
     weights = Weights(0.25, 1.0)
     checks = []
 
     small = sample_scene(seed + 1, tx_geometry=ArrayGeometry(3, 2), rx_geometry=ArrayGeometry(2, 2),
                          n_users=2, n_targets=1, n_slots=8)
-    small_st = build_steering_set(small)
-    w_small = sca.matched_filter_init(small, small_st, 3, SolverConfig())
-    g_fd = analysis.fd_gradient(small, small_st, w_small, weights)
-    g_an = sca.analytic_gradient(small, small_st, w_small, weights)
+    w_small = sca.matched_filter_init(small, 3, SolverConfig())
+    g_fd = analysis.fd_gradient(small, w_small, weights)
+    g_an = sca.analytic_gradient(small, w_small, weights)
     checks.append(_check("gradient_fd_relative_error",
                          np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd), 1e-5))
 
-    w0 = sca.matched_filter_init(scene, steering, 3 * scene.n_targets, SolverConfig())
+    w0 = sca.matched_filter_init(scene, 3 * scene.n_targets, SolverConfig())
     f_fd = analysis.fd_fim(scene, w0)
-    f_an = metrics.fim(scene, steering, w0).matrix
+    f_an = metrics.fim(scene, w0).matrix
     checks.append(_check("fim_fd_relative_error",
                          np.linalg.norm(f_an - f_fd) / np.linalg.norm(f_fd), 1e-5))
 
@@ -316,8 +313,8 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
         wr = w0.replace_matrix(sca.project_total_power(wmat, scene.power_budget))
         phi = rng.standard_normal((4 * scene.n_targets,) * 2)
         phi = 0.5 * (phi + phi.T)
-        f = metrics.fim(scene, steering, wr).matrix
-        q = sca.quad_matrix(steering, phi, scene.noise_radar, scene.slots)
+        f = metrics.fim(scene, wr).matrix
+        q = sca.quad_matrix(scene, phi)
         lhs = float(np.trace(phi.T @ f))
         rhs = float(np.real(np.trace(wr.covariance @ q)))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
@@ -328,14 +325,14 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     checks.append(_check("full_power_relative_error",
                          abs(w.total_power - scene.power_budget) / scene.power_budget, 1e-9))
     shrunk = w.replace_matrix(0.99 * w.matrix)
-    inward = metrics.objective(scene, steering, shrunk, weights) - result.objective_trace[-1]
+    inward = metrics.objective(scene, shrunk, weights) - result.objective_trace[-1]
     checks.append(_check("inward_scaling_gain", inward, 0.0))
     slack = 1e-9 * max(1.0, float(np.max(np.abs(result.objective_trace))))
     checks.append(_check("trace_monotonicity_violation",
                          float(-min(np.min(np.diff(result.objective_trace)), 0.0)), slack))
 
     tight = sca.solve(scene, weights, replace(SolverConfig(), tol_objective=1e-8, max_iters=20000))
-    report = analysis.obs_residuals(scene, steering, tight.beamformer, weights)
+    report = analysis.obs_residuals(scene, scene.steering, tight.beamformer, weights)
     checks.append(_check("obs_stationarity_residual", report.stationarity_residual, 1e-2))
     checks.append(_check("obs_comm_structure_residual", report.comm_structure_residual, 1e-2))
     checks.append(_check("obs_sense_eigen_residual", report.sense_eigen_residual, 1e-2))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .scene import Scene, SteeringSet
+from .scene import Scene
 
 __all__ = [
     "Beamformer",
@@ -178,8 +178,9 @@ class JacobianTable:
     weighted: np.ndarray
 
 
-def jacobian_table(steering: SteeringSet, noise_radar: float, slots: int) -> JacobianTable:
+def jacobian_table(scene: Scene) -> JacobianTable:
     """Coefficient table of dG/dxi for the scene's targets."""
+    steering = scene.steering
     m = steering.n_targets
     u = steering.rcs
     i = np.arange(m)
@@ -190,7 +191,7 @@ def jacobian_table(steering: SteeringSet, noise_radar: float, slots: int) -> Jac
     c[m + i, i, 2 * m + i] = u  # elevation: B U A_dphi^H
     c[2 * m + i, i, i] = 1.0  # Re rcs: B A^H
     c[3 * m + i, i, i] = 1j  # Im rcs: j B A^H
-    weighted = (2.0 * slots / noise_radar) * ((steering.rx.conj().T @ steering.rx) @ c)
+    weighted = (2.0 * scene.slots / scene.noise_radar) * ((steering.rx.conj().T @ steering.rx) @ c)
     return JacobianTable(coeff=c, weighted=weighted)
 
 
@@ -210,14 +211,14 @@ def table_adjoint(table: JacobianTable, phi: np.ndarray) -> np.ndarray:
     return table.coeff.conj().reshape(-1, n3).T @ mixed.reshape(-1, n3)
 
 
-def fim(scene: Scene, steering: SteeringSet, w: Beamformer) -> FisherInfo:
+def fim(scene: Scene, w: Beamformer) -> FisherInfo:
     """Fisher information of the echo model under beamformer w, through
     R_s = Z_S Z_S^H with Z_S = Sbar^H W."""
     _check_dims(scene, w)
     if scene.n_targets < 1:
         raise ValueError("scene has no targets")
-    zs = steering.tx.conj().T @ w.matrix
-    return table_fim(jacobian_table(steering, scene.noise_radar, scene.slots), zs @ zs.conj().T)
+    zs = scene.steering.tx.conj().T @ w.matrix
+    return table_fim(jacobian_table(scene), zs @ zs.conj().T)
 
 
 def inverse_fisher(fi: FisherInfo) -> np.ndarray:
@@ -235,11 +236,11 @@ def crlb_trace(fi: FisherInfo) -> float:
     return float(np.trace(inverse_fisher(fi)))
 
 
-def objective(scene: Scene, steering: SteeringSet, w: Beamformer, weights: Weights) -> float:
+def objective(scene: Scene, w: Beamformer, weights: Weights) -> float:
     """Weighted tradeoff value: comm * sum rate - sense * CRLB trace."""
     value = 0.0
     if weights.comm > 0:
         value += weights.comm * sum_rate(scene, w)
     if weights.sense > 0:
-        value -= weights.sense * crlb_trace(fim(scene, steering, w))
+        value -= weights.sense * crlb_trace(fim(scene, w))
     return float(value)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import Beamformer, SingularFisherError, Weights
-from .scene import Scene, SteeringSet, build_steering_set
+from .scene import Scene
 
 __all__ = [
     "CommAux",
@@ -118,7 +118,6 @@ class SolverCore:
     """
 
     scene: Scene
-    steering: SteeringSet
     weights: Weights
     basis: np.ndarray
     gram: np.ndarray
@@ -145,7 +144,7 @@ class Point:
     inv_sq: Optional[np.ndarray]
 
 
-def solver_core(scene: Scene, steering: SteeringSet, weights: Weights) -> SolverCore:
+def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     """Basis, Gram square root and Jacobian table of a scene.
 
     A positive sensing weight needs targets whose parameters are identifiable:
@@ -153,7 +152,7 @@ def solver_core(scene: Scene, steering: SteeringSet, weights: Weights) -> Solver
     covariance, so when it is rank-deficient every beamformer's Fisher matrix
     is singular (repeated targets, for example) and ValueError is raised.
     """
-    basis = np.concatenate([scene.channels, steering.tx], axis=1)
+    basis = np.concatenate([scene.channels, scene.steering.tx], axis=1)
     gram = basis.conj().T @ basis
     eigs, vecs = np.linalg.eigh(gram)
     gram_half = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
@@ -161,12 +160,12 @@ def solver_core(scene: Scene, steering: SteeringSet, weights: Weights) -> Solver
     if weights.sense > 0:
         if scene.n_targets == 0:
             raise ValueError("a positive sensing weight needs at least one target")
-        table = metrics.jacobian_table(steering, scene.noise_radar, scene.slots)
+        table = metrics.jacobian_table(scene)
         k = scene.n_users
         widest = metrics.table_fim(table, gram[k:, k:]).matrix
         if np.linalg.matrix_rank(widest, hermitian=True) < widest.shape[0]:
             raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
-    return SolverCore(scene, steering, weights, basis, gram, gram_half, table)
+    return SolverCore(scene, weights, basis, gram, gram_half, table)
 
 
 def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
@@ -223,11 +222,11 @@ def shift_parameter(core: SolverCore, d: np.ndarray) -> float:
     return max(LAMBDA_FLOOR, LAMBDA_SAFETY * radius)
 
 
-def quad_matrix(steering: SteeringSet, phi: np.ndarray, noise_radar: float, slots: int) -> np.ndarray:
+def quad_matrix(scene: Scene, phi: np.ndarray) -> np.ndarray:
     """Transmit-side quadratic form matching tr(phi^T F): the n_tx x n_tx
     matrix Q = Sbar K Sbar^H with tr(phi^T F(W)) = Re tr(R_x Q)."""
-    kmat = metrics.table_adjoint(metrics.jacobian_table(steering, noise_radar, slots), phi)
-    return steering.tx @ kmat @ steering.tx.conj().T
+    kmat = metrics.table_adjoint(metrics.jacobian_table(scene), phi)
+    return scene.steering.tx @ kmat @ scene.steering.tx.conj().T
 
 
 def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
@@ -238,18 +237,18 @@ def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
     return np.sqrt(power_budget) / nrm * x
 
 
-def project_per_antenna(x: np.ndarray, power_budget: float, n_tx: int) -> np.ndarray:
-    """Scale each row onto power budget/n_tx squared norm (inverse square root
-    of the per-row power, so the row-power constraint holds exactly)."""
+def project_per_antenna(x: np.ndarray, power_budget: float) -> np.ndarray:
+    """Scale each of the n_tx rows onto power budget/n_tx squared norm (inverse
+    square root of the per-row power, so the row-power constraint holds exactly)."""
     row_power = np.sum(np.abs(x) ** 2, axis=1)
     if np.any(row_power == 0.0):
         raise ValueError("cannot project a matrix with a zero row onto per-antenna powers")
-    return x * np.sqrt(power_budget / n_tx / row_power)[:, None]
+    return x * np.sqrt(power_budget / x.shape[0] / row_power)[:, None]
 
 
 def _project(x: np.ndarray, power_budget: float, cfg: SolverConfig) -> np.ndarray:
     if cfg.power_constraint == "per-antenna":
-        return project_per_antenna(x, power_budget, x.shape[0])
+        return project_per_antenna(x, power_budget)
     return project_total_power(x, power_budget)
 
 
@@ -268,19 +267,15 @@ def sca_step(
     return project(shift * x + lift(half_gradient(core, point, z, d))), shift
 
 
-def analytic_gradient(
-    scene: Scene, steering: SteeringSet, w: Beamformer, weights: Weights
-) -> np.ndarray:
+def analytic_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
     """Closed-form gradient of the tradeoff objective at w: 2 V (E - D Z)."""
-    core = solver_core(scene, steering, weights)
+    core = solver_core(scene, weights)
     z = core.coords(w.matrix)
     point = evaluate(core, z)
     return 2.0 * core.lift(half_gradient(core, point, z, curvature(core, point)))
 
 
-def matched_filter_init(
-    scene: Scene, steering: SteeringSet, n_sense: int, cfg: SolverConfig
-) -> Beamformer:
+def matched_filter_init(scene: Scene, n_sense: int, cfg: SolverConfig) -> Beamformer:
     """Default start: normalized user channels for communication columns,
     cycled transmit steering vectors for sensing columns, then one projection."""
     if cfg.init_mode == "random":
@@ -295,7 +290,7 @@ def matched_filter_init(
         norms = np.linalg.norm(scene.channels, axis=0)
         wc = scene.channels / np.where(norms > 0, norms, 1.0)[None, :]
         if n_sense and scene.n_targets:
-            ws = steering.tx[:, np.arange(n_sense) % scene.n_targets]
+            ws = scene.steering.tx[:, np.arange(n_sense) % scene.n_targets]
         else:
             ws = np.ones((scene.n_tx, n_sense), complex) / np.sqrt(scene.n_tx)
     stacked = np.concatenate([wc, ws], axis=1)
@@ -306,11 +301,7 @@ def matched_filter_init(
 
 
 def prepare(
-    scene: Scene,
-    weights: Weights,
-    cfg: SolverConfig,
-    n_sense: Optional[int],
-    init: Optional[Beamformer] = None,
+    scene: Scene, weights: Weights, cfg: SolverConfig, n_sense: Optional[int]
 ) -> tuple[SolverCore, Beamformer]:
     """Shared front-end validation: the solver core and the antenna-domain start.
 
@@ -320,12 +311,7 @@ def prepare(
         n_sense = 3 * scene.n_targets
     elif n_sense < 0:
         raise ValueError(f"n_sense must be nonnegative, got {n_sense}")
-    core = solver_core(scene, build_steering_set(scene), weights)
-    if init is None:
-        init = matched_filter_init(scene, core.steering, n_sense, cfg)
-    elif init.n_tx != scene.n_tx or init.n_users != scene.n_users:
-        raise ValueError("initial beamformer dimensions do not match the scene")
-    return core, init
+    return solver_core(scene, weights), matched_filter_init(scene, n_sense, cfg)
 
 
 def run(
@@ -375,7 +361,7 @@ def run(
     w = Beamformer(wmat[:, : scene.n_users], wmat[:, scene.n_users :], scene.power_budget)
     final_rate = metrics.sum_rate(scene, w)
     try:
-        final_crlb = metrics.crlb_trace(metrics.fim(scene, core.steering, w))
+        final_crlb = metrics.crlb_trace(metrics.fim(scene, w))
     except (ValueError, SingularFisherError):  # no targets, or a singular Fisher matrix
         final_crlb = float("nan")
     iterations = len(trace) - 1
@@ -401,7 +387,6 @@ def solve(
     weights: Weights,
     cfg: SolverConfig = SolverConfig(),
     n_sense: Optional[int] = None,
-    init: Optional[Beamformer] = None,
 ) -> SolveResult:
     """Full-dimension front end: iterates on the antenna-domain beamformer, so
     it honours the per-antenna constraint and starts outside span(V).
@@ -409,7 +394,7 @@ def solve(
     n_sense defaults to 3 * n_targets (the structural stream bound).
     """
     t0 = time.perf_counter()
-    core, w0 = prepare(scene, weights, cfg, n_sense, init)
+    core, w0 = prepare(scene, weights, cfg, n_sense)
     budget = scene.power_budget
     return run(
         core, w0.matrix, cfg,

@@ -7,8 +7,9 @@ after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,8 +31,11 @@ __all__ = [
 
 
 def dbm_to_linear(value_dbm: float) -> float:
-    """Convert a dBm figure to linear milliwatts."""
-    return float(10.0 ** (value_dbm / 10.0))
+    """Convert a dBm figure to linear milliwatts; ValueError when it overflows."""
+    try:
+        return float(10.0 ** (value_dbm / 10.0))
+    except OverflowError as exc:
+        raise ValueError(f"{value_dbm} dBm overflows a float power") from exc
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,8 @@ class Scene:
     """One problem instance: geometries, channels, targets, powers.
 
     channels has shape (n_tx, n_users); noise_comm has one entry per user
-    (linear mW). Immutable after construction.
+    (linear mW). Immutable after construction; `steering` is the targets'
+    stacked sensing geometry, built on first use.
     """
 
     tx_geometry: ArrayGeometry
@@ -137,6 +142,11 @@ class Scene:
     @property
     def n_targets(self) -> int:
         return len(self.targets)
+
+    @functools.cached_property
+    def steering(self) -> "SteeringSet":
+        """Sbar, Bbar and the reflection coefficients (`build_steering_set`)."""
+        return build_steering_set(self)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from isacbeam import (
     ArrayGeometry,
     Weights,
     benchmark_targets,
-    build_steering_set,
     sample_scene,
     solve,
     solve_ld,
@@ -23,11 +22,6 @@ def default_scene():
 
 
 @pytest.fixture(scope="session")
-def default_steering(default_scene):
-    return build_steering_set(default_scene)
-
-
-@pytest.fixture(scope="session")
 def small_scene():
     return sample_scene(
         7,
@@ -37,11 +31,6 @@ def small_scene():
         n_targets=1,
         n_slots=8,
     )
-
-
-@pytest.fixture(scope="session")
-def small_steering(small_scene):
-    return build_steering_set(small_scene)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from isacbeam import (
     Target,
     Weights,
     benchmark_targets,
-    build_steering_set,
     sample_scene,
     solve,
     solve_ld,
@@ -93,9 +92,8 @@ def test_full_power_and_inward_scaling(benchmark_batch):
             w = result.beamformer
             scene = sample_scene(seed, targets=benchmark_targets())
             assert abs(w.total_power - scene.power_budget) <= 1e-9 * scene.power_budget
-            steering = build_steering_set(scene)
             shrunk = w.replace_matrix(0.99 * w.matrix)
-            inner = metrics.objective(scene, steering, shrunk, DEFAULT_WEIGHTS)
+            inner = metrics.objective(scene, shrunk, DEFAULT_WEIGHTS)
             assert inner < result.objective_trace[-1], (solver, seed)
 
 
@@ -112,12 +110,11 @@ def test_gradient_oracle_20_small_instances(rng):
             n_targets=1 + seed % 2,
             n_slots=8,
         )
-        steering = build_steering_set(scene)
         shape = (scene.n_tx, scene.n_users + 2)
         w = random_on_sphere(rng, shape, scene.power_budget)
         bf = Beamformer(w[:, : scene.n_users], w[:, scene.n_users :], scene.power_budget)
-        grad = sca.analytic_gradient(scene, steering, bf, DEFAULT_WEIGHTS)
-        oracle = analysis.fd_gradient(scene, steering, bf, DEFAULT_WEIGHTS)
+        grad = sca.analytic_gradient(scene, bf, DEFAULT_WEIGHTS)
+        oracle = analysis.fd_gradient(scene, bf, DEFAULT_WEIGHTS)
         rel = np.linalg.norm(grad - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-5, (seed, rel)
 
@@ -128,11 +125,10 @@ def test_gradient_oracle_20_small_instances(rng):
 def test_fim_oracle_20_instances(rng):
     for seed in range(20):
         scene = sample_scene(seed, n_targets=1 + seed % 2)
-        steering = build_steering_set(scene)
         shape = (scene.n_tx, scene.n_users + 3)
         w = random_on_sphere(rng, shape, scene.power_budget)
         bf = Beamformer(w[:, :4], w[:, 4:], scene.power_budget)
-        f = metrics.fim(scene, steering, bf).matrix
+        f = metrics.fim(scene, bf).matrix
         oracle = analysis.fd_fim(scene, bf)
         rel = np.linalg.norm(f - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-5, (seed, rel)
@@ -141,16 +137,16 @@ def test_fim_oracle_20_instances(rng):
 # --- 6. adjoint identity -----------------------------------------------------
 
 
-def test_adjoint_identity_100_pairs(default_scene, default_steering, rng):
-    scene, steering = default_scene, default_steering
+def test_adjoint_identity_100_pairs(default_scene, rng):
+    scene = default_scene
     m4 = 4 * scene.n_targets
     for trial in range(100):
         w = random_on_sphere(rng, (scene.n_tx, 10), scene.power_budget)
         bf = Beamformer(w[:, :4], w[:, 4:], scene.power_budget)
         phi = rng.standard_normal((m4, m4))
         phi = 0.5 * (phi + phi.T)
-        f = metrics.fim(scene, steering, bf).matrix
-        q = sca.quad_matrix(steering, phi, scene.noise_radar, scene.slots)
+        f = metrics.fim(scene, bf).matrix
+        q = sca.quad_matrix(scene, phi)
         lhs = float(np.trace(phi.T @ f))
         rhs = float(np.real(np.trace(bf.covariance @ q)))
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs), trial
@@ -191,11 +187,11 @@ def test_rate_surrogate_tangent_and_lower_bound(default_scene, rng):
             assert rate >= bound - 1e-9 * max(1.0, abs(rate))
 
 
-def test_trace_inverse_surrogate_tangent_and_bound(default_scene, default_steering, rng):
-    scene, steering = default_scene, default_steering
+def test_trace_inverse_surrogate_tangent_and_bound(default_scene, rng):
+    scene = default_scene
     w0 = random_on_sphere(rng, (scene.n_tx, 10), scene.power_budget)
     bf0 = Beamformer(w0[:, :4], w0[:, 4:], scene.power_budget)
-    f0 = metrics.fim(scene, steering, bf0)
+    f0 = metrics.fim(scene, bf0)
     inv0 = metrics.inverse_fisher(f0)
     phi0 = inv0 @ inv0
     base = float(np.trace(inv0))
@@ -207,15 +203,15 @@ def test_trace_inverse_surrogate_tangent_and_bound(default_scene, default_steeri
     for _ in range(100):
         w = random_on_sphere(rng, w0.shape, scene.power_budget)
         bf = Beamformer(w[:, :4], w[:, 4:], scene.power_budget)
-        f = metrics.fim(scene, steering, bf)
+        f = metrics.fim(scene, bf)
         lhs = metrics.crlb_trace(f)
         assert lhs >= bound_at(f.matrix) - 1e-9 * max(1.0, abs(lhs))
 
 
-def test_trace_quadratic_surrogate_tangent_and_bound(default_scene, default_steering, rng):
-    scene, steering = default_scene, default_steering
-    w0 = sca.matched_filter_init(scene, steering, 6, SolverConfig())
-    core = sca.solver_core(scene, steering, DEFAULT_WEIGHTS)
+def test_trace_quadratic_surrogate_tangent_and_bound(default_scene, rng):
+    scene = default_scene
+    w0 = sca.matched_filter_init(scene, 6, SolverConfig())
+    core = sca.solver_core(scene, DEFAULT_WEIGHTS)
     d = sca.curvature(core, sca.evaluate(core, core.coords(w0.matrix)))
     shift = sca.shift_parameter(core, d)
     c2 = shift * np.eye(scene.n_tx) - core.basis @ d @ core.basis.conj().T
@@ -291,16 +287,15 @@ def test_obs_residuals_20_instances_with_separation(rng):
     cfg = replace(SolverConfig(), tol_objective=1e-8, max_iters=20000)
     for seed in range(20):
         scene = sample_scene(seed, targets=benchmark_targets())
-        steering = build_steering_set(scene)
         result = solve(scene, DEFAULT_WEIGHTS, cfg)
-        report = analysis.obs_residuals(scene, steering, result.beamformer, DEFAULT_WEIGHTS)
+        report = analysis.obs_residuals(scene, scene.steering, result.beamformer, DEFAULT_WEIGHTS)
         assert report.stationarity_residual <= 1e-2, seed
         assert report.comm_structure_residual <= 1e-2, seed
         assert report.sense_eigen_residual <= 1e-2, seed
 
         w = random_on_sphere(rng, result.beamformer.matrix.shape, scene.power_budget)
         random_bf = Beamformer(w[:, :4], w[:, 4:], scene.power_budget)
-        random_report = analysis.obs_residuals(scene, steering, random_bf, DEFAULT_WEIGHTS)
+        random_report = analysis.obs_residuals(scene, scene.steering, random_bf, DEFAULT_WEIGHTS)
         assert random_report.stationarity_residual > 1e-2, seed
 
 

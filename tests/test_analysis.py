@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isacbeam import Beamformer, Weights, build_steering_set, sample_scene, solve
-from isacbeam import analysis, metrics, sca
+from isacbeam import analysis, sca
 
 WTS = Weights(0.25, 1.0)
 
@@ -45,11 +45,10 @@ def test_fd_gradient_single_user_closed_form():
         slots=4,
         power_budget=4.0,
     )
-    steering = build_steering_set(scene)
     wc = np.array([[1.2 - 0.4j], [0.5 + 0.9j]])
     bf = Beamformer(wc, np.zeros((2, 0)), 4.0)
     weights = Weights(1.0, 0.0)
-    got = analysis.fd_gradient(scene, steering, bf, weights)
+    got = analysis.fd_gradient(scene, bf, weights)
     inner = (h.conj().T @ wc)[0, 0]
     expect = 2.0 * h * inner / (1.0 + abs(inner) ** 2)
     assert np.linalg.norm(got - expect) / np.linalg.norm(expect) < 1e-7
@@ -80,12 +79,12 @@ def test_fd_fim_draws_mode_approximates_exact(rng):
     assert np.linalg.norm(approx - exact) / np.linalg.norm(exact) < 0.1
 
 
-def test_obs_residuals_converged_versus_random(default_scene, default_steering, rng):
+def test_obs_residuals_converged_versus_random(default_scene, rng):
     from dataclasses import replace
 
     cfg = replace(sca.SolverConfig(), tol_objective=1e-8)
     result = solve(default_scene, WTS, cfg)
-    report = analysis.obs_residuals(default_scene, default_steering, result.beamformer, WTS)
+    report = analysis.obs_residuals(default_scene, default_scene.steering, result.beamformer, WTS)
     assert report.stationarity_residual <= 1e-2
     assert report.comm_structure_residual <= 1e-2
     assert report.sense_eigen_residual <= 1e-2
@@ -94,28 +93,38 @@ def test_obs_residuals_converged_versus_random(default_scene, default_steering, 
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w = sca.project_total_power(w, default_scene.power_budget)
     random_bf = Beamformer(w[:, :4], w[:, 4:], default_scene.power_budget)
-    random_report = analysis.obs_residuals(default_scene, default_steering, random_bf, WTS)
+    random_report = analysis.obs_residuals(default_scene, default_scene.steering, random_bf, WTS)
     assert random_report.stationarity_residual > 10 * max(report.stationarity_residual, 1e-4)
 
 
-def test_obs_residuals_sensing_only(default_scene, default_steering):
+def test_obs_residuals_sensing_only(default_scene):
     from dataclasses import replace
 
     weights = Weights(0.0, 1.0)
     cfg = replace(sca.SolverConfig(), tol_objective=1e-8)
     result = solve(default_scene, weights, cfg)
-    report = analysis.obs_residuals(default_scene, default_steering, result.beamformer, weights)
+    report = analysis.obs_residuals(default_scene, default_scene.steering, result.beamformer, weights)
     # comm structure is vacuous without a rate term
     assert report.comm_structure_residual == 0.0
     assert report.sense_eigen_residual <= 1e-2
     assert report.sense_rank <= 3 * default_scene.n_targets
 
 
-def test_obs_residuals_no_sensing_block(default_scene, default_steering):
+def test_obs_residuals_no_sensing_block(default_scene):
     result = solve(default_scene, WTS, n_sense=0)
-    report = analysis.obs_residuals(default_scene, default_steering, result.beamformer, WTS)
+    report = analysis.obs_residuals(default_scene, default_scene.steering, result.beamformer, WTS)
     assert report.sense_eigen_residual == 0.0
     assert report.sense_rank == 0
+
+
+def test_obs_residuals_checks_steering_set(default_scene):
+    w = solve(default_scene, WTS).beamformer
+    own = analysis.obs_residuals(default_scene, default_scene.steering, w, WTS)
+    # a freshly built set of the same scene is accepted and changes nothing
+    assert analysis.obs_residuals(default_scene, build_steering_set(default_scene), w, WTS) == own
+    other = build_steering_set(sample_scene(0))
+    with pytest.raises(ValueError, match="does not belong"):
+        analysis.obs_residuals(default_scene, other, w, WTS)
 
 
 def test_obs_report_rejects_negative_residuals():

@@ -97,6 +97,11 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(nan_power)]) == cli.EXIT_BAD_CONFIG
     assert "power budget" in capsys.readouterr().err
 
+    huge_power = tmp_path / "huge_power.json"
+    huge_power.write_text(json.dumps({**TINY_SCENE, "power_dbm": 4000}))
+    assert cli.main(["solve", "--config", str(huge_power)]) == cli.EXIT_BAD_CONFIG
+    assert "overflows" in capsys.readouterr().err
+
 
 def test_lowdim_per_antenna_exits_one(scene_config, capsys):
     argv = ["solve", "--config", str(scene_config), "--solver", "lowdim",

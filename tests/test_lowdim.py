@@ -21,8 +21,8 @@ from isacbeam import sca
 WTS = Weights(0.25, 1.0)
 
 
-def test_basis_shape_and_gram(default_scene, default_steering):
-    core = sca.solver_core(default_scene, default_steering, WTS)
+def test_basis_shape_and_gram(default_scene):
+    core = sca.solver_core(default_scene, WTS)
     k, m = default_scene.n_users, default_scene.n_targets
     assert core.basis.shape == (default_scene.n_tx, k + 3 * m)
     assert np.allclose(core.gram, core.basis.conj().T @ core.basis)

@@ -10,7 +10,6 @@ from isacbeam import (
     SingularFisherError,
     Target,
     Weights,
-    build_steering_set,
     sample_scene,
 )
 from isacbeam import metrics
@@ -109,41 +108,35 @@ def test_fisher_info_validation():
 
 def test_fim_symmetric_and_psd(rng):
     scene = sample_scene(1)
-    steering = build_steering_set(scene)
     w = make_beamformer(scene, rng)
-    f = metrics.fim(scene, steering, w).matrix
+    f = metrics.fim(scene, w).matrix
     assert np.allclose(f, f.T, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(f)) > -1e-9 * np.max(np.abs(f))
 
 
 def test_fim_matches_jacobian_oracle(rng):
     scene = sample_scene(2)
-    steering = build_steering_set(scene)
     w = make_beamformer(scene, rng)
-    f = metrics.fim(scene, steering, w).matrix
+    f = metrics.fim(scene, w).matrix
     oracle = fd_fim(scene, w)
     assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) < 1e-5
 
 
 def test_fim_linear_in_covariance(rng):
     scene = sample_scene(3)
-    steering = build_steering_set(scene)
     w = make_beamformer(scene, rng)
     c = 2.7
-    f1 = metrics.fim(scene, steering, w).matrix
-    f2 = metrics.fim(scene, steering, w.replace_matrix(np.sqrt(c) * w.matrix)).matrix
+    f1 = metrics.fim(scene, w).matrix
+    f2 = metrics.fim(scene, w.replace_matrix(np.sqrt(c) * w.matrix)).matrix
     assert np.linalg.norm(f2 - c * f1) <= 1e-9 * c * np.linalg.norm(f1)
 
 
 def test_crlb_scales_inversely_with_power(rng):
     scene = sample_scene(4)
-    steering = build_steering_set(scene)
     w = make_beamformer(scene, rng)
     c = 3.0
-    base = metrics.crlb_trace(metrics.fim(scene, steering, w))
-    boosted = metrics.crlb_trace(
-        metrics.fim(scene, steering, w.replace_matrix(np.sqrt(c) * w.matrix))
-    )
+    base = metrics.crlb_trace(metrics.fim(scene, w))
+    boosted = metrics.crlb_trace(metrics.fim(scene, w.replace_matrix(np.sqrt(c) * w.matrix)))
     assert boosted == pytest.approx(base / c, rel=1e-9)
 
 
@@ -159,21 +152,19 @@ def test_singular_fisher_raises():
 
 def test_fim_requires_targets():
     scene = sample_scene(0, n_targets=0)
-    steering = build_steering_set(scene)
     w = Beamformer(np.ones((16, 4)), np.zeros((16, 0)), 10.0)
     with pytest.raises(ValueError):
-        metrics.fim(scene, steering, w)
+        metrics.fim(scene, w)
 
 
 def test_objective_combines_terms(rng):
     scene = sample_scene(5)
-    steering = build_steering_set(scene)
     w = make_beamformer(scene, rng)
     sr = metrics.sum_rate(scene, w)
-    cr = metrics.crlb_trace(metrics.fim(scene, steering, w))
-    got = metrics.objective(scene, steering, w, Weights(0.25, 1.0))
+    cr = metrics.crlb_trace(metrics.fim(scene, w))
+    got = metrics.objective(scene, w, Weights(0.25, 1.0))
     assert got == pytest.approx(0.25 * sr - cr, rel=1e-12)
-    assert metrics.objective(scene, steering, w, Weights(1.0, 0.0)) == pytest.approx(sr)
+    assert metrics.objective(scene, w, Weights(1.0, 0.0)) == pytest.approx(sr)
 
 
 def test_dimension_mismatch_rejected(rng):

@@ -11,12 +11,11 @@ from isacbeam import (
     SolverConfig,
     Target,
     Weights,
-    build_steering_set,
     sample_scene,
     solve,
     solve_ld,
 )
-from isacbeam import metrics, sca
+from isacbeam import metrics, sca, scene as scene_module
 from isacbeam.scene import Scene
 
 WTS = Weights(0.25, 1.0)
@@ -35,7 +34,7 @@ def test_project_total_power_rejects_zero():
 
 def test_project_per_antenna_rows(rng):
     x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    out = sca.project_per_antenna(x, 8.0, 4)
+    out = sca.project_per_antenna(x, 8.0)
     assert np.allclose(np.sum(np.abs(out) ** 2, axis=1), 2.0)
 
 
@@ -69,14 +68,13 @@ def test_matched_filter_single_channel_rate_maximizer():
         slots=8,
         power_budget=10.0,
     )
-    steering = build_steering_set(scene)
-    w = sca.matched_filter_init(scene, steering, 0, SolverConfig())
+    w = sca.matched_filter_init(scene, 0, SolverConfig())
     expect = np.sqrt(10.0) * h / np.linalg.norm(h)
     assert np.allclose(w.w_comm, expect)
 
 
-def test_adjoint_identity_between_fim_and_quad(default_scene, default_steering, rng):
-    scene, steering = default_scene, default_steering
+def test_adjoint_identity_between_fim_and_quad(default_scene, rng):
+    scene = default_scene
     m = scene.n_targets
     for _ in range(10):
         shape = (scene.n_tx, 6)
@@ -85,48 +83,48 @@ def test_adjoint_identity_between_fim_and_quad(default_scene, default_steering, 
         bf = Beamformer(w[:, :4], w[:, 4:], scene.power_budget)
         phi = rng.standard_normal((4 * m, 4 * m))
         phi = 0.5 * (phi + phi.T)
-        f = metrics.fim(scene, steering, bf).matrix
-        q = sca.quad_matrix(steering, phi, scene.noise_radar, scene.slots)
+        f = metrics.fim(scene, bf).matrix
+        q = sca.quad_matrix(scene, phi)
         lhs = np.trace(phi.T @ f)
         rhs = np.real(np.trace(bf.covariance @ q))
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
-def _curvature_at(scene, steering, w):
-    core = sca.solver_core(scene, steering, WTS)
+def _curvature_at(scene, w):
+    core = sca.solver_core(scene, WTS)
     z = core.coords(w.matrix)
     point = sca.evaluate(core, z)
     return core, z, point, sca.curvature(core, point)
 
 
-def test_shift_makes_curvature_positive_semidefinite(default_scene, default_steering):
-    scene, steering = default_scene, default_steering
-    w = sca.matched_filter_init(scene, steering, 6, SolverConfig())
-    core, _, _, d = _curvature_at(scene, steering, w)
+def test_shift_makes_curvature_positive_semidefinite(default_scene):
+    scene = default_scene
+    w = sca.matched_filter_init(scene, 6, SolverConfig())
+    core, _, _, d = _curvature_at(scene, w)
     shift = sca.shift_parameter(core, d)
     c2 = shift * np.eye(scene.n_tx) - core.basis @ d @ core.basis.conj().T
     eigs = np.linalg.eigvalsh(0.5 * (c2 + c2.conj().T))
     assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
 
-def test_step_equals_projected_gradient_ascent(default_scene, default_steering):
-    scene, steering = default_scene, default_steering
-    w = sca.matched_filter_init(scene, steering, 6, SolverConfig())
-    core, z, point, _ = _curvature_at(scene, steering, w)
+def test_step_equals_projected_gradient_ascent(default_scene):
+    scene = default_scene
+    w = sca.matched_filter_init(scene, 6, SolverConfig())
+    core, z, point, _ = _curvature_at(scene, w)
     project = lambda x: sca.project_total_power(x, scene.power_budget)
     nxt, shift = sca.sca_step(core, w.matrix, z, point, core.lift, project)
-    grad = sca.analytic_gradient(scene, steering, w, WTS)
+    grad = sca.analytic_gradient(scene, w, WTS)
     pga = sca.project_total_power(w.matrix + grad / (2.0 * shift), scene.power_budget)
     assert np.linalg.norm(nxt - pga) <= 1e-10 * np.linalg.norm(pga)
 
 
-def test_analytic_gradient_matches_finite_differences(small_scene, small_steering):
+def test_analytic_gradient_matches_finite_differences(small_scene):
     from isacbeam.analysis import fd_gradient
 
     cfg = SolverConfig()
-    w = sca.matched_filter_init(small_scene, small_steering, 2, cfg)
-    grad = sca.analytic_gradient(small_scene, small_steering, w, WTS)
-    oracle = fd_gradient(small_scene, small_steering, w, WTS)
+    w = sca.matched_filter_init(small_scene, 2, cfg)
+    grad = sca.analytic_gradient(small_scene, w, WTS)
+    oracle = fd_gradient(small_scene, w, WTS)
     assert np.linalg.norm(grad - oracle) / np.linalg.norm(oracle) < 1e-5
 
 
@@ -175,6 +173,21 @@ def test_sensing_weight_without_targets_raises(front_end):
     assert front_end(scene, Weights(1.0, 0.0)).converged
 
 
+def test_front_ends_build_steering_set_once(monkeypatch):
+    calls = []
+    build = scene_module.build_steering_set
+
+    def counted(scene):
+        calls.append(scene)
+        return build(scene)
+
+    monkeypatch.setattr(scene_module, "build_steering_set", counted)
+    scene = sample_scene(2, n_targets=1)
+    solve(scene, WTS)
+    solve_ld(scene, WTS)
+    assert len(calls) == 1 and calls[0] is scene
+
+
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
 def test_negative_n_sense_raises(front_end, small_scene):
     with pytest.raises(ValueError, match="n_sense"):
@@ -211,7 +224,6 @@ def test_solve_sensing_only(default_scene):
     assert result.crlb_trace < metrics.crlb_trace(
         metrics.fim(
             default_scene,
-            build_steering_set(default_scene),
             result.beamformer.replace_matrix(
                 sca.project_total_power(np.ones_like(result.beamformer.matrix), 10.0)
             ),
@@ -221,6 +233,5 @@ def test_solve_sensing_only(default_scene):
 
 def test_comm_weight_zero_keeps_rate_out_of_objective(default_scene):
     r = solve(default_scene, Weights(0.0, 1.0))
-    steering = build_steering_set(default_scene)
-    crlb = metrics.crlb_trace(metrics.fim(default_scene, steering, r.beamformer))
+    crlb = metrics.crlb_trace(metrics.fim(default_scene, r.beamformer))
     assert r.objective_trace[-1] == pytest.approx(-crlb, rel=1e-9)

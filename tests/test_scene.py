@@ -74,6 +74,10 @@ def test_steering_set_column_layout(n_targets):
             assert np.array_equal(stack[:, i], steering_vector(geom, t.azimuth, t.elevation))
             assert np.array_equal(stack[:, m + i], d_az)
             assert np.array_equal(stack[:, 2 * m + i], d_el)
+    # the scene carries the same set, built once
+    assert scene.steering is scene.steering
+    for name in ("tx", "rx", "rcs"):
+        assert np.array_equal(getattr(scene.steering, name), getattr(steering, name))
 
 
 def test_angle_validation():
@@ -136,6 +140,9 @@ def test_invalid_sampling_inputs():
         for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm", "channel_variance"):
             with pytest.raises(ValueError):
                 sample_scene(0, **{key: bad})
+    for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm"):
+        with pytest.raises(ValueError):  # 10^400 overflows a float
+            sample_scene(0, **{key: 4000.0})
     with pytest.raises(ValueError):
         sample_scene(0, channel_variance=0.0)
 
