@@ -85,6 +85,7 @@ def _cmd_solve(args) -> int:
             "objective": float(result.objective_trace[-1]),
             "iterations": result.iterations,
             "converged": result.converged,
+            "stationarity": result.stationarity,
             "total_power": result.beamformer.total_power,
         }
     text = json.dumps(report, indent=2, sort_keys=True)

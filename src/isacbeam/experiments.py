@@ -195,7 +195,8 @@ def _summarize(records) -> dict:
     for rec in records:
         bucket = summary.setdefault(rec.solver, {}).setdefault(
             repr(rec.sweep_value),
-            {"n": 0, "n_ok": 0, "n_failed": 0, "_sr": [], "_cr": [], "_obj": []},
+            {"n": 0, "n_ok": 0, "n_nonconverged": 0, "n_failed": 0,
+             "_sr": [], "_cr": [], "_obj": [], "_it": []},
         )
         bucket["n"] += 1
         if rec.status.startswith("failed"):
@@ -203,11 +204,19 @@ def _summarize(records) -> dict:
             continue
         if rec.status == "ok":
             bucket["n_ok"] += 1
+        else:
+            bucket["n_nonconverged"] += 1
         bucket["_sr"].append(rec.sum_rate)
         bucket["_cr"].append(rec.crlb_trace)
         bucket["_obj"].append(rec.objective)
+        bucket["_it"].append(rec.iterations)
     for per_solver in summary.values():
         for bucket in per_solver.values():
+            iterations = bucket.pop("_it")
+            bucket["iterations"] = (
+                {"mean": float(np.mean(iterations)), "max": int(max(iterations))}
+                if iterations else {"mean": float("nan"), "max": float("nan")}
+            )
             for key, name in (("_sr", "sum_rate_nats"), ("_cr", "crlb_trace"), ("_obj", "objective")):
                 vals = np.asarray(bucket.pop(key), dtype=float)
                 vals = vals[np.isfinite(vals)]

@@ -6,7 +6,8 @@ steering derivatives] of `sca.solver_core`, whose row count K + 3M is
 independent of the antenna count. The start is the least-squares projection
 of the configured start onto span(V). The iteration is the shared core in
 `sca.run` in basis coordinates: Z = G P with G = V^H V, lift is the identity,
-and the projection scales P onto the ellipsoid tr(P^H G P) = power budget.
+and the projection scales P onto the ellipsoid tr(P^H G P) = power budget,
+which is also the retraction of the quasi-Newton candidate.
 The lifted beamformer stays in span(V), so the per-antenna constraint cannot
 be honoured here.
 """

@@ -4,8 +4,8 @@ Stationary beamformers lie in the span of V = [H, A, A_dtheta, A_dphi], and
 every per-iteration quantity depends on the iterate only through Z = V^H W:
 the rates through the rows Z[:K], the Fisher matrix through
 R_s = Z_S Z_S^H with Z_S = Z[K:]. Each iteration evaluates the objective and
-the surrogate auxiliaries at Z once, then takes the majorization-minimization
-step (Sun, Babu & Palomar, IEEE TSP 2017)
+the surrogate auxiliaries at Z once. Its majorization-minimization (MM)
+candidate (Sun, Babu & Palomar, IEEE TSP 2017) is
 
     X+ = Pi(lambda X + lift(E - D Z)),
 
@@ -14,12 +14,28 @@ in basis coordinates and lambda = 1.1 max|eig(G^1/2 D G^1/2)|, G = V^H V, the
 exact spectral shift. `solve` keeps antenna coordinates (X = W, Z = V^H X,
 lift = V., sphere or per-antenna Pi); `lowdim.solve_ld` keeps basis
 coordinates. Both run the loop in `run`.
+
+Under the total-power constraint each iteration also forms a quasi-Newton
+candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
+on the power sphere (Liu & Nocedal, Math. Prog. 1989; Huang, Gallivan &
+Absil, SIAM J. Optim. 2015), retracted by Pi. Its inner products need only
+Z, G and the start's Z0, so both front ends run it in the same arithmetic.
+The iteration keeps whichever candidate has the higher objective. The
+linearized sensing term bounds -tr(F^-1) from above, not below, so even the
+MM candidate can descend: then the ascent check doubles the shift and
+retries the MM candidate, at most MAX_RETRIES times, and stops the solve
+with converged=False when none ascends. A candidate that falls by no more
+than tol_objective counts as no change (the iterate stays and the solve has
+converged), so every objective trace is monotone. The result reports the
+stationarity residual at the returned iterate, computed from the same basis
+coordinates.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,6 +74,13 @@ logger = logging.getLogger(__name__)
 # vanishing curvature still leaves a well-defined step.
 LAMBDA_SAFETY = 1.1
 LAMBDA_FLOOR = 1e-8
+# Curvature pairs the quasi-Newton candidate remembers.
+MEMORY = 8
+# A pair (s, y) enters the memory only when <s, y> exceeds this share of
+# |s| |y|, which keeps the quasi-Newton model positive definite.
+CURVATURE_FLOOR = 1e-10
+# Shift doublings the ascent check tries before it stops the solve.
+MAX_RETRIES = 30
 
 
 @dataclass(frozen=True)
@@ -94,6 +117,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """What a solve returns. stationarity is the relative residual
+    |grad - 2 mu W| / |grad| at the returned beamformer (mu the least-squares
+    power multiplier), the figure `analysis.obs_residuals` reports as
+    stationarity_residual; it comes after timings so that positional
+    construction keeps working."""
+
     beamformer: Beamformer
     objective_trace: np.ndarray
     sum_rate: float
@@ -101,6 +130,7 @@ class SolveResult:
     iterations: int
     converged: bool
     timings: dict = field(default_factory=dict)
+    stationarity: float = float("nan")
 
     @property
     def objective(self) -> float:
@@ -253,18 +283,15 @@ def _project(x: np.ndarray, power_budget: float, cfg: SolverConfig) -> np.ndarra
 
 
 def sca_step(
-    core: SolverCore,
     x: np.ndarray,
-    z: np.ndarray,
-    point: Point,
+    g: np.ndarray,
+    shift: float,
     lift: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, float]:
-    """One surrogate maximization, X+ = Pi(lambda X + lift(E - D Z)).
-    Returns (next iterate, shift)."""
-    d = curvature(core, point)
-    shift = shift_parameter(core, d)
-    return project(shift * x + lift(half_gradient(core, point, z, d))), shift
+) -> np.ndarray:
+    """One surrogate maximization, the MM candidate X+ = Pi(lambda X + lift(g))
+    with g = E - D Z from `half_gradient` and lambda the shift."""
+    return project(shift * x + lift(g))
 
 
 def analytic_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
@@ -314,6 +341,98 @@ def prepare(
     return solver_core(scene, weights), matched_filter_init(scene, n_sense, cfg)
 
 
+class _History:
+    """Limited-memory quasi-Newton model of the objective on the power sphere.
+
+    Its vectors lie in the span of the start X0 and the lifts: a flat array
+    v = [sigma, vec(a)] stands for sigma X0 + lift(a), in either front end's
+    iterate coordinates. Inner products are those of the antenna domain,
+    <u, v> = Re vdot(u, dual(v)) with dual(v) = [<X0, v>, vec(V^H v)], and
+    need only Z0 = V^H X0, the Gram matrix G and the budget, because
+    <X0, lift(b)> = Re tr(Z0^H b) and <lift(a), lift(b)> = Re tr(a^H G b).
+    So both front ends run the same arithmetic, none of it on n_tx rows, and
+    a start outside span(V) is carried exactly by the X0 coefficient.
+    """
+
+    def __init__(self, core: SolverCore, x0: np.ndarray, z0: np.ndarray):
+        self.x0, self.z0, self.gram = x0, z0, core.gram
+        self.budget = core.scene.power_budget
+        self.point = np.zeros(1 + z0.size, dtype=complex)
+        self.point[0] = 1.0
+        self.point_dual = self.dual(self.point)
+        self.pairs: deque = deque(maxlen=MEMORY)
+        self.previous: Optional[tuple] = None
+        self.ascent = self.grad = self.grad_dual = None
+        self.scale = 1.0  # <s, y> / <y, y> of the newest pair: the initial inverse Hessian
+
+    def dual(self, v: np.ndarray) -> np.ndarray:
+        """[<X0, v>, vec(V^H v)]: <u, v> = Re vdot(u, dual(v)) for every u."""
+        a = v[1:].reshape(self.z0.shape)
+        head = self.budget * v[0] + np.vdot(self.z0, a)
+        return np.concatenate(([head], (v[0] * self.z0 + self.gram @ a).ravel()))
+
+    def observe(self, z: np.ndarray, g: np.ndarray) -> None:
+        """Take the Riemannian ascent direction lift(g) - mu X at the iterate
+        (mu = <X, lift(g)> / budget) and pair it with the previous iterate's.
+        A pair enters the memory only with positive curvature."""
+        mu = np.vdot(z, g).real / self.budget
+        self.ascent = np.concatenate(([0.0], g.ravel()))
+        ascent_dual = np.concatenate(([np.vdot(self.z0, g)], (self.gram @ g).ravel()))
+        grad, grad_dual = self.ascent - mu * self.point, ascent_dual - mu * self.point_dual
+        if self.previous is not None:
+            point, point_dual, old, old_dual = self.previous
+            s, s_dual = self.point - point, self.point_dual - point_dual
+            y, y_dual = old - grad, old_dual - grad_dual  # the gradient of -objective
+            sy = np.vdot(s, y_dual).real
+            yy = np.vdot(y, y_dual).real
+            if sy > CURVATURE_FLOOR * np.sqrt(np.vdot(s, s_dual).real * yy):
+                self.pairs.append((s, s_dual, y, y_dual, 1.0 / sy))
+                self.scale = sy / yy
+        self.grad, self.grad_dual = grad, grad_dual
+
+    def direction(self) -> Optional[np.ndarray]:
+        """The L-BFGS ascent step (two-loop recursion, Nocedal & Wright
+        Alg. 7.4) projected onto the tangent space at the iterate; None while
+        the memory is empty."""
+        if not self.pairs:
+            return None
+        q, alphas = self.grad, []
+        for s, s_dual, y, _, rho in reversed(self.pairs):
+            alpha = rho * np.vdot(q, s_dual).real
+            q = q - alpha * y
+            alphas.append(alpha)
+        r = self.scale * q
+        for (s, _, y, y_dual, rho), alpha in zip(self.pairs, reversed(alphas)):
+            r = r + (alpha - rho * np.vdot(r, y_dual).real) * s
+        return r - (np.vdot(r, self.point_dual).real / self.budget) * self.point
+
+    def offset(self, x: np.ndarray, r: np.ndarray, lift: Callable) -> np.ndarray:
+        """The iterate x plus the vector r, in iterate coordinates: one lift."""
+        return x + r[0] * self.x0 + lift(r[1:].reshape(self.z0.shape))
+
+    def move(self, scale: float, r: Optional[np.ndarray]) -> None:
+        """The iterate moved to project(scale X + lift(g)) (the MM candidate,
+        r None) or to project(X + r); rescale onto the sphere."""
+        v = scale * self.point + (self.ascent if r is None else r)
+        v_dual = self.dual(v)
+        c = np.sqrt(self.budget / np.vdot(v, v_dual).real)
+        self.previous = (self.point, self.point_dual, self.grad, self.grad_dual)
+        self.point, self.point_dual = c * v, c * v_dual
+
+
+def _stationarity(core: SolverCore, z: np.ndarray, g: np.ndarray) -> float:
+    """Relative residual |grad - 2 mu W| / |grad| of the stationarity
+    condition at the iterate with coordinates Z, where grad = 2 V g and mu is
+    the least-squares power multiplier, from basis coordinates alone:
+    |V g|^2 = Re tr(g^H G g) and <W, V g> = Re tr(Z^H g), with |W|^2 the
+    power budget. Cancellation limits it to residuals above about 1e-8."""
+    vg = np.vdot(g, core.gram @ g).real
+    if vg <= 0.0:
+        return 0.0
+    cos2 = np.vdot(z, g).real ** 2 / (core.scene.power_budget * vg)
+    return float(np.sqrt(max(1.0 - cos2, 0.0)))
+
+
 def run(
     core: SolverCore,
     x: np.ndarray,
@@ -330,26 +449,63 @@ def run(
     coords maps an iterate to Z = V^H W, lift maps basis coefficients into the
     iterate's coordinates, project applies the power constraint there, and
     antenna returns the antenna-domain beamformer matrix; t0 is the
-    front end's start time. A run that exhausts max_iters without meeting the
-    tolerance is reported via converged=False, never silently truncated.
+    front end's start time. Each iteration keeps the better of the MM
+    candidate and, under the total-power constraint, the quasi-Newton
+    candidate; if neither ascends, the shift doubles (at most MAX_RETRIES
+    times) until the MM candidate does. A run that exhausts max_iters
+    without meeting the tolerance, or finds no ascent, is reported via
+    converged=False, never silently truncated.
     """
     z = coords(x)
     point = evaluate(core, z)
+    d = curvature(core, point)
+    g = half_gradient(core, point, z, d)
+    history = _History(core, x, z) if cfg.power_constraint == "total" else None
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
     t1 = time.perf_counter()
-    converged = False
+    converged = stalled = False
+
+    def candidate(nxt: np.ndarray) -> tuple:
+        nz = coords(nxt)
+        return nxt, nz, evaluate(core, nz)
+
     for _ in range(cfg.max_iters):
-        x, _ = sca_step(core, x, z, point, lift, project)
-        z = coords(x)
-        new = evaluate(core, z)
-        trace.append(new.objective)
-        delta, point = abs(new.objective - point.objective), new
+        if history is not None:
+            history.observe(z, g)
+        shift = shift_parameter(core, d)
+        best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
+        r = history.direction() if history is not None else None
+        if r is not None:
+            try:
+                qn = candidate(project(history.offset(x, r, lift)))
+            except SingularFisherError:  # the model stepped to an unidentifiable point
+                qn = None
+            if qn is not None and qn[2].objective > best[2].objective:
+                best, step = qn, (1.0, r)
+        for _ in range(MAX_RETRIES):
+            if best[2].objective >= point.objective - cfg.tol_objective:
+                break
+            shift *= 2.0
+            best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
+        delta = best[2].objective - point.objective
+        if not delta >= -cfg.tol_objective:
+            stalled = True
+            break
+        if delta >= 0.0:  # after a fall within the tolerance the iterate stays
+            if history is not None:
+                history.move(*step)
+            x, z, point = best
+            d = curvature(core, point)
+            g = half_gradient(core, point, z, d)
+        trace.append(point.objective)
         if delta <= cfg.tol_objective:
             converged = True
             break
     t_iter = time.perf_counter() - t1
-    if not converged:
+    if stalled:
+        logger.warning("solver stopped: no ascent after %d shift doublings", MAX_RETRIES)
+    elif not converged:
         logger.warning(
             "solver hit max_iters=%d with last objective change above tol=%g",
             cfg.max_iters,
@@ -379,6 +535,7 @@ def run(
         iterations=iterations,
         converged=converged,
         timings=timings,
+        stationarity=_stationarity(core, z, g),
     )
 
 
@@ -389,7 +546,8 @@ def solve(
     n_sense: Optional[int] = None,
 ) -> SolveResult:
     """Full-dimension front end: iterates on the antenna-domain beamformer, so
-    it honours the per-antenna constraint and starts outside span(V).
+    it honours the per-antenna constraint (with MM candidates only) and starts
+    outside span(V).
 
     n_sense defaults to 3 * n_targets (the structural stream bound).
     """

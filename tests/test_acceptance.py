@@ -248,6 +248,16 @@ def test_ld_faster_per_iteration_at_1024_antennas():
     assert ld.timings["per_iteration_s"] < full.timings["per_iteration_s"]
 
 
+def test_quasi_newton_candidate_accelerates_20_dbm():
+    # plain MM took 1235 iterations here and stopped at residual 0.23
+    scene = sample_scene(0, targets=benchmark_targets(), power_dbm=20)
+    for front_end in (solve, solve_ld):
+        result = front_end(scene, DEFAULT_WEIGHTS)
+        assert result.converged
+        assert result.iterations <= 300, front_end.__name__
+        assert result.stationarity < 0.22, front_end.__name__
+
+
 # --- 9. sensing stream threshold --------------------------------------------
 
 THREE_TARGETS = (

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from isacbeam import Beamformer, Weights, build_steering_set, sample_scene, solve
+from isacbeam import (
+    Beamformer,
+    Weights,
+    benchmark_targets,
+    build_steering_set,
+    sample_scene,
+    solve,
+    solve_ld,
+)
 from isacbeam import analysis, sca
 
 WTS = Weights(0.25, 1.0)
@@ -141,3 +149,12 @@ def test_obs_report_rejects_negative_residuals():
 def test_check_record_fields():
     rec = analysis.CheckRecord(name="x", value=0.5, threshold=1.0, passed=True)
     assert rec.passed and rec.value < rec.threshold
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_solve_result_stationarity_matches_obs_residuals(front_end):
+    for seed in range(8):
+        scene = sample_scene(seed, targets=benchmark_targets())
+        result = front_end(scene, WTS)
+        report = analysis.obs_residuals(scene, scene.steering, result.beamformer, WTS)
+        assert result.stationarity == pytest.approx(report.stationarity_residual, rel=1e-6), seed

@@ -35,6 +35,7 @@ def test_solve_writes_json_report(scene_config, tmp_path):
         assert entry["converged"] is True
         assert entry["total_power"] == pytest.approx(10.0, rel=1e-9)
         assert entry["sum_rate_nats"] > 0.0
+        assert 0.0 <= entry["stationarity"] < 1.0
 
 
 def test_solve_prints_to_stdout(scene_config, capsys):

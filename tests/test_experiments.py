@@ -76,6 +76,18 @@ def test_summary_structure():
     for key in ("sum_rate_nats", "crlb_trace", "objective"):
         assert set(bucket[key]) == {"mean", "stderr"}
         assert np.isfinite(bucket[key]["mean"])
+    rows = [r for r in result.records if r.solver == "full" and r.sweep_value == 0.1]
+    assert bucket["iterations"] == {
+        "mean": pytest.approx(np.mean([r.iterations for r in rows])),
+        "max": max(r.iterations for r in rows),
+    }
+    assert bucket["n_nonconverged"] == sum(r.status == "nonconverged" for r in rows)
+    assert bucket["n_ok"] + bucket["n_nonconverged"] + bucket["n_failed"] == bucket["n"]
+    capped = run_experiment(tiny_config(solver_config=SolverConfig(max_iters=2, tol_objective=0.0)))
+    for per_value in capped.summary.values():
+        for capped_bucket in per_value.values():
+            assert capped_bucket["n_nonconverged"] == capped_bucket["n"] == 2
+            assert capped_bucket["iterations"] == {"mean": 2.0, "max": 2}
 
 
 def test_csv_header_and_determinism():

@@ -110,9 +110,11 @@ def test_shift_makes_curvature_positive_semidefinite(default_scene):
 def test_step_equals_projected_gradient_ascent(default_scene):
     scene = default_scene
     w = sca.matched_filter_init(scene, 6, SolverConfig())
-    core, z, point, _ = _curvature_at(scene, w)
+    core, z, point, d = _curvature_at(scene, w)
     project = lambda x: sca.project_total_power(x, scene.power_budget)
-    nxt, shift = sca.sca_step(core, w.matrix, z, point, core.lift, project)
+    shift = sca.shift_parameter(core, d)
+    g = sca.half_gradient(core, point, z, d)
+    nxt = sca.sca_step(w.matrix, g, shift, core.lift, project)
     grad = sca.analytic_gradient(scene, w, WTS)
     pga = sca.project_total_power(w.matrix + grad / (2.0 * shift), scene.power_budget)
     assert np.linalg.norm(nxt - pga) <= 1e-10 * np.linalg.norm(pga)
@@ -235,3 +237,44 @@ def test_comm_weight_zero_keeps_rate_out_of_objective(default_scene):
     r = solve(default_scene, Weights(0.0, 1.0))
     crlb = metrics.crlb_trace(metrics.fim(default_scene, r.beamformer))
     assert r.objective_trace[-1] == pytest.approx(-crlb, rel=1e-9)
+
+
+def _ill_conditioned(seed, n_users):
+    # three transmit antennas for eight or nine basis columns: a singular Gram matrix
+    # and a nearly singular Fisher matrix, where the linearized sensing term
+    # does not minorize the objective and a plain MM step can descend
+    return sample_scene(
+        seed,
+        tx_geometry=ArrayGeometry(3, 1),
+        rx_geometry=ArrayGeometry(2, 2),
+        n_users=n_users,
+        n_targets=2,
+        n_slots=8,
+    )
+
+
+ILL_CONDITIONED = [(seed, 2) for seed in range(20)] + [(223, 3)]
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_ascent_check_keeps_traces_monotone(front_end):
+    for seed, n_users in ILL_CONDITIONED:
+        result = front_end(_ill_conditioned(seed, n_users), WTS)
+        assert result.converged, seed
+        assert np.all(np.diff(result.objective_trace) >= 0.0), seed
+
+
+@pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
+def test_ascent_check_stops_when_retries_run_out(monkeypatch, caplog, power_constraint):
+    # with no shift doublings allowed, the first step that finds no ascent
+    # ends the solve instead of appending a lower objective
+    monkeypatch.setattr(sca, "MAX_RETRIES", 0)
+    seed, n_users = (223, 3) if power_constraint == "total" else (12, 2)
+    cfg = SolverConfig(power_constraint=power_constraint)
+    with caplog.at_level(logging.WARNING, logger="isacbeam.sca"):
+        result = solve(_ill_conditioned(seed, n_users), WTS, cfg)
+    assert not result.converged
+    assert result.iterations < cfg.max_iters
+    assert np.all(np.diff(result.objective_trace) >= 0.0)
+    assert [r.name for r in caplog.records] == ["isacbeam.sca"]
+    assert "no ascent" in caplog.records[0].getMessage()
