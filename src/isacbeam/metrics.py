@@ -1,11 +1,11 @@
-"""Performance metrics: per-user rates, Fisher information, CRLB trace, objective."""
+"""Performance metrics: rates, Fisher information, CRLB trace, objective."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .scene import Scene
 
@@ -15,11 +15,9 @@ __all__ = [
     "Weights",
     "SingularFisherError",
     "sinr",
-    "user_rate",
     "sum_rate",
     "fim",
-    "JacobianTable",
-    "jacobian_table",
+    "fisher_operator",
     "table_fim",
     "table_adjoint",
     "crlb_trace",
@@ -81,9 +79,6 @@ class Beamformer:
         w = self.matrix
         return w @ w.conj().T
 
-    def is_feasible(self, slack: float = 1e-9) -> bool:
-        return self.total_power <= self.power_budget * (1.0 + slack)
-
     def is_on_sphere(self, slack: float = 1e-9) -> bool:
         return abs(self.total_power - self.power_budget) <= slack * self.power_budget
 
@@ -137,49 +132,35 @@ def _check_dims(scene: Scene, w: Beamformer) -> None:
 def sinr(gains: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-user SINR and total received power from the gains H^H W (K x
     streams, the first K columns the communication streams; every other
-    stream counts as interference). Users with no desired signal get SINR 0."""
-    k = gains.shape[0]
-    total = np.sum(np.abs(gains) ** 2, axis=1) + noise
-    signal = np.abs(np.diag(gains[:, :k])) ** 2
-    return np.where(signal > 0, signal / (total - signal), 0.0), total
-
-
-def _user_sinr(scene: Scene, w: Beamformer) -> np.ndarray:
-    _check_dims(scene, w)
-    return sinr(scene.channels.conj().T @ w.matrix, scene.noise_comm)[0]
-
-
-def user_rate(scene: Scene, w: Beamformer, k: int) -> float:
-    """Achievable rate (nats/s/Hz) of user k (0-based), sensing beams as interference."""
-    if not 0 <= k < scene.n_users:
-        raise ValueError(f"user index {k} out of range")
-    return float(np.log1p(_user_sinr(scene, w)[k]))
+    stream counts as interference). Users with no desired signal get SINR 0;
+    the interference-plus-noise power total - signal is positive because the
+    noise powers are."""
+    power = np.abs(gains) ** 2
+    total = power.sum(axis=1) + noise
+    signal = power.diagonal()
+    return signal / (total - signal), total
 
 
 def sum_rate(scene: Scene, w: Beamformer) -> float:
-    """Total rate over all users (nats/s/Hz)."""
-    return float(np.sum(np.log1p(_user_sinr(scene, w))))
+    """Total rate over all users (nats/s/Hz), sensing beams as interference."""
+    _check_dims(scene, w)
+    return float(np.sum(np.log1p(sinr(scene.channels.conj().T @ w.matrix, scene.noise_comm)[0])))
 
 
-@dataclass(frozen=True)
-class JacobianTable:
-    """Fisher-information coefficients of the echo map G = B U A^H.
+def fisher_operator(scene: Scene) -> np.ndarray:
+    """The Fisher operator T of the scene's targets: the complex
+    (16M^2, 9M^2) matrix whose row (i, j) is vec(T_ij), with
 
-    Every parameter derivative factors as dG/dxi_i = Bbar C_i Sbar^H, with
-    Bbar = [B, B_dtheta, B_dphi] and Sbar = [A, A_dtheta, A_dphi] (SteeringSet's
-    rx and tx). coeff holds the C_i, shape (4M, 3M, 3M), in the parameter
-    order azimuths, elevations, Re rcs, Im rcs; weighted holds
-    (2L / sigma^2) Bbar^H Bbar C_i. The transmit side enters only through
-    R_s = Sbar^H R_x Sbar, so table_fim is the linear map R_s -> F and
-    table_adjoint is its adjoint.
+        T_ij = (L / sigma^2) (C_i^H Bbar^H Bbar C_j + C_j^H Bbar^H Bbar C_i),
+
+    so that F_ij = Re tr(T_ij R_s) for R_s = Sbar^H R_x Sbar. Here every
+    parameter derivative of the echo map G = B U A^H factors as
+    dG/dxi_i = Bbar C_i Sbar^H, with Bbar = [B, B_dtheta, B_dphi] and
+    Sbar = [A, A_dtheta, A_dphi] (SteeringSet's rx and tx), in the parameter
+    order azimuths, elevations, Re rcs, Im rcs. The rows of (i, j) and (j, i)
+    are equal and every T_ij is Hermitian, both exactly, so F is symmetric
+    whatever R_s and the adjoint K(phi) = sum_ij phi_ij T_ij is Hermitian.
     """
-
-    coeff: np.ndarray
-    weighted: np.ndarray
-
-
-def jacobian_table(scene: Scene) -> JacobianTable:
-    """Coefficient table of dG/dxi for the scene's targets."""
     steering = scene.steering
     m = steering.n_targets
     u = steering.rcs
@@ -192,23 +173,27 @@ def jacobian_table(scene: Scene) -> JacobianTable:
     c[2 * m + i, i, i] = 1.0  # Re rcs: B A^H
     c[3 * m + i, i, i] = 1j  # Im rcs: j B A^H
     weighted = (2.0 * scene.slots / scene.noise_radar) * ((steering.rx.conj().T @ steering.rx) @ c)
-    return JacobianTable(coeff=c, weighted=weighted)
+    # x[i, j] = C_i^H Bbar^H Bbar C_j (2L / sigma^2); both sums below are
+    # symmetric term by term, which makes the symmetries exact in floating point.
+    x = c.conj().transpose(0, 2, 1)[:, None] @ weighted[None, :]
+    x = x + x.transpose(1, 0, 2, 3)
+    t = 0.25 * (x + x.conj().transpose(0, 1, 3, 2))
+    return t.reshape(16 * m * m, 9 * m * m)
 
 
-def table_fim(table: JacobianTable, r_s: np.ndarray) -> FisherInfo:
-    """F_ij = (2L / sigma^2) Re tr(C_i^H Bbar^H Bbar C_j R_s)."""
-    n = table.coeff.shape[0]
-    f = np.real(table.coeff.conj().reshape(n, -1) @ (table.weighted @ r_s).reshape(n, -1).T)
-    return FisherInfo(0.5 * (f + f.T))
+def table_fim(op: np.ndarray, r_s: np.ndarray) -> FisherInfo:
+    """F_ij = Re tr(T_ij R_s) = Re vdot(T_ij, R_s) (T_ij Hermitian): one real
+    matrix-vector product on the real views of T and R_s."""
+    n = math.isqrt(op.shape[0])
+    r = np.ascontiguousarray(r_s, dtype=complex)
+    return FisherInfo((op.view(float) @ r.view(float).ravel()).reshape(n, n))
 
 
-def table_adjoint(table: JacobianTable, phi: np.ndarray) -> np.ndarray:
-    """The 3M x 3M matrix K with tr(phi^T F) = Re tr(K R_s) for every R_s:
-    K = (2L / sigma^2) sum_ij phi_ij C_i^H Bbar^H Bbar C_j (Hermitian when phi
-    is symmetric)."""
-    n3 = table.coeff.shape[1]
-    mixed = np.tensordot(phi, table.weighted, axes=1)
-    return table.coeff.conj().reshape(-1, n3).T @ mixed.reshape(-1, n3)
+def table_adjoint(op: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The Hermitian 3M x 3M matrix K = sum_ij phi_ij T_ij, for which
+    tr(phi^T F) = Re tr(K R_s) for every R_s."""
+    n3 = math.isqrt(op.shape[1])
+    return (phi.ravel() @ op.view(float)).view(complex).reshape(n3, n3)
 
 
 def fim(scene: Scene, w: Beamformer) -> FisherInfo:
@@ -218,17 +203,23 @@ def fim(scene: Scene, w: Beamformer) -> FisherInfo:
     if scene.n_targets < 1:
         raise ValueError("scene has no targets")
     zs = scene.steering.tx.conj().T @ w.matrix
-    return table_fim(jacobian_table(scene), zs @ zs.conj().T)
+    return table_fim(fisher_operator(scene), zs @ zs.conj().T)
 
 
 def inverse_fisher(fi: FisherInfo) -> np.ndarray:
-    """Dense inverse of the Fisher matrix by Cholesky factorization; raises
-    SingularFisherError when the matrix is not numerically positive definite."""
+    """Symmetric inverse F^-1 = L^-T L^-1 of the Fisher matrix from its
+    Cholesky factor F = L L^T. Raises ValueError for NaN or infinite entries
+    and SingularFisherError when the matrix is not numerically positive
+    definite."""
+    f = fi.matrix
+    if not np.isfinite(f).all():
+        raise ValueError("Fisher matrix has non-finite entries")
     try:
-        factor = scipy.linalg.cho_factor(fi.matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        lower = np.linalg.cholesky(f)
+    except np.linalg.LinAlgError as exc:
         raise SingularFisherError("Fisher matrix is singular; target geometry is unidentifiable") from exc
-    return scipy.linalg.cho_solve(factor, np.eye(fi.matrix.shape[0]))
+    lower_inv = np.linalg.inv(lower)
+    return lower_inv.T @ lower_inv
 
 
 def crlb_trace(fi: FisherInfo) -> float:

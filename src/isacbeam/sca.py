@@ -143,8 +143,8 @@ class SolverCore:
 
     basis is V = [H, A, A_dtheta, A_dphi] (n_tx x (K + 3M)), gram = V^H V and
     gram_half its positive semidefinite square root (G may be singular, for
-    example with repeated targets). table is the Fisher Jacobian table, None
-    when the sensing weight is zero.
+    example with repeated targets). operator is the scene's Fisher operator
+    (`metrics.fisher_operator`), None when the scene has no targets.
     """
 
     scene: Scene
@@ -152,7 +152,7 @@ class SolverCore:
     basis: np.ndarray
     gram: np.ndarray
     gram_half: np.ndarray
-    table: Optional[metrics.JacobianTable]
+    operator: Optional[np.ndarray]
 
     def coords(self, w: np.ndarray) -> np.ndarray:
         """Z = V^H W."""
@@ -175,7 +175,7 @@ class Point:
 
 
 def solver_core(scene: Scene, weights: Weights) -> SolverCore:
-    """Basis, Gram square root and Jacobian table of a scene.
+    """Basis, Gram square root and Fisher operator of a scene.
 
     A positive sensing weight needs targets whose parameters are identifiable:
     the Fisher matrix at R_x = I has the largest null space of any transmit
@@ -186,16 +186,15 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     gram = basis.conj().T @ basis
     eigs, vecs = np.linalg.eigh(gram)
     gram_half = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-    table = None
+    if weights.sense > 0 and scene.n_targets == 0:
+        raise ValueError("a positive sensing weight needs at least one target")
+    operator = metrics.fisher_operator(scene) if scene.n_targets else None
     if weights.sense > 0:
-        if scene.n_targets == 0:
-            raise ValueError("a positive sensing weight needs at least one target")
-        table = metrics.jacobian_table(scene)
         k = scene.n_users
-        widest = metrics.table_fim(table, gram[k:, k:]).matrix
+        widest = metrics.table_fim(operator, gram[k:, k:]).matrix
         if np.linalg.matrix_rank(widest, hermitian=True) < widest.shape[0]:
             raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
-    return SolverCore(scene, weights, basis, gram, gram_half, table)
+    return SolverCore(scene, weights, basis, gram, gram_half, operator)
 
 
 def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
@@ -206,7 +205,7 @@ def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
     which drops the linear term from their surrogate.
     """
     sinr, total = metrics.sinr(gains, noise)
-    desired = np.diag(gains[:, : gains.shape[0]])
+    desired = gains.diagonal()
     signal_coeff = sinr / np.where(desired == 0, 1.0, desired)
     return CommAux(sinr=sinr, signal_coeff=signal_coeff, power_coeff=sinr / total)
 
@@ -216,12 +215,12 @@ def evaluate(core: SolverCore, z: np.ndarray) -> Point:
     one Fisher matrix and one SPD factorization."""
     k = core.scene.n_users
     aux = comm_aux_core(z[:k], core.scene.noise_comm)
-    value = core.weights.comm * float(np.sum(np.log1p(aux.sinr)))
-    if core.table is None:
+    value = core.weights.comm * float(np.log1p(aux.sinr).sum())
+    if core.weights.sense == 0:
         return Point(value, aux, None)
     zs = z[k:]
-    inv = metrics.inverse_fisher(metrics.table_fim(core.table, zs @ zs.conj().T))
-    return Point(value - core.weights.sense * float(np.trace(inv)), aux, inv @ inv)
+    inv = metrics.inverse_fisher(metrics.table_fim(core.operator, zs @ zs.conj().T))
+    return Point(value - core.weights.sense * float(inv.trace()), aux, inv @ inv)
 
 
 def curvature(core: SolverCore, point: Point) -> np.ndarray:
@@ -231,8 +230,7 @@ def curvature(core: SolverCore, point: Point) -> np.ndarray:
     d = np.zeros(core.gram.shape, dtype=complex)
     d[:k, :k] = np.diag(core.weights.comm * point.comm.power_coeff)
     if point.inv_sq is not None:
-        kmat = metrics.table_adjoint(core.table, point.inv_sq)
-        d[k:, k:] = -0.5 * core.weights.sense * (kmat + kmat.conj().T)
+        d[k:, k:] = -core.weights.sense * metrics.table_adjoint(core.operator, point.inv_sq)
     return d
 
 
@@ -255,7 +253,7 @@ def shift_parameter(core: SolverCore, d: np.ndarray) -> float:
 def quad_matrix(scene: Scene, phi: np.ndarray) -> np.ndarray:
     """Transmit-side quadratic form matching tr(phi^T F): the n_tx x n_tx
     matrix Q = Sbar K Sbar^H with tr(phi^T F(W)) = Re tr(R_x Q)."""
-    kmat = metrics.table_adjoint(metrics.jacobian_table(scene), phi)
+    kmat = metrics.table_adjoint(metrics.fisher_operator(scene), phi)
     return scene.steering.tx @ kmat @ scene.steering.tx.conj().T
 
 
@@ -516,10 +514,13 @@ def run(
     wmat = antenna(x)
     w = Beamformer(wmat[:, : scene.n_users], wmat[:, scene.n_users :], scene.power_budget)
     final_rate = metrics.sum_rate(scene, w)
-    try:
-        final_crlb = metrics.crlb_trace(metrics.fim(scene, w))
-    except (ValueError, SingularFisherError):  # no targets, or a singular Fisher matrix
-        final_crlb = float("nan")
+    final_crlb = float("nan")  # without targets, or at a singular or non-finite Fisher matrix
+    if core.operator is not None:
+        zs = z[scene.n_users :]
+        try:
+            final_crlb = metrics.crlb_trace(metrics.table_fim(core.operator, zs @ zs.conj().T))
+        except (ValueError, SingularFisherError):
+            pass
     iterations = len(trace) - 1
     timings = {
         "setup_s": t_setup,

@@ -8,7 +8,6 @@ after construction and safe to share across workers.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +25,6 @@ __all__ = [
     "benchmark_targets",
     "dbm_to_linear",
     "scene_from_config",
-    "scene_config_to_json",
 ]
 
 
@@ -346,9 +344,3 @@ def scene_from_config(config: dict) -> Scene:
     if cfg:
         raise ValueError(f"unknown scene config keys: {sorted(cfg)}")
     return sample_scene(seed, **kwargs)
-
-
-def scene_config_to_json(config: dict) -> str:
-    """Round-trip helper: validate a config and return canonical JSON."""
-    scene_from_config(config)
-    return json.dumps(config, indent=2, sort_keys=True)

@@ -1,7 +1,11 @@
 """Import hygiene, checked on the syntax tree (no linter is required): every
-imported name is used or re-exported, and every __all__ entry is defined."""
+imported name is used or re-exported, and every __all__ entry is defined.
+The package's only runtime dependency is numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +62,11 @@ def test_imports_used_and_exports_defined():
     assert SOURCES
     problems = [p for path in SOURCES for p in import_problems(path)]
     assert problems == []
+
+
+def test_import_loads_no_scipy():
+    path = (str(ROOT / "src"), os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = "import sys, isacbeam; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacbeam import (
     ArrayGeometry,
@@ -44,7 +46,6 @@ def test_single_user_rate_closed_form():
     wc = np.zeros((4, 1), complex)
     wc[0, 0] = np.sqrt(10.0)
     w = Beamformer(wc, np.zeros((4, 0)), 10.0)
-    assert metrics.user_rate(scene, w, 0) == pytest.approx(np.log(11.0), abs=1e-12)
     assert metrics.sum_rate(scene, w) == pytest.approx(np.log(11.0), abs=1e-12)
 
 
@@ -55,14 +56,7 @@ def test_sensing_beams_count_as_interference():
     ws = np.zeros((4, 1), complex)
     ws[0, 0] = np.sqrt(5.0)  # aligned with the user channel: pure interference
     w = Beamformer(wc, ws, 10.0)
-    assert metrics.user_rate(scene, w, 0) == pytest.approx(np.log(1 + 5.0 / 6.0), abs=1e-12)
-
-
-def test_user_rate_index_validation():
-    scene = single_user_scene()
-    w = Beamformer(np.ones((4, 1)), np.zeros((4, 0)), 10.0)
-    with pytest.raises(ValueError):
-        metrics.user_rate(scene, w, 1)
+    assert metrics.sum_rate(scene, w) == pytest.approx(np.log(1 + 5.0 / 6.0), abs=1e-12)
 
 
 def test_beamformer_validation():
@@ -81,7 +75,6 @@ def test_beamformer_properties(rng):
     assert w.matrix.shape == (16, 6)
     assert w.total_power == pytest.approx(10.0)
     assert w.is_on_sphere()
-    assert w.is_feasible()
     r = w.replace_matrix(0.5 * w.matrix)
     assert r.total_power == pytest.approx(2.5)
     assert not r.is_on_sphere()
@@ -148,6 +141,71 @@ def test_crlb_trace_diagonal_case():
 def test_singular_fisher_raises():
     with pytest.raises(SingularFisherError):
         metrics.crlb_trace(FisherInfo(np.zeros((4, 4))))
+
+
+def test_inverse_fisher_contract(rng):
+    """SingularFisherError unless positive definite, ValueError on NaN or
+    infinite entries (wherever they sit), otherwise the symmetric inverse."""
+    q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    singular = (np.diag([1.0, 2.0, 3.0, 0.0]), np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]))
+    indefinite = (np.diag([1.0, -2.0, 3.0, 4.0]), (q * [1.0, 2.0, 0.5, 1e-3, 3.0, 1.0, 2.0, -0.5]) @ q.T)
+    for f in singular + indefinite:
+        with pytest.raises(SingularFisherError):
+            metrics.inverse_fisher(FisherInfo(f))
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in ((0, 0), (1, 6), (6, 1)):
+            f = np.eye(8)
+            f[pos] = bad
+            with pytest.raises(ValueError):
+                metrics.inverse_fisher(FisherInfo(f))
+    for n in (4, 8, 12):
+        for _ in range(10):
+            a = rng.standard_normal((n, n))
+            f = a @ a.T + n * np.eye(n)
+            inv = metrics.inverse_fisher(FisherInfo(f))
+            assert np.array_equal(inv, inv.T)
+            expect = np.linalg.inv(f)
+            assert np.linalg.norm(inv - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"the oracle called metrics.{name}")
+
+    return call
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 10_000), n_targets=st.integers(1, 3))
+def test_fisher_operator_properties(seed, n_targets):
+    """For random PSD R_s and symmetric phi: F(R_s) is exactly symmetric,
+    K(phi) exactly Hermitian, tr(phi F(R_s)) = Re tr(K(phi) R_s), and the
+    Fisher matrix of a beamformer matches the finite-difference oracle, which
+    runs without the operator."""
+    scene = sample_scene(seed, n_targets=n_targets)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    op = metrics.fisher_operator(scene)
+    m3, m4 = 3 * n_targets, 4 * n_targets
+    x = rng.standard_normal((m3, m3 + 1)) + 1j * rng.standard_normal((m3, m3 + 1))
+    r_s = x @ x.conj().T
+    phi = rng.standard_normal((m4, m4))
+    phi = phi + phi.T
+    f = metrics.table_fim(op, r_s).matrix
+    k = metrics.table_adjoint(op, phi)
+    assert np.array_equal(f, f.T)
+    assert np.array_equal(k, k.conj().T)
+    lhs = np.sum(phi * f)
+    rhs = np.real(np.trace(k @ r_s))
+    assert abs(lhs - rhs) <= 1e-10 * np.sum(np.abs(phi * f))
+
+    w = make_beamformer(scene, rng, n_sense=n_targets)
+    forbidden = {name: _forbidden(name) for name in ("fisher_operator", "table_fim", "fim")}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in forbidden.items():
+            mp.setattr(metrics, name, fn)
+        oracle = fd_fim(scene, w)
+    f = metrics.fim(scene, w).matrix
+    assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) < 1e-5
 
 
 def test_fim_requires_targets():

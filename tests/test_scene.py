@@ -8,7 +8,6 @@ import pytest
 from isacbeam import ArrayGeometry, Target, benchmark_targets, build_steering_set, sample_scene
 from isacbeam.scene import (
     dbm_to_linear,
-    scene_config_to_json,
     scene_from_config,
     steering_derivatives,
     steering_vector,
@@ -60,7 +59,7 @@ def test_azimuth_derivative_vanishes_at_zero_elevation():
 @pytest.mark.parametrize("n_targets", [0, 1, 3])
 def test_steering_set_column_layout(n_targets):
     # column m of each block belongs to target m: tx = [A, A_dtheta, A_dphi],
-    # rx = [B, B_dtheta, B_dphi], the order jacobian_table indexes
+    # rx = [B, B_dtheta, B_dphi], the order fisher_operator indexes
     scene = sample_scene(4, tx_geometry=ArrayGeometry(4, 3), n_targets=n_targets)
     steering = build_steering_set(scene)
     m = n_targets
@@ -184,8 +183,8 @@ def test_scene_from_config_round_trip():
     scene = scene_from_config(config)
     assert scene.n_tx == 4
     assert scene.power_budget == pytest.approx(dbm_to_linear(3.0))
-    # canonical JSON round-trips through json.loads
-    parsed = json.loads(scene_config_to_json(config))
+    # a config read back from JSON, as the CLI loads it, builds the same scene
+    parsed = json.loads(json.dumps(config))
     again = scene_from_config(parsed)
     assert np.array_equal(scene.channels, again.channels)
 
