@@ -88,7 +88,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One solved instance: identity columns plus final metrics."""
+    """One solved instance: identity columns plus final metrics.
+    stationarity (`SolveResult.stationarity`) comes last so that positional
+    construction keeps working; it is NaN for a failed trial and is not a CSV
+    column."""
 
     sweep_value: float
     seed: int
@@ -99,6 +102,7 @@ class TrialRecord:
     objective: float
     iterations: int
     wall_ms: float
+    stationarity: float = float("nan")
 
     def __post_init__(self):
         if self.iterations < 0 or self.wall_ms < 0:
@@ -166,6 +170,7 @@ def _run_trial(cfg: ExperimentConfig, value, seed: int, solver_name: str) -> Tri
             objective=float(result.objective_trace[-1]),
             iterations=result.iterations,
             wall_ms=wall_ms,
+            stationarity=float(result.stationarity),
         )
     except (metrics.SingularFisherError, ValueError) as exc:
         wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.measure_time else 0.0
@@ -196,7 +201,7 @@ def _summarize(records) -> dict:
         bucket = summary.setdefault(rec.solver, {}).setdefault(
             repr(rec.sweep_value),
             {"n": 0, "n_ok": 0, "n_nonconverged": 0, "n_failed": 0,
-             "_sr": [], "_cr": [], "_obj": [], "_it": []},
+             "_sr": [], "_cr": [], "_obj": [], "_it": [], "_st": []},
         )
         bucket["n"] += 1
         if rec.status.startswith("failed"):
@@ -210,12 +215,18 @@ def _summarize(records) -> dict:
         bucket["_cr"].append(rec.crlb_trace)
         bucket["_obj"].append(rec.objective)
         bucket["_it"].append(rec.iterations)
+        bucket["_st"].append(rec.stationarity)
     for per_solver in summary.values():
         for bucket in per_solver.values():
             iterations = bucket.pop("_it")
             bucket["iterations"] = (
                 {"mean": float(np.mean(iterations)), "max": int(max(iterations))}
                 if iterations else {"mean": float("nan"), "max": float("nan")}
+            )
+            residuals = bucket.pop("_st")
+            bucket["stationarity"] = (
+                {"median": float(np.median(residuals)), "max": float(max(residuals))}
+                if residuals else {"median": float("nan"), "max": float("nan")}
             )
             for key, name in (("_sr", "sum_rate_nats"), ("_cr", "crlb_trace"), ("_obj", "objective")):
                 vals = np.asarray(bucket.pop(key), dtype=float)

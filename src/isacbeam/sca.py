@@ -20,15 +20,21 @@ candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
 on the power sphere (Liu & Nocedal, Math. Prog. 1989; Huang, Gallivan &
 Absil, SIAM J. Optim. 2015), retracted by Pi. Its inner products need only
 Z, G and the start's Z0, so both front ends run it in the same arithmetic.
-The iteration keeps whichever candidate has the higher objective. The
-linearized sensing term bounds -tr(F^-1) from above, not below, so even the
-MM candidate can descend: then the ascent check doubles the shift and
-retries the MM candidate, at most MAX_RETRIES times, and stops the solve
-with converged=False when none ascends. A candidate that falls by no more
-than tol_objective counts as no change (the iterate stays and the solve has
-converged), so every objective trace is monotone. The result reports the
-stationarity residual at the returned iterate, computed from the same basis
-coordinates.
+It is formed first: when it climbs by more than tol_objective it is taken,
+and the MM candidate (shift, step and evaluation) is skipped, as in the
+guarded quasi-Newton acceleration of MM (Zhou, Alexander & Lange, Stat.
+Comput. 2011). Otherwise the MM candidate is formed and the iteration keeps
+whichever of the two has the higher objective. A gain above tol_objective
+never ends a solve, so converged=True still comes only from an iteration that
+weighed both candidates. The linearized sensing term bounds -tr(F^-1) from
+above, not below, so even the MM candidate can descend: then the ascent check
+doubles the shift and retries the MM candidate, at most MAX_RETRIES times,
+and stops the solve with converged=False when none ascends. A candidate that
+falls by no more than tol_objective counts as no change (the iterate stays
+and the solve has converged), so every objective trace is monotone. The
+result reports the stationarity residual at the returned iterate, computed
+from the same basis coordinates. Per-antenna solves and first iterations,
+which have no quasi-Newton direction, take the MM candidate alone.
 """
 
 from __future__ import annotations
@@ -447,10 +453,14 @@ def run(
     coords maps an iterate to Z = V^H W, lift maps basis coefficients into the
     iterate's coordinates, project applies the power constraint there, and
     antenna returns the antenna-domain beamformer matrix; t0 is the
-    front end's start time. Each iteration keeps the better of the MM
-    candidate and, under the total-power constraint, the quasi-Newton
-    candidate; if neither ascends, the shift doubles (at most MAX_RETRIES
-    times) until the MM candidate does. A run that exhausts max_iters
+    front end's start time. Under the total-power constraint each iteration
+    first evaluates the quasi-Newton candidate and takes it when it gains
+    more than tol_objective; otherwise (no direction yet, a singular Fisher
+    matrix there, or a smaller gain), and always under the per-antenna
+    constraint, it forms the MM candidate and keeps the better of the two.
+    If neither ascends, the shift doubles (at most MAX_RETRIES times) until
+    the MM candidate does. converged=True means the better of both
+    candidates gained at most tol_objective; a run that exhausts max_iters
     without meeting the tolerance, or finds no ascent, is reported via
     converged=False, never silently truncated.
     """
@@ -469,23 +479,27 @@ def run(
         return nxt, nz, evaluate(core, nz)
 
     for _ in range(cfg.max_iters):
+        qn = None
         if history is not None:
             history.observe(z, g)
-        shift = shift_parameter(core, d)
-        best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
-        r = history.direction() if history is not None else None
-        if r is not None:
-            try:
-                qn = candidate(project(history.offset(x, r, lift)))
-            except SingularFisherError:  # the model stepped to an unidentifiable point
-                qn = None
+            r = history.direction()
+            if r is not None:
+                try:
+                    qn = candidate(project(history.offset(x, r, lift)))
+                except SingularFisherError:  # the model stepped to an unidentifiable point
+                    pass
+        if qn is not None and qn[2].objective - point.objective > cfg.tol_objective:
+            best, step = qn, (1.0, r)  # a climb that cannot end the solve: no MM candidate
+        else:
+            shift = shift_parameter(core, d)
+            best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
             if qn is not None and qn[2].objective > best[2].objective:
                 best, step = qn, (1.0, r)
-        for _ in range(MAX_RETRIES):
-            if best[2].objective >= point.objective - cfg.tol_objective:
-                break
-            shift *= 2.0
-            best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
+            for _ in range(MAX_RETRIES):
+                if best[2].objective >= point.objective - cfg.tol_objective:
+                    break
+                shift *= 2.0
+                best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
         delta = best[2].objective - point.objective
         if not delta >= -cfg.tol_objective:
             stalled = True

@@ -82,6 +82,11 @@ def test_summary_structure():
         "max": max(r.iterations for r in rows),
     }
     assert bucket["n_nonconverged"] == sum(r.status == "nonconverged" for r in rows)
+    assert all(0.0 <= r.stationarity < 1.0 for r in rows)
+    assert bucket["stationarity"] == {
+        "median": pytest.approx(np.median([r.stationarity for r in rows])),
+        "max": max(r.stationarity for r in rows),
+    }
     assert bucket["n_ok"] + bucket["n_nonconverged"] + bucket["n_failed"] == bucket["n"]
     capped = run_experiment(tiny_config(solver_config=SolverConfig(max_iters=2, tol_objective=0.0)))
     for per_value in capped.summary.values():
@@ -123,8 +128,10 @@ def test_failed_trials_become_rows():
     assert len(result.records) == 1
     rec = result.records[0]
     assert rec.status.startswith("failed:")
-    assert np.isnan(rec.objective)
-    assert result.summary["full"][repr(0.25)]["n_failed"] == 1
+    assert np.isnan(rec.objective) and np.isnan(rec.stationarity)
+    bucket = result.summary["full"][repr(0.25)]
+    assert bucket["n_failed"] == 1
+    assert np.isnan(bucket["stationarity"]["median"]) and np.isnan(bucket["stationarity"]["max"])
 
 
 def test_config_from_dict_round_trip():

@@ -154,6 +154,32 @@ def test_solve_reports_nonconvergence(default_scene, front_end, caplog):
     assert "max_iters=4" in caplog.records[0].getMessage()
 
 
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, monkeypatch):
+    # an iteration forms the MM candidate (a shift and a step) only when the
+    # quasi-Newton gain is at most tol_objective, so the candidate that
+    # certifies the stop is an MM one, evaluated after the quasi-Newton one
+    events = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            events.append(name)
+            return function(*args)
+
+        return wrapper
+
+    for name in ("shift_parameter", "sca_step", "evaluate"):
+        monkeypatch.setattr(sca, name, counted(name, getattr(sca, name)))
+    result = front_end(default_scene, WTS)
+    assert result.converged
+    assert 0 < events.count("shift_parameter") < result.iterations
+    last = len(events) - 1 - events[::-1].index("evaluate")
+    assert events[last - 1] == "sca_step"
+    events.clear()
+    per_antenna = solve(default_scene, WTS, SolverConfig(power_constraint="per-antenna"))
+    assert events.count("shift_parameter") >= per_antenna.iterations >= 1
+
+
 def test_solver_config_validation():
     for tol in (np.nan, np.inf, -1e-4):
         with pytest.raises(ValueError):
