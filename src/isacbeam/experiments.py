@@ -304,7 +304,9 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
 
     Returns one CheckRecord per invariant: oracle agreement (gradient, Fisher
     information, adjoint identity), full-power behavior, monotone objective
-    trace, stationary-structure residuals, and reduced/full solver parity.
+    trace, the solve's reported stationarity residual against
+    `analysis.obs_residuals`, stationary-structure residuals, and reduced/full
+    solver parity.
     """
     scene_cfg = dict(scene_config or {})
     scene_cfg.setdefault("seed", seed)
@@ -350,6 +352,8 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     slack = 1e-9 * max(1.0, float(np.max(np.abs(result.objective_trace))))
     checks.append(_check("trace_monotonicity_violation",
                          float(-min(np.min(np.diff(result.objective_trace)), 0.0)), slack))
+    reported = analysis.obs_residuals(scene, scene.steering, w, weights).stationarity_residual
+    checks.append(_check("stationarity_report_error", abs(result.stationarity - reported), 1e-8))
 
     tight = sca.solve(scene, weights, replace(SolverConfig(), tol_objective=1e-8, max_iters=20000))
     report = analysis.obs_residuals(scene, scene.steering, tight.beamformer, weights)

@@ -24,17 +24,24 @@ It is formed first: when it climbs by more than tol_objective it is taken,
 and the MM candidate (shift, step and evaluation) is skipped, as in the
 guarded quasi-Newton acceleration of MM (Zhou, Alexander & Lange, Stat.
 Comput. 2011). Otherwise the MM candidate is formed and the iteration keeps
-whichever of the two has the higher objective. A gain above tol_objective
-never ends a solve, so converged=True still comes only from an iteration that
-weighed both candidates. The linearized sensing term bounds -tr(F^-1) from
-above, not below, so even the MM candidate can descend: then the ascent check
-doubles the shift and retries the MM candidate, at most MAX_RETRIES times,
-and stops the solve with converged=False when none ascends. A candidate that
-falls by no more than tol_objective counts as no change (the iterate stays
-and the solve has converged), so every objective trace is monotone. The
-result reports the stationarity residual at the returned iterate, computed
-from the same basis coordinates. Per-antenna solves and first iterations,
-which have no quasi-Newton direction, take the MM candidate alone.
+whichever of the two has the higher objective. The quasi-Newton step is
+capped at a trust radius, measured with the same inner products (Absil,
+Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+ch. 7): it starts unbounded, becomes at least GROW times the step after a
+candidate that climbs, and SHRINK times the step after one that does not or
+whose Fisher matrix is singular. A climb too small to take still widens the
+radius, so a radius too short to gain tol_objective recovers. A gain above
+tol_objective never ends a solve, so converged=True still comes only from an
+iteration that weighed both candidates. The linearized sensing term bounds
+-tr(F^-1) from above, not below, so even the MM candidate can descend: then
+the ascent check doubles the shift and retries the MM candidate, at most
+MAX_RETRIES times, and stops the solve with converged=False when none
+ascends. A candidate that falls by no more than tol_objective counts as no
+change (the iterate stays and the solve has converged), so every objective
+trace is monotone. The result reports the stationarity residual at the
+returned iterate, computed from the same basis coordinates. Per-antenna
+solves and first iterations, which have no quasi-Newton direction, take the
+MM candidate alone.
 """
 
 from __future__ import annotations
@@ -85,6 +92,10 @@ MEMORY = 8
 # A pair (s, y) enters the memory only when <s, y> exceeds this share of
 # |s| |y|, which keeps the quasi-Newton model positive definite.
 CURVATURE_FLOOR = 1e-10
+# Trust radius of the quasi-Newton step: after a candidate that climbs it
+# becomes at least GROW times the step, after one that does not SHRINK times it.
+GROW = 4.0
+SHRINK = 0.25
 # Shift doublings the ascent check tries before it stops the solve.
 MAX_RETRIES = 30
 
@@ -454,10 +465,13 @@ def run(
     iterate's coordinates, project applies the power constraint there, and
     antenna returns the antenna-domain beamformer matrix; t0 is the
     front end's start time. Under the total-power constraint each iteration
-    first evaluates the quasi-Newton candidate and takes it when it gains
-    more than tol_objective; otherwise (no direction yet, a singular Fisher
-    matrix there, or a smaller gain), and always under the per-antenna
-    constraint, it forms the MM candidate and keeps the better of the two.
+    first evaluates the quasi-Newton candidate, its step capped at the trust
+    radius; the radius becomes at least GROW times the step when the
+    candidate climbs, and SHRINK times the step when it does not or its
+    Fisher matrix is singular. The candidate is taken when it gains more than
+    tol_objective; otherwise (no direction yet, a singular Fisher matrix
+    there, or a smaller gain), and always under the per-antenna constraint,
+    the iteration forms the MM candidate and keeps the better of the two.
     If neither ascends, the shift doubles (at most MAX_RETRIES times) until
     the MM candidate does. converged=True means the better of both
     candidates gained at most tol_objective; a run that exhausts max_iters
@@ -478,16 +492,23 @@ def run(
         nz = coords(nxt)
         return nxt, nz, evaluate(core, nz)
 
+    radius = np.inf  # the trust radius, in the history's metric
     for _ in range(cfg.max_iters):
-        qn = None
+        qn = r = None
         if history is not None:
             history.observe(z, g)
             r = history.direction()
             if r is not None:
+                length = np.sqrt(np.vdot(r, history.dual(r)).real)
+                if length > radius:
+                    r, length = (radius / length) * r, radius
                 try:
                     qn = candidate(project(history.offset(x, r, lift)))
                 except SingularFisherError:  # the model stepped to an unidentifiable point
                     pass
+        if r is not None:
+            climbed = qn is not None and qn[2].objective > point.objective
+            radius = max(radius, GROW * length) if climbed else SHRINK * length
         if qn is not None and qn[2].objective - point.objective > cfg.tol_objective:
             best, step = qn, (1.0, r)  # a climb that cannot end the solve: no MM candidate
         else:

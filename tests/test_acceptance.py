@@ -253,12 +253,13 @@ def test_ld_faster_per_iteration_at_1024_antennas():
 
 
 def test_quasi_newton_candidate_accelerates_20_dbm():
-    # plain MM took 1235 iterations here and stopped at residual 0.23
+    # plain MM took 1235 iterations here and stopped at residual 0.23; a
+    # trust radius that only shrank would take about 390
     scene = sample_scene(0, targets=benchmark_targets(), power_dbm=20)
     for front_end in (solve, solve_ld):
         result = front_end(scene, DEFAULT_WEIGHTS)
         assert result.converged
-        assert result.iterations <= 300, front_end.__name__
+        assert result.iterations <= 100, front_end.__name__
         assert result.stationarity < 0.22, front_end.__name__
 
 

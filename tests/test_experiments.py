@@ -156,5 +156,6 @@ def test_verify_passes_on_small_scene():
     assert "gradient_fd_relative_error" in names
     assert "adjoint_identity_relative_error" in names
     assert "nonconvergence_reported" in names
+    assert "stationarity_report_error" in names
     failed = [c for c in checks if not c.passed]
     assert not failed, failed

@@ -11,6 +11,7 @@ from isacbeam import (
     SolverConfig,
     Target,
     Weights,
+    benchmark_targets,
     sample_scene,
     solve,
     solve_ld,
@@ -158,7 +159,9 @@ def test_solve_reports_nonconvergence(default_scene, front_end, caplog):
 def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, monkeypatch):
     # an iteration forms the MM candidate (a shift and a step) only when the
     # quasi-Newton gain is at most tol_objective, so the candidate that
-    # certifies the stop is an MM one, evaluated after the quasi-Newton one
+    # certifies the stop is an MM one, evaluated after the quasi-Newton one;
+    # without the trust radius about four in ten iterations overshoot with the
+    # quasi-Newton step and pay for the MM candidate as well
     events = []
 
     def counted(name, function):
@@ -172,12 +175,67 @@ def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, mo
         monkeypatch.setattr(sca, name, counted(name, getattr(sca, name)))
     result = front_end(default_scene, WTS)
     assert result.converged
-    assert 0 < events.count("shift_parameter") < result.iterations
+    assert 0 < events.count("shift_parameter") < 0.3 * result.iterations
     last = len(events) - 1 - events[::-1].index("evaluate")
     assert events[last - 1] == "sca_step"
     events.clear()
     per_antenna = solve(default_scene, WTS, SolverConfig(power_constraint="per-antenna"))
     assert events.count("shift_parameter") >= per_antenna.iterations >= 1
+
+
+def test_trust_radius_leaves_mm_only_paths_alone(default_scene, monkeypatch):
+    # per-antenna solves and first iterations never form a quasi-Newton
+    # candidate, so the radius constants cannot move them; under the total
+    # power constraint they do move the later iterates
+    configs = (
+        SolverConfig(power_constraint="per-antenna", max_iters=40),
+        SolverConfig(max_iters=40),
+    )
+    shipped = [solve(default_scene, WTS, cfg) for cfg in configs]
+    monkeypatch.setattr(sca, "GROW", 0.0)
+    monkeypatch.setattr(sca, "SHRINK", 0.0)
+    frozen = [solve(default_scene, WTS, cfg) for cfg in configs]
+    assert np.array_equal(shipped[0].beamformer.matrix, frozen[0].beamformer.matrix)
+    assert np.array_equal(shipped[0].objective_trace, frozen[0].objective_trace)
+    assert np.array_equal(shipped[1].objective_trace[:2], frozen[1].objective_trace[:2])
+    assert not np.array_equal(shipped[1].objective_trace, frozen[1].objective_trace)
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_trust_radius_recovers_from_short_steps(front_end):
+    # after a run of failed quasi-Newton steps the radius can be too short for
+    # any step to gain tol_objective; had it grown only after such gains, this
+    # solve would have crawled at the MM pace for about 3000 iterations
+    # (about 1100 without a radius)
+    result = front_end(sample_scene(14, targets=benchmark_targets(), power_dbm=30), WTS)
+    assert result.converged
+    assert result.iterations <= 200
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_singular_quasi_newton_candidate_shrinks_the_radius(default_scene, front_end, monkeypatch):
+    # a quasi-Newton candidate at an unidentifiable point is a failed step:
+    # the next quasi-Newton step is at most SHRINK times as long
+    lengths, pending = [], []
+    offset, evaluate = sca._History.offset, sca.evaluate
+
+    def measured_offset(history, x, r, lift):
+        lengths.append(np.sqrt(np.vdot(r, history.dual(r)).real))
+        pending.append(len(lengths) == 3)  # the third candidate is the singular one
+        return offset(history, x, r, lift)
+
+    def singular_once(core, z):
+        if pending and pending.pop():
+            raise metrics.SingularFisherError("injected at a quasi-Newton candidate")
+        return evaluate(core, z)
+
+    monkeypatch.setattr(sca._History, "offset", measured_offset)
+    monkeypatch.setattr(sca, "evaluate", singular_once)
+    result = front_end(default_scene, WTS)
+    assert result.converged
+    assert np.all(np.diff(result.objective_trace) >= 0.0)
+    assert len(lengths) > 3
+    assert lengths[3] <= sca.SHRINK * lengths[2] * (1.0 + 1e-12)
 
 
 def test_solver_config_validation():
@@ -284,10 +342,13 @@ ILL_CONDITIONED = [(seed, 2) for seed in range(20)] + [(223, 3)]
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
 def test_ascent_check_keeps_traces_monotone(front_end):
+    # the trust radius keeps the quasi-Newton step out of the unidentifiable
+    # region: without it these solves took up to 448 iterations
     for seed, n_users in ILL_CONDITIONED:
         result = front_end(_ill_conditioned(seed, n_users), WTS)
         assert result.converged, seed
         assert np.all(np.diff(result.objective_trace) >= 0.0), seed
+        assert result.iterations <= 150, seed
 
 
 @pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
