@@ -13,7 +13,7 @@ import numpy as np
 
 from . import metrics, sca
 from .metrics import Beamformer, Weights
-from .scene import Scene, SteeringSet, steering_vector
+from .scene import Scene, SteeringSet, philox, steering_vector
 
 __all__ = [
     "ObsReport",
@@ -211,7 +211,7 @@ def fd_fim(
                 f[i, j] = np.real(np.trace(jac[i].conj().T @ jac[j] @ r_x))
         return 2.0 * scene.slots / scene.noise_radar * f
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox(seed)
     n_streams = w.n_users + w.n_sense
     f = np.zeros((4 * m, 4 * m))
     for _ in range(signal_draws):

@@ -3,13 +3,12 @@
 Instead of the full n_tx x (K + n_sense) beamformer W, it iterates on the
 coefficient matrix P with W = V P over the basis V = [channels, steering,
 steering derivatives] of `sca.solver_core`, whose row count K + 3M is
-independent of the antenna count. The start is the least-squares projection
-of the configured start onto span(V). The iteration is the shared core in
-`sca.run` in basis coordinates: Z = G P with G = V^H V, lift is the identity,
-and the projection scales P onto the ellipsoid tr(P^H G P) = power budget,
-which is also the retraction of the quasi-Newton candidate.
-The lifted beamformer stays in span(V), so the per-antenna constraint cannot
-be honoured here.
+independent of the antenna count, from the start P0 of
+`sca.start_coefficients`. The iteration is the shared core in `sca.run` in
+basis coordinates: Z = G P with G = V^H V, lift is the identity, and the
+projection scales P onto the ellipsoid tr(P^H G P) = power budget, which is
+also the retraction of the quasi-Newton candidate. The lifted beamformer
+stays in span(V), so the per-antenna constraint cannot be honoured here.
 """
 
 from __future__ import annotations
@@ -36,16 +35,16 @@ def solve_ld(
     """Reduced-dimension front end; the reported beamformer is lifted back to
     the antenna domain (on the power sphere there by construction).
 
-    n_sense defaults to 3 * n_targets. The start is the least-squares
-    coefficients of the configured start (matched filter, or the random start
-    under init_mode="random"), which also covers a singular Gram matrix.
+    n_sense defaults to 3 * n_targets. The start is P0 scaled onto the
+    ellipsoid, so from every start it takes the same iterates as `sca.solve`.
     Raises ValueError for power_constraint="per-antenna", whose projection
     leaves span(V).
     """
     t0 = time.perf_counter()
     if cfg.power_constraint != "total":
         raise ValueError("solve_ld honours only power_constraint='total'")
-    core, w0 = sca.prepare(scene, weights, cfg, n_sense)
+    p0 = sca.start_coefficients(scene, n_sense, cfg)
+    core = sca.solver_core(scene, weights)
     gram, budget = core.gram, scene.power_budget
 
     def ellipsoid(p: np.ndarray) -> np.ndarray:
@@ -54,9 +53,8 @@ def solve_ld(
             raise ValueError("coefficients carry no transmit power")
         return np.sqrt(budget / power) * p
 
-    p0 = np.linalg.lstsq(core.basis, w0.matrix, rcond=None)[0]
     return sca.run(
-        core, ellipsoid(p0), cfg,
+        core, p0, cfg,
         coords=lambda p: gram @ p,
         lift=lambda y: y,
         project=ellipsoid,

@@ -11,37 +11,30 @@ candidate (Sun, Babu & Palomar, IEEE TSP 2017) is
 
 with D = blockdiag(delta_c diag(sigma2), -delta_s K) the surrogate curvature
 in basis coordinates and lambda = 1.1 max|eig(G^1/2 D G^1/2)|, G = V^H V, the
-exact spectral shift. `solve` keeps antenna coordinates (X = W, Z = V^H X,
-lift = V., sphere or per-antenna Pi); `lowdim.solve_ld` keeps basis
-coordinates. Both run the loop in `run`.
+exact spectral shift. Every start is built as basis coefficients P0 and
+lifted, so it lies in span(V). `solve` keeps antenna coordinates (X = W,
+Z = V^H X, lift = V., sphere or per-antenna Pi); `lowdim.solve_ld` keeps
+basis coordinates. Both run the loop in `run`.
 
-Under the total-power constraint each iteration also forms a quasi-Newton
+Under the total-power constraint each iteration first forms a quasi-Newton
 candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
 on the power sphere (Liu & Nocedal, Math. Prog. 1989; Huang, Gallivan &
-Absil, SIAM J. Optim. 2015), retracted by Pi. Its inner products need only
-Z, G and the start's Z0, so both front ends run it in the same arithmetic.
-It is formed first: when it climbs by more than tol_objective it is taken,
-and the MM candidate (shift, step and evaluation) is skipped, as in the
-guarded quasi-Newton acceleration of MM (Zhou, Alexander & Lange, Stat.
-Comput. 2011). Otherwise the MM candidate is formed and the iteration keeps
-whichever of the two has the higher objective. The quasi-Newton step is
-capped at a trust radius, measured with the same inner products (Absil,
-Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
-ch. 7): it starts unbounded, becomes at least GROW times the step after a
-candidate that climbs, and SHRINK times the step after one that does not or
-whose Fisher matrix is singular. A climb too small to take still widens the
-radius, so a radius too short to gain tol_objective recovers. A gain above
-tol_objective never ends a solve, so converged=True still comes only from an
-iteration that weighed both candidates. The linearized sensing term bounds
--tr(F^-1) from above, not below, so even the MM candidate can descend: then
-the ascent check doubles the shift and retries the MM candidate, at most
-MAX_RETRIES times, and stops the solve with converged=False when none
-ascends. A candidate that falls by no more than tol_objective counts as no
-change (the iterate stays and the solve has converged), so every objective
-trace is monotone. The result reports the stationarity residual at the
-returned iterate, computed from the same basis coordinates. Per-antenna
-solves and first iterations, which have no quasi-Newton direction, take the
-MM candidate alone.
+Absil, SIAM J. Optim. 2015), retracted by Pi and capped at a trust radius
+(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008, ch. 7). Its vectors are basis coefficients with the Gram inner
+product, so both front ends run it in the same arithmetic and take the same
+iterates from every start. A candidate that climbs by more than
+tol_objective is taken without forming the MM candidate, as in the guarded
+quasi-Newton acceleration of MM (Zhou, Alexander & Lange, Stat. Comput.
+2011); otherwise the iteration keeps the better of the two (see `run`). The
+linearized sensing term bounds -tr(F^-1) from above, not below, so even the
+MM candidate can descend: then the ascent check doubles the shift and
+retries it. A candidate that falls by no more than tol_objective counts as
+no change (the iterate stays and the solve has converged), so every
+objective trace is monotone. The result reports the stationarity residual
+at the returned iterate, computed from the same basis coordinates.
+Per-antenna solves and first iterations, which have no quasi-Newton
+direction, take the MM candidate alone.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import Beamformer, SingularFisherError, Weights
-from .scene import Scene
+from .scene import Scene, philox
 
 __all__ = [
     "CommAux",
@@ -74,11 +67,11 @@ __all__ = [
     "project_total_power",
     "project_per_antenna",
     "sca_step",
-    "prepare",
     "run",
     "solve",
     "analytic_gradient",
     "matched_filter_init",
+    "start_coefficients",
 ]
 
 logger = logging.getLogger(__name__)
@@ -130,6 +123,10 @@ class SolverConfig:
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.power_constraint not in ("total", "per-antenna"):
             raise ValueError(f"unknown power_constraint {self.power_constraint!r}")
+        if self.init_mode == "random":
+            _start_rng(self)  # ValueError for a seed whose key is out of range
+        elif self.init_seed != 0:
+            raise ValueError("init_seed needs init_mode='random'")
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     covariance, so when it is rank-deficient every beamformer's Fisher matrix
     is singular (repeated targets, for example) and ValueError is raised.
     """
-    basis = np.concatenate([scene.channels, scene.steering.tx], axis=1)
+    basis = _basis(scene)
     gram = basis.conj().T @ basis
     eigs, vecs = np.linalg.eigh(gram)
     gram_half = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
@@ -317,98 +314,94 @@ def analytic_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarr
     return 2.0 * core.lift(half_gradient(core, point, z, curvature(core, point)))
 
 
-def matched_filter_init(scene: Scene, n_sense: int, cfg: SolverConfig) -> Beamformer:
-    """Default start: normalized user channels for communication columns,
-    cycled transmit steering vectors for sensing columns, then one projection."""
-    if cfg.init_mode == "random":
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.init_seed + 0xA11)))
-        wc = rng.standard_normal((scene.n_tx, scene.n_users)) + 1j * rng.standard_normal(
-            (scene.n_tx, scene.n_users)
-        )
-        ws = rng.standard_normal((scene.n_tx, n_sense)) + 1j * rng.standard_normal(
-            (scene.n_tx, n_sense)
-        )
-    else:
-        norms = np.linalg.norm(scene.channels, axis=0)
-        wc = scene.channels / np.where(norms > 0, norms, 1.0)[None, :]
-        if n_sense and scene.n_targets:
-            ws = scene.steering.tx[:, np.arange(n_sense) % scene.n_targets]
-        else:
-            ws = np.ones((scene.n_tx, n_sense), complex) / np.sqrt(scene.n_tx)
-    stacked = np.concatenate([wc, ws], axis=1)
-    if stacked.size == 0:
-        raise ValueError("beamformer has no columns (n_users + n_sense = 0)")
-    w = Beamformer(wc, ws, scene.power_budget)
-    return w.replace_matrix(_project(stacked, w.power_budget, cfg))
+def _basis(scene: Scene) -> np.ndarray:
+    """V = [H, A, A_dtheta, A_dphi], n_tx x (K + 3M)."""
+    return np.concatenate([scene.channels, scene.steering.tx], axis=1)
 
 
-def prepare(
-    scene: Scene, weights: Weights, cfg: SolverConfig, n_sense: Optional[int]
-) -> tuple[SolverCore, Beamformer]:
-    """Shared front-end validation: the solver core and the antenna-domain start.
+def _start_rng(cfg: SolverConfig) -> np.random.Generator:
+    """The random start's stream, keyed apart from the scene seeds."""
+    return philox(cfg.init_seed + 0xA11)
 
-    n_sense defaults to 3 * n_targets (the structural stream bound).
-    """
+
+def start_coefficients(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> np.ndarray:
+    """Basis coefficients P0 of the start, (K + 3M) x (K + n_sense) with
+    n_sense 3 * n_targets by default, so every start lies in span(V). The
+    matched filter has coefficient 1 on each normalized user channel and on
+    the transmit steering vectors, cycled over the sensing columns; without
+    targets those columns are zero. Under init_mode="random" the
+    coefficients are standard complex normal."""
+    k, m = scene.n_users, scene.n_targets
     if n_sense is None:
-        n_sense = 3 * scene.n_targets
+        n_sense = 3 * m
     elif n_sense < 0:
         raise ValueError(f"n_sense must be nonnegative, got {n_sense}")
-    return solver_core(scene, weights), matched_filter_init(scene, n_sense, cfg)
+    shape = (k + 3 * m, k + n_sense)
+    if shape[1] == 0:
+        raise ValueError("beamformer has no columns (n_users + n_sense = 0)")
+    if cfg.init_mode == "random":
+        rng = _start_rng(cfg)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    p0 = np.zeros(shape, dtype=complex)
+    norms = np.linalg.norm(scene.channels, axis=0)
+    p0[np.arange(k), np.arange(k)] = 1.0 / np.where(norms > 0, norms, 1.0)
+    if m:
+        p0[k + np.arange(n_sense) % m, k + np.arange(n_sense)] = 1.0
+    return p0
+
+
+def matched_filter_init(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> Beamformer:
+    """The start in the antenna domain: the projection of V P0, P0 from
+    `start_coefficients` (the matched filter by default)."""
+    w = _project(_basis(scene) @ start_coefficients(scene, n_sense, cfg), scene.power_budget, cfg)
+    return Beamformer(w[:, : scene.n_users], w[:, scene.n_users :], scene.power_budget)
 
 
 class _History:
     """Limited-memory quasi-Newton model of the objective on the power sphere.
 
-    Its vectors lie in the span of the start X0 and the lifts: a flat array
-    v = [sigma, vec(a)] stands for sigma X0 + lift(a), in either front end's
-    iterate coordinates. Inner products are those of the antenna domain,
-    <u, v> = Re vdot(u, dual(v)) with dual(v) = [<X0, v>, vec(V^H v)], and
-    need only Z0 = V^H X0, the Gram matrix G and the budget, because
-    <X0, lift(b)> = Re tr(Z0^H b) and <lift(a), lift(b)> = Re tr(a^H G b).
-    So both front ends run the same arithmetic, none of it on n_tx rows, and
-    a start outside span(V) is carried exactly by the X0 coefficient.
+    Its vectors are basis coefficient matrices a, standing for lift(a) in
+    either front end's iterate coordinates, with the antenna-domain inner
+    product <a, b> = Re tr(a^H G b); each stored vector keeps its dual G a
+    beside it. It tracks the iterate's coefficients P by replaying each move,
+    so both front ends run the same arithmetic, none of it on n_tx rows.
     """
 
-    def __init__(self, core: SolverCore, x0: np.ndarray, z0: np.ndarray):
-        self.x0, self.z0, self.gram = x0, z0, core.gram
-        self.budget = core.scene.power_budget
-        self.point = np.zeros(1 + z0.size, dtype=complex)
-        self.point[0] = 1.0
-        self.point_dual = self.dual(self.point)
+    def __init__(self, core: SolverCore, p0: np.ndarray):
+        self.gram, self.budget = core.gram, core.scene.power_budget
         self.pairs: deque = deque(maxlen=MEMORY)
         self.previous: Optional[tuple] = None
-        self.ascent = self.grad = self.grad_dual = None
         self.scale = 1.0  # <s, y> / <y, y> of the newest pair: the initial inverse Hessian
+        self._place(p0)
 
-    def dual(self, v: np.ndarray) -> np.ndarray:
-        """[<X0, v>, vec(V^H v)]: <u, v> = Re vdot(u, dual(v)) for every u."""
-        a = v[1:].reshape(self.z0.shape)
-        head = self.budget * v[0] + np.vdot(self.z0, a)
-        return np.concatenate(([head], (v[0] * self.z0 + self.gram @ a).ravel()))
+    def _place(self, v: np.ndarray) -> None:
+        """Set the iterate to v rescaled onto the sphere <P, P> = budget."""
+        v_dual = self.gram @ v
+        c = np.sqrt(self.budget / np.vdot(v, v_dual).real)
+        self.point, self.point_dual = c * v, c * v_dual
 
     def observe(self, z: np.ndarray, g: np.ndarray) -> None:
-        """Take the Riemannian ascent direction lift(g) - mu X at the iterate
-        (mu = <X, lift(g)> / budget) and pair it with the previous iterate's.
-        A pair enters the memory only with positive curvature."""
+        """Take the Riemannian ascent direction g - mu P at the iterate
+        (mu = <P, g> / budget) and pair it with the previous iterate's;
+        a pair enters the memory only with positive curvature."""
         mu = np.vdot(z, g).real / self.budget
-        self.ascent = np.concatenate(([0.0], g.ravel()))
-        ascent_dual = np.concatenate(([np.vdot(self.z0, g)], (self.gram @ g).ravel()))
-        grad, grad_dual = self.ascent - mu * self.point, ascent_dual - mu * self.point_dual
+        self.ascent = g
+        grad, grad_dual = g - mu * self.point, self.gram @ g - mu * self.point_dual
         if self.previous is not None:
             point, point_dual, old, old_dual = self.previous
             s, s_dual = self.point - point, self.point_dual - point_dual
             y, y_dual = old - grad, old_dual - grad_dual  # the gradient of -objective
-            sy = np.vdot(s, y_dual).real
-            yy = np.vdot(y, y_dual).real
-            if sy > CURVATURE_FLOOR * np.sqrt(np.vdot(s, s_dual).real * yy):
+            sy, yy = np.vdot(s, y_dual).real, np.vdot(y, y_dual).real
+            ss = max(np.vdot(s, s_dual).real, 0.0)  # roundoff can make it negative on a singular G
+            if yy > 0.0 and sy > CURVATURE_FLOOR * np.sqrt(ss * yy):
                 self.pairs.append((s, s_dual, y, y_dual, 1.0 / sy))
                 self.scale = sy / yy
         self.grad, self.grad_dual = grad, grad_dual
 
-    def direction(self) -> Optional[np.ndarray]:
+    def direction(self, radius: float) -> Optional[tuple]:
         """The L-BFGS ascent step (two-loop recursion, Nocedal & Wright
-        Alg. 7.4) projected onto the tangent space at the iterate; None while
-        the memory is empty."""
+        Alg. 7.4) projected onto the tangent space at the iterate and capped
+        at the radius, with its length; None while the memory is empty."""
         if not self.pairs:
             return None
         q, alphas = self.grad, []
@@ -419,20 +412,17 @@ class _History:
         r = self.scale * q
         for (s, _, y, y_dual, rho), alpha in zip(self.pairs, reversed(alphas)):
             r = r + (alpha - rho * np.vdot(r, y_dual).real) * s
-        return r - (np.vdot(r, self.point_dual).real / self.budget) * self.point
-
-    def offset(self, x: np.ndarray, r: np.ndarray, lift: Callable) -> np.ndarray:
-        """The iterate x plus the vector r, in iterate coordinates: one lift."""
-        return x + r[0] * self.x0 + lift(r[1:].reshape(self.z0.shape))
+        r = r - (np.vdot(r, self.point_dual).real / self.budget) * self.point
+        length = np.sqrt(max(np.vdot(r, self.gram @ r).real, 0.0))  # as ss in observe
+        if length > radius:
+            return (radius / length) * r, radius
+        return r, length
 
     def move(self, scale: float, r: Optional[np.ndarray]) -> None:
         """The iterate moved to project(scale X + lift(g)) (the MM candidate,
-        r None) or to project(X + r); rescale onto the sphere."""
-        v = scale * self.point + (self.ascent if r is None else r)
-        v_dual = self.dual(v)
-        c = np.sqrt(self.budget / np.vdot(v, v_dual).real)
+        r None) or to project(X + lift(r))."""
         self.previous = (self.point, self.point_dual, self.grad, self.grad_dual)
-        self.point, self.point_dual = c * v, c * v_dual
+        self._place(scale * self.point + (self.ascent if r is None else r))
 
 
 def _stationarity(core: SolverCore, z: np.ndarray, g: np.ndarray) -> float:
@@ -450,7 +440,7 @@ def _stationarity(core: SolverCore, z: np.ndarray, g: np.ndarray) -> float:
 
 def run(
     core: SolverCore,
-    x: np.ndarray,
+    p0: np.ndarray,
     cfg: SolverConfig,
     coords: Callable[[np.ndarray], np.ndarray],
     lift: Callable[[np.ndarray], np.ndarray],
@@ -458,10 +448,11 @@ def run(
     antenna: Callable[[np.ndarray], np.ndarray],
     t0: float,
 ) -> SolveResult:
-    """The iteration shared by both front ends, from iterate x to tolerance or
-    iteration budget.
+    """The iteration shared by both front ends, from the start
+    project(lift(P0)) to tolerance or iteration budget.
 
-    coords maps an iterate to Z = V^H W, lift maps basis coefficients into the
+    p0 holds the start's basis coefficients (`start_coefficients`), coords
+    maps an iterate to Z = V^H W, lift maps basis coefficients into the
     iterate's coordinates, project applies the power constraint there, and
     antenna returns the antenna-domain beamformer matrix; t0 is the
     front end's start time. Under the total-power constraint each iteration
@@ -478,11 +469,12 @@ def run(
     without meeting the tolerance, or finds no ascent, is reported via
     converged=False, never silently truncated.
     """
+    x = project(lift(p0))
     z = coords(x)
     point = evaluate(core, z)
     d = curvature(core, point)
     g = half_gradient(core, point, z, d)
-    history = _History(core, x, z) if cfg.power_constraint == "total" else None
+    history = _History(core, p0) if cfg.power_constraint == "total" else None
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
     t1 = time.perf_counter()
@@ -497,18 +489,15 @@ def run(
         qn = r = None
         if history is not None:
             history.observe(z, g)
-            r = history.direction()
-            if r is not None:
-                length = np.sqrt(np.vdot(r, history.dual(r)).real)
-                if length > radius:
-                    r, length = (radius / length) * r, radius
+            proposal = history.direction(radius)
+            if proposal is not None:
+                r, length = proposal
                 try:
-                    qn = candidate(project(history.offset(x, r, lift)))
+                    qn = candidate(project(x + lift(r)))
                 except SingularFisherError:  # the model stepped to an unidentifiable point
                     pass
-        if r is not None:
-            climbed = qn is not None and qn[2].objective > point.objective
-            radius = max(radius, GROW * length) if climbed else SHRINK * length
+                climbed = qn is not None and qn[2].objective > point.objective
+                radius = max(radius, GROW * length) if climbed else SHRINK * length
         if qn is not None and qn[2].objective - point.objective > cfg.tol_objective:
             best, step = qn, (1.0, r)  # a climb that cannot end the solve: no MM candidate
         else:
@@ -582,16 +571,18 @@ def solve(
     n_sense: Optional[int] = None,
 ) -> SolveResult:
     """Full-dimension front end: iterates on the antenna-domain beamformer, so
-    it honours the per-antenna constraint (with MM candidates only) and starts
-    outside span(V).
+    it honours the per-antenna constraint (with MM candidates only). It
+    starts at the projection of V P0, and under the total-power constraint
+    takes the same iterates as `lowdim.solve_ld` from every start.
 
     n_sense defaults to 3 * n_targets (the structural stream bound).
     """
     t0 = time.perf_counter()
-    core, w0 = prepare(scene, weights, cfg, n_sense)
+    p0 = start_coefficients(scene, n_sense, cfg)
+    core = solver_core(scene, weights)
     budget = scene.power_budget
     return run(
-        core, w0.matrix, cfg,
+        core, p0, cfg,
         coords=core.coords,
         lift=core.lift,
         project=lambda w: _project(w, budget, cfg),

@@ -1,8 +1,9 @@
 """Scene construction: array geometries, UPA steering vectors, random instances.
 
-All randomness in the package flows through :func:`sample_scene`, which is a
-pure function of its seed (counter-based Philox streams). Scenes are frozen
-after construction and safe to share across workers.
+All randomness in the package flows through :func:`philox`, a counter-based
+Philox stream keyed by an integer in [0, 2^64), so :func:`sample_scene` is a
+pure function of its seed. Scenes are frozen after construction and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "steering_vector",
     "steering_derivatives",
     "build_steering_set",
+    "philox",
     "sample_scene",
     "benchmark_targets",
     "dbm_to_linear",
@@ -218,6 +220,13 @@ def build_steering_set(scene: Scene) -> SteeringSet:
 _AZIMUTH_SPAN = 2.0 * np.pi / 3.0
 
 
+def philox(key: int) -> np.random.Generator:
+    """The Philox stream keyed by an integer in [0, 2^64); ValueError otherwise."""
+    if not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
+        raise ValueError(f"a seed must be an integer in [0, 2^64), got {key!r}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(key)))
+
+
 def sample_scene(
     seed: int,
     *,
@@ -257,7 +266,7 @@ def sample_scene(
         raise ValueError(f"unknown elevation_mode {elevation_mode!r}")
     if not 0 < channel_variance < np.inf:
         raise ValueError("channel_variance must be finite and positive")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox(seed)
     n_tx = tx_geometry.n_elements
     h = np.sqrt(channel_variance / 2.0) * (
         rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users))

@@ -104,6 +104,12 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+def test_negative_seed_exits_one(command, capsys):
+    assert cli.main([command, "--seed", "-1"]) == cli.EXIT_BAD_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_lowdim_per_antenna_exits_one(scene_config, capsys):
     argv = ["solve", "--config", str(scene_config), "--solver", "lowdim",
             "--power-constraint", "per-antenna"]

@@ -37,17 +37,40 @@ def test_lifted_beamformer_on_sphere(default_scene):
     assert np.min(diffs) >= -1e-9 * max(1.0, np.max(np.abs(result.objective_trace)))
 
 
-@pytest.mark.parametrize("seed", [0, 3, 11])
-def test_parity_with_full_solver(seed):
+@pytest.mark.parametrize(
+    "seed, cfg",
+    [pytest.param(seed, SolverConfig(), id=str(seed)) for seed in (0, 3, 11)]
+    + [
+        pytest.param(seed, SolverConfig(init_mode="random", init_seed=seed), id=f"random-{seed}")
+        for seed in range(5)
+    ],
+)
+def test_parity_with_full_solver(seed, cfg):
+    # every start, random ones included, lies in span(V), so both front ends
+    # take the same iterates
     scene = sample_scene(seed, targets=benchmark_targets())
-    full = solve(scene, WTS)
-    ld = solve_ld(scene, WTS)
+    full = solve(scene, WTS, cfg)
+    ld = solve_ld(scene, WTS, cfg)
     ref = abs(full.objective_trace[-1])
     assert abs(ld.objective_trace[-1] - full.objective_trace[-1]) <= 0.01 * ref
     assert ld.sum_rate == pytest.approx(full.sum_rate, rel=0.01)
     assert ld.crlb_trace == pytest.approx(full.crlb_trace, rel=0.01)
     assert ld.iterations == full.iterations
     np.testing.assert_allclose(ld.objective_trace, full.objective_trace, rtol=1e-8)
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_target_free_sensing_columns_stay_zero(front_end):
+    # without targets the start's sensing columns are zero and no step moves
+    # them, so sensing streams change neither the path nor the answer
+    weights = Weights(1.0, 0.0)
+    for seed in range(3):
+        scene = sample_scene(seed, n_targets=0)
+        idle = front_end(scene, weights, n_sense=2)
+        none = front_end(scene, weights, n_sense=0)
+        assert idle.beamformer.n_sense == 2 and not idle.beamformer.w_sense.any()
+        assert idle.iterations == none.iterations
+        assert idle.objective == pytest.approx(none.objective, rel=1e-12, abs=0.0)
 
 
 def test_duplicated_targets_report_nan_crlb():

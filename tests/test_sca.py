@@ -1,6 +1,7 @@
 """Solver core and front ends: projections, auxiliaries, shift, step, convergence."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -217,25 +218,78 @@ def test_singular_quasi_newton_candidate_shrinks_the_radius(default_scene, front
     # a quasi-Newton candidate at an unidentifiable point is a failed step:
     # the next quasi-Newton step is at most SHRINK times as long
     lengths, pending = [], []
-    offset, evaluate = sca._History.offset, sca.evaluate
+    direction, evaluate = sca._History.direction, sca.evaluate
 
-    def measured_offset(history, x, r, lift):
-        lengths.append(np.sqrt(np.vdot(r, history.dual(r)).real))
-        pending.append(len(lengths) == 3)  # the third candidate is the singular one
-        return offset(history, x, r, lift)
+    def measured_direction(history, radius):
+        step = direction(history, radius)
+        if step is not None:  # the capped step and its length, evaluated next
+            lengths.append(step[1])
+            pending.append(len(lengths) == 3)  # the third candidate is the singular one
+        return step
 
     def singular_once(core, z):
         if pending and pending.pop():
             raise metrics.SingularFisherError("injected at a quasi-Newton candidate")
         return evaluate(core, z)
 
-    monkeypatch.setattr(sca._History, "offset", measured_offset)
+    monkeypatch.setattr(sca._History, "direction", measured_direction)
     monkeypatch.setattr(sca, "evaluate", singular_once)
     result = front_end(default_scene, WTS)
     assert result.converged
     assert np.all(np.diff(result.objective_trace) >= 0.0)
     assert len(lengths) > 3
     assert lengths[3] <= sca.SHRINK * lengths[2] * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_trust_radius_survives_a_rank_deficient_gram(front_end):
+    # one to three transmit antennas for six to nine basis columns: roundoff
+    # makes some squared norms in the Gram metric negative, which once turned
+    # the step length, and then the radius, into NaN; each scene reaches a
+    # different one of the pair norms and the step length
+    for seed, tx, n_users, n_targets in ((7, (1, 1), 3, 1), (6, (1, 1), 3, 2),
+                                         (11, (3, 1), 1, 2), (26, (1, 1), 3, 2)):
+        scene = sample_scene(
+            seed,
+            tx_geometry=ArrayGeometry(*tx),
+            rx_geometry=ArrayGeometry(2, 2),
+            n_users=n_users,
+            n_targets=n_targets,
+            n_slots=8,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = front_end(scene, WTS)
+        assert np.all(np.diff(result.objective_trace) >= 0.0), seed
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_history_never_sees_antenna_rows(front_end, monkeypatch):
+    # the quasi-Newton model runs on basis coefficients alone, so its cost
+    # does not grow with the antenna count
+    scene = sample_scene(0, tx_geometry=ArrayGeometry(32, 32), targets=benchmark_targets())
+    shapes = []
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    def recorded(method):
+        def wrapper(*args):
+            out = method(*args)
+            shapes.extend(a.shape for a in arrays(args + (out,)))
+            return out
+
+        return wrapper
+
+    for name, method in list(vars(sca._History).items()):
+        if callable(method):
+            monkeypatch.setattr(sca._History, name, recorded(method))
+    assert front_end(scene, WTS).converged
+    assert shapes and all(shape[0] != scene.n_tx for shape in shapes if shape)
 
 
 def test_solver_config_validation():
@@ -248,7 +302,13 @@ def test_solver_config_validation():
         SolverConfig(init_mode="zeros")
     with pytest.raises(ValueError):
         SolverConfig(power_constraint="per-user")
+    with pytest.raises(ValueError, match="init_mode"):  # a seed the start would ignore
+        SolverConfig(init_seed=3)
+    for seed in (-5000, 2**64, 1.5):  # the random start's key leaves [0, 2^64)
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(init_mode="random", init_seed=seed)
     assert SolverConfig(tol_objective=0.0).tol_objective == 0.0
+    assert SolverConfig(init_mode="random", init_seed=7).init_seed == 7
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])

@@ -146,6 +146,14 @@ def test_invalid_sampling_inputs():
         sample_scene(0, channel_variance=0.0)
 
 
+def test_seed_must_be_a_64_bit_key():
+    for bad in (-1, 1.5, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            sample_scene(bad)
+    top = sample_scene(2**64 - 1)
+    assert np.array_equal(top.channels, sample_scene(np.uint64(2**64 - 1)).channels)
+
+
 def test_targets_override_keeps_channels():
     base = sample_scene(5)
     override = sample_scene(5, targets=benchmark_targets())
