@@ -353,7 +353,8 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     checks.append(_check("trace_monotonicity_violation",
                          float(-min(np.min(np.diff(result.objective_trace)), 0.0)), slack))
     reported = analysis.obs_residuals(scene, scene.steering, w, weights).stationarity_residual
-    checks.append(_check("stationarity_report_error", abs(result.stationarity - reported), 1e-8))
+    checks.append(_check("stationarity_report_error",
+                         abs(result.stationarity - reported) / max(reported, 1e-300), 1e-6))
 
     tight = sca.solve(scene, weights, replace(SolverConfig(), tol_objective=1e-8, max_iters=20000))
     report = analysis.obs_residuals(scene, scene.steering, tight.beamformer, weights)

@@ -1,22 +1,20 @@
 """Reduced-dimension front end built on the stationary-point beamforming structure.
 
 Instead of the full n_tx x (K + n_sense) beamformer W, it iterates on the
-coefficient matrix P with W = V P over the basis V = [channels, steering,
-steering derivatives] of `sca.solver_core`, whose row count K + 3M is
-independent of the antenna count, from the start P0 of
-`sca.start_coefficients`. The iteration is the shared core in `sca.run` in
-basis coordinates: Z = G P with G = V^H V, lift is the identity, and the
-projection scales P onto the ellipsoid tr(P^H G P) = power budget, which is
-also the retraction of the quasi-Newton candidate. The lifted beamformer
-stays in span(V), so the per-antenna constraint cannot be honoured here.
+frame coordinates Q of `sca.solver_core`, W = V~ Q with V~ an orthonormal
+basis of the span of V = [channels, steering, steering derivatives], whose
+rank r <= K + 3M is independent of the antenna count, from the start B^H P0
+of `sca.start_coefficients`. The iteration is the shared core in `sca.run`:
+Z = B Q, lift is the identity, and the projection scales Q onto the sphere
+|Q|^2 = power budget, which is also the retraction of the quasi-Newton
+candidate. The lifted beamformer stays in span(V), so the per-antenna
+constraint cannot be honoured here.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Optional
-
-import numpy as np
 
 from . import sca
 from .metrics import Weights
@@ -35,8 +33,8 @@ def solve_ld(
     """Reduced-dimension front end; the reported beamformer is lifted back to
     the antenna domain (on the power sphere there by construction).
 
-    n_sense defaults to 3 * n_targets. The start is P0 scaled onto the
-    ellipsoid, so from every start it takes the same iterates as `sca.solve`.
+    n_sense defaults to 3 * n_targets. The start is B^H P0 scaled onto the
+    sphere, so from every start it takes the same iterates as `sca.solve`.
     Raises ValueError for power_constraint="per-antenna", whose projection
     leaves span(V).
     """
@@ -45,19 +43,11 @@ def solve_ld(
         raise ValueError("solve_ld honours only power_constraint='total'")
     p0 = sca.start_coefficients(scene, n_sense, cfg)
     core = sca.solver_core(scene, weights)
-    gram, budget = core.gram, scene.power_budget
-
-    def ellipsoid(p: np.ndarray) -> np.ndarray:
-        power = float(np.real(np.vdot(p, gram @ p)))
-        if power <= 0.0:
-            raise ValueError("coefficients carry no transmit power")
-        return np.sqrt(budget / power) * p
-
     return sca.run(
         core, p0, cfg,
-        coords=lambda p: gram @ p,
-        lift=lambda y: y,
-        project=ellipsoid,
-        antenna=core.lift,
+        coords=lambda q: q,
+        lift=lambda q: q,
+        project=lambda q: sca.project_total_power(q, scene.power_budget),
+        antenna=lambda q: core.basis @ (core.whitening @ q),
         t0=t0,
     )

@@ -79,9 +79,6 @@ class Beamformer:
         w = self.matrix
         return w @ w.conj().T
 
-    def is_on_sphere(self, slack: float = 1e-9) -> bool:
-        return abs(self.total_power - self.power_budget) <= slack * self.power_budget
-
     def replace_matrix(self, w: np.ndarray) -> "Beamformer":
         """Same column split and budget, new stacked matrix."""
         k = self.n_users

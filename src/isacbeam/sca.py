@@ -1,29 +1,35 @@
-"""Successive convex approximation solver: one core in basis coordinates.
+"""Successive convex approximation solver: one core in an orthonormal frame.
 
 Stationary beamformers lie in the span of V = [H, A, A_dtheta, A_dphi], and
 every per-iteration quantity depends on the iterate only through Z = V^H W:
 the rates through the rows Z[:K], the Fisher matrix through
-R_s = Z_S Z_S^H with Z_S = Z[K:]. Each iteration evaluates the objective and
-the surrogate auxiliaries at Z once. Its majorization-minimization (MM)
-candidate (Sun, Babu & Palomar, IEEE TSP 2017) is
+R_s = Z_S Z_S^H with Z_S = Z[K:]. Only range(G), G = V^H V = U L U^H, carries
+information, so the iteration runs in frame coordinates Q: with U_r, L_r the
+r numerically nonzero eigenpairs, the frame B = U_r L_r^1/2 gives Z = B Q, and
+V~ = V U_r L_r^-1/2 has orthonormal columns, so W = V~ Q and |Q|^2 = |W|^2
+(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008, sec. 3.6). Each iteration evaluates the objective and the surrogate
+auxiliaries at Z once. The objective's gradient in Q is 2 B^H g with
+g = E - D Z, and its majorization-minimization (MM) candidate (Sun, Babu &
+Palomar, IEEE TSP 2017) is
 
-    X+ = Pi(lambda X + lift(E - D Z)),
+    X+ = Pi(lambda X + lift(B^H g)),
 
 with D = blockdiag(delta_c diag(sigma2), -delta_s K) the surrogate curvature
-in basis coordinates and lambda = 1.1 max|eig(G^1/2 D G^1/2)|, G = V^H V, the
-exact spectral shift. Every start is built as basis coefficients P0 and
-lifted, so it lies in span(V). `solve` keeps antenna coordinates (X = W,
-Z = V^H X, lift = V., sphere or per-antenna Pi); `lowdim.solve_ld` keeps
-basis coordinates. Both run the loop in `run`.
+in basis coordinates and lambda = 1.1 max|eig(B^H D B)| the exact spectral
+shift. Every start is built as basis coefficients P0, whose frame
+coordinates are B^H P0. `solve` keeps antenna coordinates (X = W,
+Q = V~^H W, lift = V~., sphere or per-antenna Pi); `lowdim.solve_ld` keeps
+frame coordinates (X = Q, lift the identity, Pi the sphere). Both run the
+loop in `run`.
 
 Under the total-power constraint each iteration first forms a quasi-Newton
 candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
-on the power sphere (Liu & Nocedal, Math. Prog. 1989; Huang, Gallivan &
-Absil, SIAM J. Optim. 2015), retracted by Pi and capped at a trust radius
-(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
-2008, ch. 7). Its vectors are basis coefficients with the Gram inner
-product, so both front ends run it in the same arithmetic and take the same
-iterates from every start. A candidate that climbs by more than
+on the power sphere |Q|^2 = budget (Liu & Nocedal, Math. Prog. 1989; Huang,
+Gallivan & Absil, SIAM J. Optim. 2015), retracted by Pi and capped at a
+trust radius (Absil, Mahony & Sepulchre, 2008, ch. 7). Its vectors are frame
+coordinates with the plain inner product, so both front ends run it in the
+same arithmetic. A candidate that climbs by more than
 tol_objective is taken without forming the MM candidate, as in the guarded
 quasi-Newton acceleration of MM (Zhou, Alexander & Lange, Stat. Comput.
 2011); otherwise the iteration keeps the better of the two (see `run`). The
@@ -32,7 +38,7 @@ MM candidate can descend: then the ascent check doubles the shift and
 retries it. A candidate that falls by no more than tol_objective counts as
 no change (the iterate stays and the solve has converged), so every
 objective trace is monotone. The result reports the stationarity residual
-at the returned iterate, computed from the same basis coordinates.
+at the returned iterate, computed from the same frame coordinates.
 Per-antenna solves and first iterations, which have no quasi-Newton
 direction, take the MM candidate alone.
 """
@@ -153,19 +159,21 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolverCore:
-    """What the iteration needs of a scene, in basis coordinates.
+    """What the iteration needs of a scene, in frame coordinates.
 
-    basis is V = [H, A, A_dtheta, A_dphi] (n_tx x (K + 3M)), gram = V^H V and
-    gram_half its positive semidefinite square root (G may be singular, for
-    example with repeated targets). operator is the scene's Fisher operator
-    (`metrics.fisher_operator`), None when the scene has no targets.
+    basis is V = [H, A, A_dtheta, A_dphi] (n_tx x (K + 3M)). With U_r, L_r the
+    r numerically nonzero eigenpairs of G = V^H V (G may be singular, for
+    example with repeated targets or fewer antennas than basis columns),
+    frame is B = U_r L_r^1/2, so B B^H = G, and whitening is U_r L_r^-1/2, so
+    V~ = V whitening has orthonormal columns. operator is the scene's Fisher
+    operator (`metrics.fisher_operator`), None when the scene has no targets.
     """
 
     scene: Scene
     weights: Weights
     basis: np.ndarray
-    gram: np.ndarray
-    gram_half: np.ndarray
+    frame: np.ndarray
+    whitening: np.ndarray
     operator: Optional[np.ndarray]
 
     def coords(self, w: np.ndarray) -> np.ndarray:
@@ -189,7 +197,7 @@ class Point:
 
 
 def solver_core(scene: Scene, weights: Weights) -> SolverCore:
-    """Basis, Gram square root and Fisher operator of a scene.
+    """Basis, frame and Fisher operator of a scene.
 
     A positive sensing weight needs targets whose parameters are identifiable:
     the Fisher matrix at R_x = I has the largest null space of any transmit
@@ -199,7 +207,9 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     basis = _basis(scene)
     gram = basis.conj().T @ basis
     eigs, vecs = np.linalg.eigh(gram)
-    gram_half = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    keep = eigs > eigs.max(initial=0.0) * eigs.size * np.finfo(float).eps  # matrix_rank's cut
+    root = np.sqrt(eigs[keep])
+    frame, whitening = vecs[:, keep] * root, vecs[:, keep] / root
     if weights.sense > 0 and scene.n_targets == 0:
         raise ValueError("a positive sensing weight needs at least one target")
     operator = metrics.fisher_operator(scene) if scene.n_targets else None
@@ -208,7 +218,7 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
         widest = metrics.table_fim(operator, gram[k:, k:]).matrix
         if np.linalg.matrix_rank(widest, hermitian=True) < widest.shape[0]:
             raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
-    return SolverCore(scene, weights, basis, gram, gram_half, operator)
+    return SolverCore(scene, weights, basis, frame, whitening, operator)
 
 
 def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
@@ -241,7 +251,7 @@ def curvature(core: SolverCore, point: Point) -> np.ndarray:
     """D = blockdiag(delta_c diag(sigma2), -delta_s K), Hermitian, so that the
     antenna-domain surrogate curvature delta_c H Sigma2 H^H - delta_s Q is V D V^H."""
     k = core.scene.n_users
-    d = np.zeros(core.gram.shape, dtype=complex)
+    d = np.zeros((core.basis.shape[1],) * 2, dtype=complex)
     d[:k, :k] = np.diag(core.weights.comm * point.comm.power_coeff)
     if point.inv_sq is not None:
         d[k:, k:] = -core.weights.sense * metrics.table_adjoint(core.operator, point.inv_sq)
@@ -258,9 +268,9 @@ def half_gradient(core: SolverCore, point: Point, z: np.ndarray, d: np.ndarray) 
 
 
 def shift_parameter(core: SolverCore, d: np.ndarray) -> float:
-    """Safety factor times max|eig(G^1/2 D G^1/2)|, which equals the spectral
+    """Safety factor times max|eig(B^H D B)|, which equals the spectral
     radius of the antenna-domain curvature V D V^H; floored away from zero."""
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(core.gram_half @ d @ core.gram_half))))
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(core.frame.conj().T @ d @ core.frame))))
     return max(LAMBDA_FLOOR, LAMBDA_SAFETY * radius)
 
 
@@ -302,7 +312,8 @@ def sca_step(
     project: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """One surrogate maximization, the MM candidate X+ = Pi(lambda X + lift(g))
-    with g = E - D Z from `half_gradient` and lambda the shift."""
+    with g the half gradient (E - D Z from `half_gradient`, in the
+    coordinates lift maps from) and lambda the shift."""
     return project(shift * x + lift(g))
 
 
@@ -358,45 +369,30 @@ def matched_filter_init(scene: Scene, n_sense: Optional[int], cfg: SolverConfig)
 
 
 class _History:
-    """Limited-memory quasi-Newton model of the objective on the power sphere.
-
-    Its vectors are basis coefficient matrices a, standing for lift(a) in
-    either front end's iterate coordinates, with the antenna-domain inner
-    product <a, b> = Re tr(a^H G b); each stored vector keeps its dual G a
-    beside it. It tracks the iterate's coefficients P by replaying each move,
-    so both front ends run the same arithmetic, none of it on n_tx rows.
+    """Limited-memory quasi-Newton model of the objective on the power sphere
+    |Q|^2 = budget, in frame coordinates Q with the plain inner product
+    <a, b> = Re tr(a^H b), so none of its arithmetic runs on n_tx rows.
     """
 
-    def __init__(self, core: SolverCore, p0: np.ndarray):
-        self.gram, self.budget = core.gram, core.scene.power_budget
+    def __init__(self, budget: float):
+        self.budget = budget
         self.pairs: deque = deque(maxlen=MEMORY)
-        self.previous: Optional[tuple] = None
+        self.last: Optional[tuple] = None  # the newest iterate and its Riemannian gradient
         self.scale = 1.0  # <s, y> / <y, y> of the newest pair: the initial inverse Hessian
-        self._place(p0)
 
-    def _place(self, v: np.ndarray) -> None:
-        """Set the iterate to v rescaled onto the sphere <P, P> = budget."""
-        v_dual = self.gram @ v
-        c = np.sqrt(self.budget / np.vdot(v, v_dual).real)
-        self.point, self.point_dual = c * v, c * v_dual
-
-    def observe(self, z: np.ndarray, g: np.ndarray) -> None:
-        """Take the Riemannian ascent direction g - mu P at the iterate
-        (mu = <P, g> / budget) and pair it with the previous iterate's;
-        a pair enters the memory only with positive curvature."""
-        mu = np.vdot(z, g).real / self.budget
-        self.ascent = g
-        grad, grad_dual = g - mu * self.point, self.gram @ g - mu * self.point_dual
-        if self.previous is not None:
-            point, point_dual, old, old_dual = self.previous
-            s, s_dual = self.point - point, self.point_dual - point_dual
-            y, y_dual = old - grad, old_dual - grad_dual  # the gradient of -objective
-            sy, yy = np.vdot(s, y_dual).real, np.vdot(y, y_dual).real
-            ss = max(np.vdot(s, s_dual).real, 0.0)  # roundoff can make it negative on a singular G
-            if yy > 0.0 and sy > CURVATURE_FLOOR * np.sqrt(ss * yy):
-                self.pairs.append((s, s_dual, y, y_dual, 1.0 / sy))
+    def observe(self, q: np.ndarray, h: np.ndarray) -> None:
+        """Take the Riemannian ascent direction h - mu Q at the iterate Q
+        (mu = <Q, h> / budget, h the half gradient) and pair it with the
+        previous iterate's; a pair enters the memory only with positive
+        curvature."""
+        grad = h - (np.vdot(q, h).real / self.budget) * q
+        if self.last is not None:
+            s, y = q - self.last[0], self.last[1] - grad  # y: the gradient of -objective
+            sy, yy = np.vdot(s, y).real, np.vdot(y, y).real
+            if sy > CURVATURE_FLOOR * np.sqrt(np.vdot(s, s).real * yy):
+                self.pairs.append((s, y, 1.0 / sy))
                 self.scale = sy / yy
-        self.grad, self.grad_dual = grad, grad_dual
+        self.last = (q, grad)
 
     def direction(self, radius: float) -> Optional[tuple]:
         """The L-BFGS ascent step (two-loop recursion, Nocedal & Wright
@@ -404,38 +400,33 @@ class _History:
         at the radius, with its length; None while the memory is empty."""
         if not self.pairs:
             return None
-        q, alphas = self.grad, []
-        for s, s_dual, y, _, rho in reversed(self.pairs):
-            alpha = rho * np.vdot(q, s_dual).real
-            q = q - alpha * y
+        (point, v), alphas = self.last, []
+        for s, y, rho in reversed(self.pairs):
+            alpha = rho * np.vdot(s, v).real
+            v = v - alpha * y
             alphas.append(alpha)
-        r = self.scale * q
-        for (s, _, y, y_dual, rho), alpha in zip(self.pairs, reversed(alphas)):
-            r = r + (alpha - rho * np.vdot(r, y_dual).real) * s
-        r = r - (np.vdot(r, self.point_dual).real / self.budget) * self.point
-        length = np.sqrt(max(np.vdot(r, self.gram @ r).real, 0.0))  # as ss in observe
+        r = self.scale * v
+        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
+            r = r + (alpha - rho * np.vdot(y, r).real) * s
+        r = r - (np.vdot(point, r).real / self.budget) * point
+        length = np.linalg.norm(r)
         if length > radius:
             return (radius / length) * r, radius
         return r, length
 
-    def move(self, scale: float, r: Optional[np.ndarray]) -> None:
-        """The iterate moved to project(scale X + lift(g)) (the MM candidate,
-        r None) or to project(X + lift(r))."""
-        self.previous = (self.point, self.point_dual, self.grad, self.grad_dual)
-        self._place(scale * self.point + (self.ascent if r is None else r))
 
-
-def _stationarity(core: SolverCore, z: np.ndarray, g: np.ndarray) -> float:
+def _stationarity(q: np.ndarray, h: np.ndarray, off_span: float, budget: float) -> float:
     """Relative residual |grad - 2 mu W| / |grad| of the stationarity
-    condition at the iterate with coordinates Z, where grad = 2 V g and mu is
-    the least-squares power multiplier, from basis coordinates alone:
-    |V g|^2 = Re tr(g^H G g) and <W, V g> = Re tr(Z^H g), with |W|^2 the
-    power budget. Cancellation limits it to residuals above about 1e-8."""
-    vg = np.vdot(g, core.gram @ g).real
-    if vg <= 0.0:
+    condition, mu the least-squares power multiplier, at the iterate
+    W = V~ Q + W_off with |W|^2 the power budget: grad = 2 V~ h is orthogonal
+    to W_off, whose norm off_span is nonzero only off the span of V (the
+    per-antenna projection), so the residual is
+    |(h - mu Q, mu off_span)| / |h| with mu = <Q, h> / budget."""
+    norm = np.linalg.norm(h)
+    if norm == 0.0:
         return 0.0
-    cos2 = np.vdot(z, g).real ** 2 / (core.scene.power_budget * vg)
-    return float(np.sqrt(max(1.0 - cos2, 0.0)))
+    mu = np.vdot(q, h).real / budget
+    return float(np.hypot(np.linalg.norm(h - mu * q), mu * off_span) / norm)
 
 
 def run(
@@ -449,15 +440,15 @@ def run(
     t0: float,
 ) -> SolveResult:
     """The iteration shared by both front ends, from the start
-    project(lift(P0)) to tolerance or iteration budget.
+    project(lift(B^H P0)) to tolerance or iteration budget.
 
     p0 holds the start's basis coefficients (`start_coefficients`), coords
-    maps an iterate to Z = V^H W, lift maps basis coefficients into the
-    iterate's coordinates, project applies the power constraint there, and
-    antenna returns the antenna-domain beamformer matrix; t0 is the
-    front end's start time. Under the total-power constraint each iteration
-    first evaluates the quasi-Newton candidate, its step capped at the trust
-    radius; the radius becomes at least GROW times the step when the
+    maps an iterate to its frame coordinates Q, lift maps frame coordinates
+    into the iterate's coordinates, project applies the power constraint
+    there, and antenna returns the antenna-domain beamformer matrix; t0 is
+    the front end's start time. Under the total-power constraint each
+    iteration first evaluates the quasi-Newton candidate, its step capped at
+    the trust radius; the radius becomes at least GROW times the step when the
     candidate climbs, and SHRINK times the step when it does not or its
     Fisher matrix is singular. The candidate is taken when it gains more than
     tol_objective; otherwise (no direction yet, a singular Fisher matrix
@@ -469,26 +460,27 @@ def run(
     without meeting the tolerance, or finds no ascent, is reported via
     converged=False, never silently truncated.
     """
-    x = project(lift(p0))
-    z = coords(x)
-    point = evaluate(core, z)
+    frame = core.frame
+
+    def candidate(nxt: np.ndarray) -> tuple:
+        q = coords(nxt)
+        z = frame @ q
+        return nxt, q, z, evaluate(core, z)
+
+    x, q, z, point = candidate(project(lift(frame.conj().T @ p0)))
     d = curvature(core, point)
-    g = half_gradient(core, point, z, d)
-    history = _History(core, p0) if cfg.power_constraint == "total" else None
+    h = frame.conj().T @ half_gradient(core, point, z, d)
+    history = _History(core.scene.power_budget) if cfg.power_constraint == "total" else None
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
     t1 = time.perf_counter()
     converged = stalled = False
 
-    def candidate(nxt: np.ndarray) -> tuple:
-        nz = coords(nxt)
-        return nxt, nz, evaluate(core, nz)
-
-    radius = np.inf  # the trust radius, in the history's metric
+    radius = np.inf  # the trust radius
     for _ in range(cfg.max_iters):
-        qn = r = None
+        qn = None
         if history is not None:
-            history.observe(z, g)
+            history.observe(q, h)
             proposal = history.direction(radius)
             if proposal is not None:
                 r, length = proposal
@@ -496,30 +488,28 @@ def run(
                     qn = candidate(project(x + lift(r)))
                 except SingularFisherError:  # the model stepped to an unidentifiable point
                     pass
-                climbed = qn is not None and qn[2].objective > point.objective
+                climbed = qn is not None and qn[-1].objective > point.objective
                 radius = max(radius, GROW * length) if climbed else SHRINK * length
-        if qn is not None and qn[2].objective - point.objective > cfg.tol_objective:
-            best, step = qn, (1.0, r)  # a climb that cannot end the solve: no MM candidate
+        if qn is not None and qn[-1].objective - point.objective > cfg.tol_objective:
+            best = qn  # a climb that cannot end the solve: no MM candidate
         else:
             shift = shift_parameter(core, d)
-            best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
-            if qn is not None and qn[2].objective > best[2].objective:
-                best, step = qn, (1.0, r)
+            best = candidate(sca_step(x, h, shift, lift, project))
+            if qn is not None and qn[-1].objective > best[-1].objective:
+                best = qn
             for _ in range(MAX_RETRIES):
-                if best[2].objective >= point.objective - cfg.tol_objective:
+                if best[-1].objective >= point.objective - cfg.tol_objective:
                     break
                 shift *= 2.0
-                best, step = candidate(sca_step(x, g, shift, lift, project)), (shift, None)
-        delta = best[2].objective - point.objective
+                best = candidate(sca_step(x, h, shift, lift, project))
+        delta = best[-1].objective - point.objective
         if not delta >= -cfg.tol_objective:
             stalled = True
             break
         if delta >= 0.0:  # after a fall within the tolerance the iterate stays
-            if history is not None:
-                history.move(*step)
-            x, z, point = best
+            x, q, z, point = best
             d = curvature(core, point)
-            g = half_gradient(core, point, z, d)
+            h = frame.conj().T @ half_gradient(core, point, z, d)
         trace.append(point.objective)
         if delta <= cfg.tol_objective:
             converged = True
@@ -560,7 +550,7 @@ def run(
         iterations=iterations,
         converged=converged,
         timings=timings,
-        stationarity=_stationarity(core, z, g),
+        stationarity=_stationarity(q, h, np.linalg.norm(x - lift(q)), scene.power_budget),
     )
 
 
@@ -581,10 +571,11 @@ def solve(
     p0 = start_coefficients(scene, n_sense, cfg)
     core = solver_core(scene, weights)
     budget = scene.power_budget
+    frame_basis = core.basis @ core.whitening  # V~, orthonormal columns
     return run(
         core, p0, cfg,
-        coords=core.coords,
-        lift=core.lift,
+        coords=lambda w: frame_basis.conj().T @ w,
+        lift=lambda q: frame_basis @ q,
         project=lambda w: _project(w, budget, cfg),
         antenna=lambda w: w,
         t0=t0,

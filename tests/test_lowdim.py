@@ -25,14 +25,24 @@ def test_basis_shape_and_gram(default_scene):
     core = sca.solver_core(default_scene, WTS)
     k, m = default_scene.n_users, default_scene.n_targets
     assert core.basis.shape == (default_scene.n_tx, k + 3 * m)
-    assert np.allclose(core.gram, core.basis.conj().T @ core.basis)
-    assert np.allclose(core.gram_half @ core.gram_half, core.gram)
+    gram = core.basis.conj().T @ core.basis
+    assert np.allclose(core.frame @ core.frame.conj().T, gram)
+    orthonormal = core.basis @ core.whitening
+    assert np.allclose(orthonormal.conj().T @ orthonormal, np.eye(core.frame.shape[1]))
+    # two antennas for K + 3M = 8 basis columns: the frame keeps rank(G) = n_tx
+    scene = sample_scene(
+        0, tx_geometry=ArrayGeometry(2, 1), rx_geometry=ArrayGeometry(2, 2),
+        n_users=2, n_targets=2, n_slots=8,
+    )
+    core = sca.solver_core(scene, WTS)
+    assert core.basis.shape == (2, 8)
+    assert core.frame.shape == (8, 2) and core.whitening.shape == (8, 2)
 
 
 def test_lifted_beamformer_on_sphere(default_scene):
     result = solve_ld(default_scene, WTS)
     assert result.converged
-    assert result.beamformer.is_on_sphere(1e-9)
+    assert result.beamformer.total_power == pytest.approx(default_scene.power_budget, rel=1e-9)
     diffs = np.diff(result.objective_trace)
     assert np.min(diffs) >= -1e-9 * max(1.0, np.max(np.abs(result.objective_trace)))
 
@@ -129,6 +139,13 @@ def _monotone(trace):
 @example(seed=223, n_users=3, n_targets=2, tx=(3, 1), weights=Weights(0.25, 1.0), duplicate=False)
 @example(seed=0, n_users=1, n_targets=2, tx=(1, 1), weights=Weights(0.25, 1.0), duplicate=False)
 @example(seed=0, n_users=0, n_targets=0, tx=(4, 3), weights=Weights(1.0, 0.0), duplicate=False)
+# fewer antennas than basis columns: a singular Gram matrix, whose null space
+# the iteration once carried (unbounded coefficients, a zero-power raise)
+@example(seed=3, n_users=2, n_targets=2, tx=(1, 1), weights=Weights(0.25, 1.0), duplicate=False)
+@example(seed=44, n_users=2, n_targets=2, tx=(1, 1), weights=Weights(0.25, 1.0), duplicate=False)
+@example(seed=55, n_users=2, n_targets=2, tx=(1, 1), weights=Weights(0.25, 1.0), duplicate=False)
+@example(seed=15, n_users=2, n_targets=2, tx=(2, 1), weights=Weights(0.25, 1.0), duplicate=False)
+@example(seed=7, n_users=3, n_targets=1, tx=(1, 1), weights=Weights(0.25, 1.0), duplicate=False)
 def test_front_ends_agree_or_both_raise(seed, n_users, n_targets, tx, weights, duplicate):
     """Both front ends run one iteration, so they agree or both raise.
 

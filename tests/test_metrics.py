@@ -74,10 +74,10 @@ def test_beamformer_properties(rng):
     w = make_beamformer(scene, rng)
     assert w.matrix.shape == (16, 6)
     assert w.total_power == pytest.approx(10.0)
-    assert w.is_on_sphere()
+    assert w.total_power == pytest.approx(w.power_budget, rel=1e-9)
     r = w.replace_matrix(0.5 * w.matrix)
     assert r.total_power == pytest.approx(2.5)
-    assert not r.is_on_sphere()
+    assert r.total_power != pytest.approx(r.power_budget, rel=1e-9)
     assert np.allclose(w.covariance, w.matrix @ w.matrix.conj().T)
 
 
