@@ -19,7 +19,9 @@ __all__ = [
     "fim",
     "fisher_operator",
     "table_fim",
+    "fim_matrix",
     "table_adjoint",
+    "spd_inverse",
     "crlb_trace",
     "objective",
 ]
@@ -179,11 +181,16 @@ def fisher_operator(scene: Scene) -> np.ndarray:
 
 
 def table_fim(op: np.ndarray, r_s: np.ndarray) -> FisherInfo:
+    """The Fisher matrix F(R_s) of the operator T (`fim_matrix`)."""
+    return FisherInfo(fim_matrix(op, r_s))
+
+
+def fim_matrix(op: np.ndarray, r_s: np.ndarray) -> np.ndarray:
     """F_ij = Re tr(T_ij R_s) = Re vdot(T_ij, R_s) (T_ij Hermitian): one real
     matrix-vector product on the real views of T and R_s."""
     n = math.isqrt(op.shape[0])
     r = np.ascontiguousarray(r_s, dtype=complex)
-    return FisherInfo((op.view(float) @ r.view(float).ravel()).reshape(n, n))
+    return (op.view(float) @ r.view(float).ravel()).reshape(n, n)
 
 
 def table_adjoint(op: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -204,11 +211,15 @@ def fim(scene: Scene, w: Beamformer) -> FisherInfo:
 
 
 def inverse_fisher(fi: FisherInfo) -> np.ndarray:
-    """Symmetric inverse F^-1 = L^-T L^-1 of the Fisher matrix from its
-    Cholesky factor F = L L^T. Raises ValueError for NaN or infinite entries
+    """Symmetric inverse of the Fisher matrix (`spd_inverse`)."""
+    return spd_inverse(fi.matrix)
+
+
+def spd_inverse(f: np.ndarray) -> np.ndarray:
+    """Symmetric inverse F^-1 = L^-T L^-1 of a Fisher matrix given as an
+    array (`fim_matrix`), from its Cholesky factor F = L L^T. Raises ValueError for NaN or infinite entries
     and SingularFisherError when the matrix is not numerically positive
     definite."""
-    f = fi.matrix
     if not np.isfinite(f).all():
         raise ValueError("Fisher matrix has non-finite entries")
     try:

@@ -26,7 +26,8 @@ loop in `run`.
 Under the total-power constraint each iteration first forms a quasi-Newton
 candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
 on the power sphere |Q|^2 = budget (Liu & Nocedal, Math. Prog. 1989; Huang,
-Gallivan & Absil, SIAM J. Optim. 2015), retracted by Pi and capped at a
+Gallivan & Absil, SIAM J. Optim. 2015), formed in the compact representation
+(Byrd, Nocedal & Schnabel, Math. Prog. 1994), retracted by Pi and capped at a
 trust radius (Absil, Mahony & Sepulchre, 2008, ch. 7). Its vectors are frame
 coordinates with the plain inner product, so both front ends run it in the
 same arithmetic. A candidate that climbs by more than
@@ -46,8 +47,8 @@ direction, take the MM candidate alone.
 from __future__ import annotations
 
 import logging
+import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -243,7 +244,7 @@ def evaluate(core: SolverCore, z: np.ndarray) -> Point:
     if core.weights.sense == 0:
         return Point(value, aux, None)
     zs = z[k:]
-    inv = metrics.inverse_fisher(metrics.table_fim(core.operator, zs @ zs.conj().T))
+    inv = metrics.spd_inverse(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
     return Point(value - core.weights.sense * float(inv.trace()), aux, inv @ inv)
 
 
@@ -252,7 +253,7 @@ def curvature(core: SolverCore, point: Point) -> np.ndarray:
     antenna-domain surrogate curvature delta_c H Sigma2 H^H - delta_s Q is V D V^H."""
     k = core.scene.n_users
     d = np.zeros((core.basis.shape[1],) * 2, dtype=complex)
-    d[:k, :k] = np.diag(core.weights.comm * point.comm.power_coeff)
+    _add_to_diagonal(d, core.weights.comm * point.comm.power_coeff)
     if point.inv_sq is not None:
         d[k:, k:] = -core.weights.sense * metrics.table_adjoint(core.operator, point.inv_sq)
     return d
@@ -263,8 +264,15 @@ def half_gradient(core: SolverCore, point: Point, z: np.ndarray, d: np.ndarray) 
     the objective's gradient at the iterate is 2 V (E - D Z)."""
     k = core.scene.n_users
     g = -(d @ z)
-    g[:k, :k] += np.diag(core.weights.comm * point.comm.signal_coeff.conj())
+    _add_to_diagonal(g, core.weights.comm * point.comm.signal_coeff.conj())
     return g
+
+
+def _add_to_diagonal(a: np.ndarray, values: np.ndarray) -> None:
+    """a[i, i] += values[i] for i < len(values), in place on a fresh
+    (C-contiguous) matrix a."""
+    step = a.shape[1] + 1
+    a.reshape(-1)[: values.size * step : step] += values
 
 
 def shift_parameter(core: SolverCore, d: np.ndarray) -> float:
@@ -283,7 +291,7 @@ def quad_matrix(scene: Scene, phi: np.ndarray) -> np.ndarray:
 
 def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
     """Scale onto the total-power sphere tr(X X^H) = power_budget."""
-    nrm = np.linalg.norm(x)
+    nrm = math.sqrt(np.vdot(x, x).real)
     if nrm == 0.0:
         raise ValueError("cannot project the zero matrix onto the power sphere")
     return np.sqrt(power_budget) / nrm * x
@@ -372,47 +380,75 @@ class _History:
     """Limited-memory quasi-Newton model of the objective on the power sphere
     |Q|^2 = budget, in frame coordinates Q with the plain inner product
     <a, b> = Re tr(a^H b), so none of its arithmetic runs on n_tx rows.
+
+    The inverse Hessian is the compact L-BFGS representation (Byrd, Nocedal &
+    Schnabel, Math. Prog. 1994; Nocedal & Wright eq. 7.24), which gives the
+    two-loop recursion's step in a few whole-array products. The pairs are
+    rows of a real buffer, the float views of the complex matrices (whose dot
+    product is <a, b>), oldest first; the slot after them stages the next pair.
     """
 
     def __init__(self, budget: float):
         self.budget = budget
-        self.pairs: deque = deque(maxlen=MEMORY)
-        self.last: Optional[tuple] = None  # the newest iterate and its Riemannian gradient
+        self.rows: Optional[np.ndarray] = None  # (MEMORY + 1, 2, n): (s, y) per pair
+        self.count = 0  # pairs in memory
+        self.last: Optional[tuple] = None  # the newest iterate, its Riemannian gradient, its shape
         self.scale = 1.0  # <s, y> / <y, y> of the newest pair: the initial inverse Hessian
+        self.upper = np.triu(np.ones((MEMORY, MEMORY)))
 
     def observe(self, q: np.ndarray, h: np.ndarray) -> None:
         """Take the Riemannian ascent direction h - mu Q at the iterate Q
         (mu = <Q, h> / budget, h the half gradient) and pair it with the
         previous iterate's; a pair enters the memory only with positive
         curvature."""
-        grad = h - (np.vdot(q, h).real / self.budget) * q
-        if self.last is not None:
-            s, y = q - self.last[0], self.last[1] - grad  # y: the gradient of -objective
-            sy, yy = np.vdot(s, y).real, np.vdot(y, y).real
-            if sy > CURVATURE_FLOOR * np.sqrt(np.vdot(s, s).real * yy):
-                self.pairs.append((s, y, 1.0 / sy))
+        point, half = q.reshape(-1).view(float), h.reshape(-1).view(float)
+        grad = half - (point.dot(half) / self.budget) * point
+        if self.last is None:
+            self.rows = np.empty((MEMORY + 1, 2, point.size))
+        else:
+            s, y = self.rows[self.count]
+            np.subtract(point, self.last[0], out=s)
+            np.subtract(self.last[1], grad, out=y)  # y: the gradient of -objective
+            sy, yy = s.dot(y), y.dot(y)
+            if sy > CURVATURE_FLOOR * math.sqrt(s.dot(s) * yy):
                 self.scale = sy / yy
-        self.last = (q, grad)
+                if self.count < MEMORY:
+                    self.count += 1
+                else:
+                    self.rows[:MEMORY] = self.rows[1:]
+        self.last = (point, grad, q.shape)
 
     def direction(self, radius: float) -> Optional[tuple]:
-        """The L-BFGS ascent step (two-loop recursion, Nocedal & Wright
-        Alg. 7.4) projected onto the tangent space at the iterate and capped
-        at the radius, with its length; None while the memory is empty."""
-        if not self.pairs:
+        """The L-BFGS ascent step H v (v the newest Riemannian gradient)
+        projected onto the tangent space at the iterate and capped at the
+        radius, with its length; None while the memory is empty. With S and Y
+        the pairs as columns, R the upper triangle of S^T Y, D its diagonal
+        and c = R^-1 S^T v,
+
+            H v = gamma v + S R^-T ((D + gamma Y^T Y) c - gamma Y^T v) - gamma Y c.
+        """
+        m = self.count
+        if m == 0:
             return None
-        (point, v), alphas = self.last, []
-        for s, y, rho in reversed(self.pairs):
-            alpha = rho * np.vdot(s, v).real
-            v = v - alpha * y
-            alphas.append(alpha)
-        r = self.scale * v
-        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
-            r = r + (alpha - rho * np.vdot(y, r).real) * s
-        r = r - (np.vdot(point, r).real / self.budget) * point
-        length = np.linalg.norm(r)
+        point, v, shape = self.last
+        pairs = self.rows[:m].reshape(2 * m, -1)  # s_0, y_0, s_1, y_1, ...
+        gram = pairs @ self.rows[:m, 1].T  # rows <s_i, y_j> and <y_i, y_j> in turn
+        sy = gram[::2]
+        inverse = np.linalg.inv(sy * self.upper[:m, :m])
+        products = pairs.dot(v)
+        c = inverse @ products[::2]
+        coefficients = np.empty(2 * m)
+        coefficients[::2] = inverse.T @ (
+            sy.diagonal() * c + self.scale * (gram[1::2] @ c - products[1::2])
+        )
+        coefficients[1::2] = -self.scale * c
+        r = self.scale * v + coefficients @ pairs
+        r -= (point.dot(r) / self.budget) * point
+        length = math.sqrt(r.dot(r))
         if length > radius:
-            return (radius / length) * r, radius
-        return r, length
+            r *= radius / length
+            length = radius
+        return r.view(complex).reshape(shape), length
 
 
 def _stationarity(q: np.ndarray, h: np.ndarray, off_span: float, budget: float) -> float:
@@ -460,16 +496,16 @@ def run(
     without meeting the tolerance, or finds no ascent, is reported via
     converged=False, never silently truncated.
     """
-    frame = core.frame
+    frame, frame_h = core.frame, core.frame.conj().T
 
     def candidate(nxt: np.ndarray) -> tuple:
         q = coords(nxt)
         z = frame @ q
         return nxt, q, z, evaluate(core, z)
 
-    x, q, z, point = candidate(project(lift(frame.conj().T @ p0)))
+    x, q, z, point = candidate(project(lift(frame_h @ p0)))
     d = curvature(core, point)
-    h = frame.conj().T @ half_gradient(core, point, z, d)
+    h = frame_h @ half_gradient(core, point, z, d)
     history = _History(core.scene.power_budget) if cfg.power_constraint == "total" else None
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
@@ -509,7 +545,7 @@ def run(
         if delta >= 0.0:  # after a fall within the tolerance the iterate stays
             x, q, z, point = best
             d = curvature(core, point)
-            h = frame.conj().T @ half_gradient(core, point, z, d)
+            h = frame_h @ half_gradient(core, point, z, d)
         trace.append(point.objective)
         if delta <= cfg.tol_objective:
             converged = True
@@ -540,7 +576,7 @@ def run(
         "setup_s": t_setup,
         "iterations_s": t_iter,
         "metrics_s": time.perf_counter() - t2,
-        "per_iteration_s": t_iter / max(iterations, 1),
+        "per_iteration_s": t_iter / (iterations + stalled),  # a stalled pass appends nothing
     }
     return SolveResult(
         beamformer=w,
@@ -572,9 +608,10 @@ def solve(
     core = solver_core(scene, weights)
     budget = scene.power_budget
     frame_basis = core.basis @ core.whitening  # V~, orthonormal columns
+    frame_basis_h = frame_basis.conj().T
     return run(
         core, p0, cfg,
-        coords=lambda w: frame_basis.conj().T @ w,
+        coords=lambda w: frame_basis_h @ w,
         lift=lambda q: frame_basis @ q,
         project=lambda w: _project(w, budget, cfg),
         antenna=lambda w: w,

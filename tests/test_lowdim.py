@@ -173,3 +173,26 @@ def test_front_ends_agree_or_both_raise(seed, n_users, n_targets, tx, weights, d
     assert _monotone(full.objective_trace) and _monotone(ld.objective_trace)
     assert ld.iterations == full.iterations
     assert ld.objective == pytest.approx(full.objective, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the absolute tol_objective (1e-4) lies below the "
+    "roundoff of an objective near -1.8e8 (cond(G) = 1.6e10), so the stop "
+    "falls on a different iteration in each front end",
+)
+def test_front_ends_agree_at_a_large_objective():
+    # a scene inside the property test's domain, pinned so that the split
+    # shows whatever examples Hypothesis draws
+    scene = sample_scene(
+        23,
+        tx_geometry=ArrayGeometry(3, 3),
+        rx_geometry=ArrayGeometry(2, 2),
+        n_users=3,
+        n_targets=1,
+        n_slots=8,
+    )
+    full, ld = solve(scene, WTS), solve_ld(scene, WTS)
+    assert _monotone(full.objective_trace) and _monotone(ld.objective_trace)
+    assert ld.iterations == full.iterations
+    assert ld.objective == pytest.approx(full.objective, rel=1e-8, abs=1e-12)

@@ -263,6 +263,61 @@ def test_trust_radius_survives_a_rank_deficient_gram(front_end):
         assert np.all(np.diff(result.objective_trace) >= 0.0), seed
 
 
+def _two_loop_step(pairs, v, point, budget):
+    """Nocedal & Wright Alg. 7.4 with <a, b> = Re vdot(a, b) on the pairs
+    (s, y), oldest first, then the projection onto the tangent space at point."""
+    alphas = []
+    for s, y in reversed(pairs):
+        alpha = np.vdot(s, v).real / np.vdot(s, y).real
+        v = v - alpha * y
+        alphas.append(alpha)
+    s, y = pairs[-1]
+    r = (np.vdot(s, y).real / np.vdot(y, y).real) * v
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        r = r + (alpha - np.vdot(y, r).real / np.vdot(s, y).real) * s
+    return r - (np.vdot(point, r).real / budget) * point
+
+
+def test_history_step_matches_two_loop_recursion():
+    # an independent oracle for the compact representation, on random pairs:
+    # more than the memory holds, and some with negative curvature, which the
+    # memory skips
+    rng = np.random.default_rng(5)
+    budget, shape = 10.0, (6, 4)
+    a = rng.standard_normal((6, 6))
+    hessian = a @ a.T + np.eye(6)
+    history = sca._History(budget)
+    assert history.direction(np.inf) is None
+    pairs, previous, accepted, rejected = [], None, 0, 0
+    for _ in range(5 * sca.MEMORY):
+        q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q *= np.sqrt(budget) / np.linalg.norm(q)
+        h = -hessian @ q
+        history.observe(q, h)
+        grad = h - (np.vdot(q, h).real / budget) * q
+        if previous is not None:
+            s, y = q - previous[0], previous[1] - grad
+            if np.vdot(s, y).real > sca.CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs = (pairs + [(s, y)])[-sca.MEMORY:]
+                accepted += 1
+            else:
+                rejected += 1
+        previous = q, grad
+        step = history.direction(np.inf)
+        if not pairs:
+            assert step is None
+            continue
+        r, length = step
+        expect = _two_loop_step(pairs, grad, q, budget)
+        assert np.linalg.norm(r - expect) <= 1e-12 * np.linalg.norm(expect)
+        assert length == pytest.approx(np.linalg.norm(r), rel=1e-12)
+        assert abs(np.vdot(q, r).real) <= 1e-12 * np.linalg.norm(q) * np.linalg.norm(r)
+        capped, capped_length = history.direction(0.5 * length)
+        assert capped_length <= 0.5 * length
+        assert np.linalg.norm(capped) <= 0.5 * length * (1.0 + 1e-12)
+    assert accepted > sca.MEMORY and rejected > 0
+
+
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
 def test_history_never_sees_antenna_rows(front_end, monkeypatch):
     # the quasi-Newton model runs on frame coordinates alone, so its cost
@@ -425,3 +480,6 @@ def test_ascent_check_stops_when_retries_run_out(monkeypatch, caplog, power_cons
     assert np.all(np.diff(result.objective_trace) >= 0.0)
     assert [r.name for r in caplog.records] == ["isacbeam.sca"]
     assert "no ascent" in caplog.records[0].getMessage()
+    # the pass that found no ascent appends nothing but counts in the timing
+    timings = result.timings
+    assert timings["per_iteration_s"] * (result.iterations + 1) == pytest.approx(timings["iterations_s"])
