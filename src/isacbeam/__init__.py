@@ -2,7 +2,7 @@
 
 from .experiments import ExperimentConfig, TrialRecord, run_experiment, verify
 from .lowdim import solve_ld
-from .metrics import Beamformer, FisherInfo, SingularFisherError, Weights
+from .metrics import Beamformer, SingularFisherError, Weights
 from .sca import SolveResult, SolverConfig, solve
 from .scene import (
     ArrayGeometry,
@@ -18,7 +18,6 @@ __all__ = [
     "ArrayGeometry",
     "Beamformer",
     "ExperimentConfig",
-    "FisherInfo",
     "Scene",
     "SingularFisherError",
     "SolveResult",

@@ -81,10 +81,10 @@ def obs_residuals(
     if not all(np.array_equal(getattr(steering, k), getattr(own, k)) for k in ("tx", "rx", "rcs")):
         raise ValueError("steering set does not belong to the scene")
     core = sca.solver_core(scene, weights)
-    z = core.coords(w.matrix)
+    z = core.basis.conj().T @ w.matrix
     point = sca.evaluate(core, z)
     d = sca.curvature(core, point)
-    grad = 2.0 * core.lift(sca.half_gradient(core, point, z, d))
+    grad = 2.0 * (core.basis @ sca.half_gradient(core, point, z, d))
     mu = recover_multiplier(w, grad)
     grad_norm = np.linalg.norm(grad)
     stationarity = (

@@ -1,7 +1,7 @@
 """Command-line interface: single solves, sweeps, and the verification suite.
 
-Exit codes: 0 success, 1 invalid configuration, 2 verification failure,
-3 nonconvergence in strict mode.
+Exit codes: 0 success, 1 invalid configuration (usage errors included),
+2 verification failure, 3 nonconvergence in strict mode.
 """
 
 from __future__ import annotations
@@ -26,8 +26,17 @@ EXIT_VERIFY_FAILED = 2
 EXIT_NONCONVERGED = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an invalid configuration (exit 1), not with
+    argparse's exit 2, which the CLI reserves for verification failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isacbeam",
         description="Joint communication/sensing transmit beamforming optimizer.",
     )
@@ -36,21 +45,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON configuration file")
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument(
+    solvers = argparse.ArgumentParser(add_help=False)
+    solvers.add_argument(
         "--solver", choices=("full", "lowdim", "both"), default="full",
         help="which solver(s) to run",
     )
-    common.add_argument(
+    solvers.add_argument(
         "--power-constraint", choices=("total", "per-antenna"), default="total",
         help="transmit power constraint handled by the projection step",
     )
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve one instance")
+    p_solve = sub.add_parser("solve", parents=[common, solvers], help="solve one instance")
     p_solve.add_argument("--comm-weight", type=float, default=0.25)
     p_solve.add_argument("--sense-weight", type=float, default=1.0)
     p_solve.add_argument("--out", type=Path, help="write metrics JSON here instead of stdout")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="run a configured sweep")
+    p_sweep = sub.add_parser("sweep", parents=[common, solvers], help="run a configured sweep")
     p_sweep.add_argument("--trials", type=int, help="override trial count")
     p_sweep.add_argument("--out", type=Path, help="CSV output path (summary JSON alongside)")
     p_sweep.add_argument("--strict", action="store_true",
@@ -137,9 +147,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "sweep":

@@ -158,33 +158,25 @@ def _run_trial(cfg: ExperimentConfig, value, seed: int, solver_name: str) -> Tri
     try:
         [(_, front_end)] = front_ends(solver_name)
         result = front_end(scene, weights, cfg.solver_config, n_sense=n_sense)
-        wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.measure_time else 0.0
         status = "ok" if result.converged else "nonconverged"
-        return TrialRecord(
-            sweep_value=float(value),
-            seed=seed,
-            solver=solver_name,
-            status=status,
-            sum_rate=float(result.sum_rate),
-            crlb_trace=float(result.crlb_trace),
-            objective=float(result.objective_trace[-1]),
-            iterations=result.iterations,
-            wall_ms=wall_ms,
-            stationarity=float(result.stationarity),
-        )
+        numbers = (result.sum_rate, result.crlb_trace, result.objective, result.iterations, result.stationarity)
     except (metrics.SingularFisherError, ValueError) as exc:
-        wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.measure_time else 0.0
-        return TrialRecord(
-            sweep_value=float(value),
-            seed=seed,
-            solver=solver_name,
-            status=f"failed:{type(exc).__name__}",
-            sum_rate=float("nan"),
-            crlb_trace=float("nan"),
-            objective=float("nan"),
-            iterations=0,
-            wall_ms=wall_ms,
-        )
+        status = f"failed:{type(exc).__name__}"
+        numbers = (math.nan, math.nan, math.nan, 0, math.nan)
+    wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.measure_time else 0.0
+    sum_rate, crlb, objective, iterations, stationarity = numbers
+    return TrialRecord(
+        sweep_value=float(value),
+        seed=seed,
+        solver=solver_name,
+        status=status,
+        sum_rate=float(sum_rate),
+        crlb_trace=float(crlb),
+        objective=float(objective),
+        iterations=iterations,
+        wall_ms=wall_ms,
+        stationarity=float(stationarity),
+    )
 
 
 def _trial_args(cfg: ExperimentConfig):
@@ -196,47 +188,42 @@ def _trial_args(cfg: ExperimentConfig):
 
 
 def _summarize(records) -> dict:
-    summary: dict = {}
+    """{solver: {repr(sweep value): bucket}}, the groups in record order."""
+    groups: dict = {}
     for rec in records:
-        bucket = summary.setdefault(rec.solver, {}).setdefault(
-            repr(rec.sweep_value),
-            {"n": 0, "n_ok": 0, "n_nonconverged": 0, "n_failed": 0,
-             "_sr": [], "_cr": [], "_obj": [], "_it": [], "_st": []},
-        )
-        bucket["n"] += 1
-        if rec.status.startswith("failed"):
-            bucket["n_failed"] += 1
-            continue
-        if rec.status == "ok":
-            bucket["n_ok"] += 1
+        groups.setdefault(rec.solver, {}).setdefault(repr(rec.sweep_value), []).append(rec)
+    return {
+        solver: {value: _bucket(rows) for value, rows in per_value.items()}
+        for solver, per_value in groups.items()
+    }
+
+
+def _bucket(rows: list) -> dict:
+    """Counts and statistics of one group's records. Failed rows count only
+    in n and n_failed; non-finite metrics are left out of the means."""
+    solved = [r for r in rows if not r.status.startswith("failed")]
+    n_ok = sum(r.status == "ok" for r in solved)
+    bucket = {"n": len(rows), "n_ok": n_ok, "n_nonconverged": len(solved) - n_ok,
+              "n_failed": len(rows) - len(solved)}
+    iterations = [r.iterations for r in solved]
+    residuals = [r.stationarity for r in solved]
+    bucket["iterations"] = (
+        {"mean": float(np.mean(iterations)), "max": int(max(iterations))}
+        if solved else {"mean": math.nan, "max": math.nan}
+    )
+    bucket["stationarity"] = (
+        {"median": float(np.median(residuals)), "max": float(max(residuals))}
+        if solved else {"median": math.nan, "max": math.nan}
+    )
+    for attr, name in (("sum_rate", "sum_rate_nats"), ("crlb_trace", "crlb_trace"), ("objective", "objective")):
+        vals = np.array([getattr(r, attr) for r in solved], dtype=float)
+        vals = vals[np.isfinite(vals)]
+        if vals.size:
+            stderr = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+            bucket[name] = {"mean": float(np.mean(vals)), "stderr": stderr}
         else:
-            bucket["n_nonconverged"] += 1
-        bucket["_sr"].append(rec.sum_rate)
-        bucket["_cr"].append(rec.crlb_trace)
-        bucket["_obj"].append(rec.objective)
-        bucket["_it"].append(rec.iterations)
-        bucket["_st"].append(rec.stationarity)
-    for per_solver in summary.values():
-        for bucket in per_solver.values():
-            iterations = bucket.pop("_it")
-            bucket["iterations"] = (
-                {"mean": float(np.mean(iterations)), "max": int(max(iterations))}
-                if iterations else {"mean": float("nan"), "max": float("nan")}
-            )
-            residuals = bucket.pop("_st")
-            bucket["stationarity"] = (
-                {"median": float(np.median(residuals)), "max": float(max(residuals))}
-                if residuals else {"median": float("nan"), "max": float("nan")}
-            )
-            for key, name in (("_sr", "sum_rate_nats"), ("_cr", "crlb_trace"), ("_obj", "objective")):
-                vals = np.asarray(bucket.pop(key), dtype=float)
-                vals = vals[np.isfinite(vals)]
-                if vals.size:
-                    stderr = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-                    bucket[name] = {"mean": float(np.mean(vals)), "stderr": stderr}
-                else:
-                    bucket[name] = {"mean": float("nan"), "stderr": float("nan")}
-    return summary
+            bucket[name] = {"mean": math.nan, "stderr": math.nan}
+    return bucket
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -324,7 +311,7 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
 
     w0 = sca.matched_filter_init(scene, 3 * scene.n_targets, SolverConfig())
     f_fd = analysis.fd_fim(scene, w0)
-    f_an = metrics.fim(scene, w0).matrix
+    f_an = metrics.fim(scene, w0)
     checks.append(_check("fim_fd_relative_error",
                          np.linalg.norm(f_an - f_fd) / np.linalg.norm(f_fd), 1e-5))
 
@@ -335,7 +322,7 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
         wr = w0.replace_matrix(sca.project_total_power(wmat, scene.power_budget))
         phi = rng.standard_normal((4 * scene.n_targets,) * 2)
         phi = 0.5 * (phi + phi.T)
-        f = metrics.fim(scene, wr).matrix
+        f = metrics.fim(scene, wr)
         q = sca.quad_matrix(scene, phi)
         lhs = float(np.trace(phi.T @ f))
         rhs = float(np.real(np.trace(wr.covariance @ q)))

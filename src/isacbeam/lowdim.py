@@ -48,6 +48,6 @@ def solve_ld(
         coords=lambda q: q,
         lift=lambda q: q,
         project=lambda q: sca.project_total_power(q, scene.power_budget),
-        antenna=lambda q: core.basis @ (core.whitening @ q),
+        antenna=lambda q: core.orthonormal @ q,
         t0=t0,
     )

@@ -11,14 +11,12 @@ from .scene import Scene
 
 __all__ = [
     "Beamformer",
-    "FisherInfo",
     "Weights",
     "SingularFisherError",
     "sinr",
     "sum_rate",
     "fim",
     "fisher_operator",
-    "table_fim",
     "fim_matrix",
     "table_adjoint",
     "spd_inverse",
@@ -85,26 +83,6 @@ class Beamformer:
         """Same column split and budget, new stacked matrix."""
         k = self.n_users
         return Beamformer(w[:, :k], w[:, k:], self.power_budget)
-
-
-@dataclass(frozen=True)
-class FisherInfo:
-    """Real symmetric 4M x 4M Fisher information matrix.
-
-    Block order of the parameters: azimuths, elevations, Re(rcs), Im(rcs).
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.matrix, dtype=float)
-        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 4:
-            raise ValueError("Fisher matrix must be square with side 4M")
-        object.__setattr__(self, "matrix", f)
-
-    @property
-    def n_targets(self) -> int:
-        return self.matrix.shape[0] // 4
 
 
 @dataclass(frozen=True)
@@ -180,11 +158,6 @@ def fisher_operator(scene: Scene) -> np.ndarray:
     return t.reshape(16 * m * m, 9 * m * m)
 
 
-def table_fim(op: np.ndarray, r_s: np.ndarray) -> FisherInfo:
-    """The Fisher matrix F(R_s) of the operator T (`fim_matrix`)."""
-    return FisherInfo(fim_matrix(op, r_s))
-
-
 def fim_matrix(op: np.ndarray, r_s: np.ndarray) -> np.ndarray:
     """F_ij = Re tr(T_ij R_s) = Re vdot(T_ij, R_s) (T_ij Hermitian): one real
     matrix-vector product on the real views of T and R_s."""
@@ -200,26 +173,25 @@ def table_adjoint(op: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (phi.ravel() @ op.view(float)).view(complex).reshape(n3, n3)
 
 
-def fim(scene: Scene, w: Beamformer) -> FisherInfo:
-    """Fisher information of the echo model under beamformer w, through
-    R_s = Z_S Z_S^H with Z_S = Sbar^H W."""
+def fim(scene: Scene, w: Beamformer) -> np.ndarray:
+    """Real symmetric 4M x 4M Fisher information of the echo model under
+    beamformer w, through R_s = Z_S Z_S^H with Z_S = Sbar^H W; the parameter
+    blocks are azimuths, elevations, Re(rcs), Im(rcs)."""
     _check_dims(scene, w)
     if scene.n_targets < 1:
         raise ValueError("scene has no targets")
     zs = scene.steering.tx.conj().T @ w.matrix
-    return table_fim(fisher_operator(scene), zs @ zs.conj().T)
-
-
-def inverse_fisher(fi: FisherInfo) -> np.ndarray:
-    """Symmetric inverse of the Fisher matrix (`spd_inverse`)."""
-    return spd_inverse(fi.matrix)
+    return fim_matrix(fisher_operator(scene), zs @ zs.conj().T)
 
 
 def spd_inverse(f: np.ndarray) -> np.ndarray:
-    """Symmetric inverse F^-1 = L^-T L^-1 of a Fisher matrix given as an
-    array (`fim_matrix`), from its Cholesky factor F = L L^T. Raises ValueError for NaN or infinite entries
-    and SingularFisherError when the matrix is not numerically positive
-    definite."""
+    """Symmetric inverse F^-1 = L^-T L^-1 of a Fisher matrix (`fim`,
+    `fim_matrix`), from its Cholesky factor F = L L^T. Raises ValueError
+    unless F is square with side 4M and finite, and SingularFisherError when
+    it is not numerically positive definite."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 4:
+        raise ValueError("Fisher matrix must be square with side 4M")
     if not np.isfinite(f).all():
         raise ValueError("Fisher matrix has non-finite entries")
     try:
@@ -230,9 +202,9 @@ def spd_inverse(f: np.ndarray) -> np.ndarray:
     return lower_inv.T @ lower_inv
 
 
-def crlb_trace(fi: FisherInfo) -> float:
+def crlb_trace(f: np.ndarray) -> float:
     """Trace of the inverse Fisher matrix (sum of the parameter CRLBs)."""
-    return float(np.trace(inverse_fisher(fi)))
+    return float(np.trace(spd_inverse(f)))
 
 
 def objective(scene: Scene, w: Beamformer, weights: Weights) -> float:

@@ -165,25 +165,18 @@ class SolverCore:
     basis is V = [H, A, A_dtheta, A_dphi] (n_tx x (K + 3M)). With U_r, L_r the
     r numerically nonzero eigenpairs of G = V^H V (G may be singular, for
     example with repeated targets or fewer antennas than basis columns),
-    frame is B = U_r L_r^1/2, so B B^H = G, and whitening is U_r L_r^-1/2, so
-    V~ = V whitening has orthonormal columns. operator is the scene's Fisher
-    operator (`metrics.fisher_operator`), None when the scene has no targets.
+    frame is B = U_r L_r^1/2, so B B^H = G, and orthonormal is
+    V~ = V U_r L_r^-1/2, whose columns are orthonormal. operator is the
+    scene's Fisher operator (`metrics.fisher_operator`), None when the scene
+    has no targets.
     """
 
     scene: Scene
     weights: Weights
     basis: np.ndarray
     frame: np.ndarray
-    whitening: np.ndarray
+    orthonormal: np.ndarray
     operator: Optional[np.ndarray]
-
-    def coords(self, w: np.ndarray) -> np.ndarray:
-        """Z = V^H W."""
-        return self.basis.conj().T @ w
-
-    def lift(self, y: np.ndarray) -> np.ndarray:
-        """V Y, the antenna-domain matrix with basis coefficients Y."""
-        return self.basis @ y
 
 
 @dataclass(frozen=True)
@@ -210,16 +203,16 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     eigs, vecs = np.linalg.eigh(gram)
     keep = eigs > eigs.max(initial=0.0) * eigs.size * np.finfo(float).eps  # matrix_rank's cut
     root = np.sqrt(eigs[keep])
-    frame, whitening = vecs[:, keep] * root, vecs[:, keep] / root
+    frame, orthonormal = vecs[:, keep] * root, basis @ (vecs[:, keep] / root)
     if weights.sense > 0 and scene.n_targets == 0:
         raise ValueError("a positive sensing weight needs at least one target")
     operator = metrics.fisher_operator(scene) if scene.n_targets else None
     if weights.sense > 0:
         k = scene.n_users
-        widest = metrics.table_fim(operator, gram[k:, k:]).matrix
+        widest = metrics.fim_matrix(operator, gram[k:, k:])
         if np.linalg.matrix_rank(widest, hermitian=True) < widest.shape[0]:
             raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
-    return SolverCore(scene, weights, basis, frame, whitening, operator)
+    return SolverCore(scene, weights, basis, frame, orthonormal, operator)
 
 
 def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
@@ -328,9 +321,9 @@ def sca_step(
 def analytic_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
     """Closed-form gradient of the tradeoff objective at w: 2 V (E - D Z)."""
     core = solver_core(scene, weights)
-    z = core.coords(w.matrix)
+    z = core.basis.conj().T @ w.matrix
     point = evaluate(core, z)
-    return 2.0 * core.lift(half_gradient(core, point, z, curvature(core, point)))
+    return 2.0 * (core.basis @ half_gradient(core, point, z, curvature(core, point)))
 
 
 def _basis(scene: Scene) -> np.ndarray:
@@ -568,7 +561,7 @@ def run(
     if core.operator is not None:
         zs = z[scene.n_users :]
         try:
-            final_crlb = metrics.crlb_trace(metrics.table_fim(core.operator, zs @ zs.conj().T))
+            final_crlb = metrics.crlb_trace(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
         except (ValueError, SingularFisherError):
             pass
     iterations = len(trace) - 1
@@ -607,12 +600,11 @@ def solve(
     p0 = start_coefficients(scene, n_sense, cfg)
     core = solver_core(scene, weights)
     budget = scene.power_budget
-    frame_basis = core.basis @ core.whitening  # V~, orthonormal columns
-    frame_basis_h = frame_basis.conj().T
+    orthonormal_h = core.orthonormal.conj().T
     return run(
         core, p0, cfg,
-        coords=lambda w: frame_basis_h @ w,
-        lift=lambda q: frame_basis @ q,
+        coords=lambda w: orthonormal_h @ w,
+        lift=lambda q: core.orthonormal @ q,
         project=lambda w: _project(w, budget, cfg),
         antenna=lambda w: w,
         t0=t0,

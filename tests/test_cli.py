@@ -135,3 +135,33 @@ def test_verify_exit_codes(scene_config, tmp_path, capsys, monkeypatch):
     )
     assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
     assert "FAILED: forced" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--bogus"],
+        ["solve", "--seed", "abc"],
+        ["sweep", "--trials", "x"],
+        ["verify", "extra"],
+        # verify runs its own suite, so it takes no solver choice
+        ["verify", "--solver", "lowdim"],
+        ["verify", "--power-constraint", "per-antenna"],
+        ["verify", "--solver", "lowdim", "--power-constraint", "per-antenna"],
+        [],
+    ],
+    ids=["unknown-flag", "bad-int", "sweep-bad-int", "verify-positional", "verify-solver",
+         "verify-power-constraint", "verify-both", "no-command"],
+)
+def test_usage_errors_exit_one(argv, capsys):
+    # argparse's own exit code, 2, is the CLI's verification-failure code
+    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [[], ["solve"], ["sweep"], ["verify"]])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -27,8 +27,8 @@ def test_basis_shape_and_gram(default_scene):
     assert core.basis.shape == (default_scene.n_tx, k + 3 * m)
     gram = core.basis.conj().T @ core.basis
     assert np.allclose(core.frame @ core.frame.conj().T, gram)
-    orthonormal = core.basis @ core.whitening
-    assert np.allclose(orthonormal.conj().T @ orthonormal, np.eye(core.frame.shape[1]))
+    assert np.allclose(core.orthonormal.conj().T @ core.orthonormal, np.eye(core.frame.shape[1]))
+    assert np.allclose(core.orthonormal @ core.frame.conj().T, core.basis)  # V~ B^H = V
     # two antennas for K + 3M = 8 basis columns: the frame keeps rank(G) = n_tx
     scene = sample_scene(
         0, tx_geometry=ArrayGeometry(2, 1), rx_geometry=ArrayGeometry(2, 2),
@@ -36,7 +36,7 @@ def test_basis_shape_and_gram(default_scene):
     )
     core = sca.solver_core(scene, WTS)
     assert core.basis.shape == (2, 8)
-    assert core.frame.shape == (8, 2) and core.whitening.shape == (8, 2)
+    assert core.frame.shape == (8, 2) and core.orthonormal.shape == (2, 2)
 
 
 def test_lifted_beamformer_on_sphere(default_scene):

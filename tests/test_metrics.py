@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from isacbeam import (
     ArrayGeometry,
     Beamformer,
-    FisherInfo,
     SingularFisherError,
     Target,
     Weights,
@@ -94,15 +93,19 @@ def test_weights_validation():
 
 
 def test_fisher_info_validation():
-    with pytest.raises(ValueError):
-        FisherInfo(np.eye(3))
-    assert FisherInfo(np.eye(8)).n_targets == 2
+    """A Fisher matrix must be a square array with side 4M."""
+    for bad in (np.eye(3), np.ones((4, 8)), np.ones(4), np.ones((2, 4, 4))):
+        with pytest.raises(ValueError):
+            metrics.spd_inverse(bad)
+        with pytest.raises(ValueError):
+            metrics.crlb_trace(bad)
+    assert metrics.crlb_trace(np.eye(8)) == 8.0
 
 
 def test_fim_symmetric_and_psd(rng):
     scene = sample_scene(1)
     w = make_beamformer(scene, rng)
-    f = metrics.fim(scene, w).matrix
+    f = metrics.fim(scene, w)
     assert np.allclose(f, f.T, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(f)) > -1e-9 * np.max(np.abs(f))
 
@@ -110,7 +113,7 @@ def test_fim_symmetric_and_psd(rng):
 def test_fim_matches_jacobian_oracle(rng):
     scene = sample_scene(2)
     w = make_beamformer(scene, rng)
-    f = metrics.fim(scene, w).matrix
+    f = metrics.fim(scene, w)
     oracle = fd_fim(scene, w)
     assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) < 1e-5
 
@@ -119,8 +122,8 @@ def test_fim_linear_in_covariance(rng):
     scene = sample_scene(3)
     w = make_beamformer(scene, rng)
     c = 2.7
-    f1 = metrics.fim(scene, w).matrix
-    f2 = metrics.fim(scene, w.replace_matrix(np.sqrt(c) * w.matrix)).matrix
+    f1 = metrics.fim(scene, w)
+    f2 = metrics.fim(scene, w.replace_matrix(np.sqrt(c) * w.matrix))
     assert np.linalg.norm(f2 - c * f1) <= 1e-9 * c * np.linalg.norm(f1)
 
 
@@ -134,16 +137,16 @@ def test_crlb_scales_inversely_with_power(rng):
 
 
 def test_crlb_trace_diagonal_case():
-    f = FisherInfo(np.diag([1.0, 2.0, 4.0, 8.0]))
+    f = np.diag([1.0, 2.0, 4.0, 8.0])
     assert metrics.crlb_trace(f) == pytest.approx(1.0 + 0.5 + 0.25 + 0.125)
 
 
 def test_singular_fisher_raises():
     with pytest.raises(SingularFisherError):
-        metrics.crlb_trace(FisherInfo(np.zeros((4, 4))))
+        metrics.crlb_trace(np.zeros((4, 4)))
 
 
-def test_inverse_fisher_contract(rng):
+def test_spd_inverse_contract(rng):
     """SingularFisherError unless positive definite, ValueError on NaN or
     infinite entries (wherever they sit), otherwise the symmetric inverse."""
     q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
@@ -151,18 +154,18 @@ def test_inverse_fisher_contract(rng):
     indefinite = (np.diag([1.0, -2.0, 3.0, 4.0]), (q * [1.0, 2.0, 0.5, 1e-3, 3.0, 1.0, 2.0, -0.5]) @ q.T)
     for f in singular + indefinite:
         with pytest.raises(SingularFisherError):
-            metrics.inverse_fisher(FisherInfo(f))
+            metrics.spd_inverse(f)
     for bad in (np.nan, np.inf, -np.inf):
         for pos in ((0, 0), (1, 6), (6, 1)):
             f = np.eye(8)
             f[pos] = bad
             with pytest.raises(ValueError):
-                metrics.inverse_fisher(FisherInfo(f))
+                metrics.spd_inverse(f)
     for n in (4, 8, 12):
         for _ in range(10):
             a = rng.standard_normal((n, n))
             f = a @ a.T + n * np.eye(n)
-            inv = metrics.inverse_fisher(FisherInfo(f))
+            inv = metrics.spd_inverse(f)
             assert np.array_equal(inv, inv.T)
             expect = np.linalg.inv(f)
             assert np.linalg.norm(inv - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -190,7 +193,7 @@ def test_fisher_operator_properties(seed, n_targets):
     r_s = x @ x.conj().T
     phi = rng.standard_normal((m4, m4))
     phi = phi + phi.T
-    f = metrics.table_fim(op, r_s).matrix
+    f = metrics.fim_matrix(op, r_s)
     k = metrics.table_adjoint(op, phi)
     assert np.array_equal(f, f.T)
     assert np.array_equal(k, k.conj().T)
@@ -199,12 +202,12 @@ def test_fisher_operator_properties(seed, n_targets):
     assert abs(lhs - rhs) <= 1e-10 * np.sum(np.abs(phi * f))
 
     w = make_beamformer(scene, rng, n_sense=n_targets)
-    forbidden = {name: _forbidden(name) for name in ("fisher_operator", "table_fim", "fim")}
+    forbidden = {name: _forbidden(name) for name in ("fisher_operator", "fim_matrix", "fim")}
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in forbidden.items():
             mp.setattr(metrics, name, fn)
         oracle = fd_fim(scene, w)
-    f = metrics.fim(scene, w).matrix
+    f = metrics.fim(scene, w)
     assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) < 1e-5
 
 

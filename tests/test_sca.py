@@ -85,7 +85,7 @@ def test_adjoint_identity_between_fim_and_quad(default_scene, rng):
         bf = Beamformer(w[:, :4], w[:, 4:], scene.power_budget)
         phi = rng.standard_normal((4 * m, 4 * m))
         phi = 0.5 * (phi + phi.T)
-        f = metrics.fim(scene, bf).matrix
+        f = metrics.fim(scene, bf)
         q = sca.quad_matrix(scene, phi)
         lhs = np.trace(phi.T @ f)
         rhs = np.real(np.trace(bf.covariance @ q))
@@ -94,7 +94,7 @@ def test_adjoint_identity_between_fim_and_quad(default_scene, rng):
 
 def _curvature_at(scene, w):
     core = sca.solver_core(scene, WTS)
-    z = core.coords(w.matrix)
+    z = core.basis.conj().T @ w.matrix
     point = sca.evaluate(core, z)
     return core, z, point, sca.curvature(core, point)
 
@@ -116,7 +116,7 @@ def test_step_equals_projected_gradient_ascent(default_scene):
     project = lambda x: sca.project_total_power(x, scene.power_budget)
     shift = sca.shift_parameter(core, d)
     g = sca.half_gradient(core, point, z, d)
-    nxt = sca.sca_step(w.matrix, g, shift, core.lift, project)
+    nxt = sca.sca_step(w.matrix, g, shift, lambda y: core.basis @ y, project)
     grad = sca.analytic_gradient(scene, w, WTS)
     pga = sca.project_total_power(w.matrix + grad / (2.0 * shift), scene.power_budget)
     assert np.linalg.norm(nxt - pga) <= 1e-10 * np.linalg.norm(pga)
@@ -483,3 +483,24 @@ def test_ascent_check_stops_when_retries_run_out(monkeypatch, caplog, power_cons
     # the pass that found no ascent appends nothing but counts in the timing
     timings = result.timings
     assert timings["per_iteration_s"] * (result.iterations + 1) == pytest.approx(timings["iterations_s"])
+
+
+@pytest.mark.parametrize(
+    "front_end, tx, cfg",
+    [
+        pytest.param(solve, (4, 4), SolverConfig(), id="full-4x4"),
+        pytest.param(solve_ld, (4, 4), SolverConfig(), id="lowdim-4x4"),
+        pytest.param(solve, (12, 12), SolverConfig(), id="full-12x12"),
+        pytest.param(solve_ld, (12, 12), SolverConfig(), id="lowdim-12x12"),
+        pytest.param(solve, (4, 4), SolverConfig(power_constraint="per-antenna"), id="full-per-antenna"),
+    ],
+)
+def test_returned_beamformer_reproduces_report(front_end, tx, cfg):
+    """The metrics evaluated at the returned beamformer (lifted to the
+    antenna domain by solve_ld) are the ones the result reports."""
+    scene = sample_scene(0, tx_geometry=ArrayGeometry(*tx), targets=benchmark_targets())
+    result = front_end(scene, WTS, cfg)
+    w = result.beamformer
+    assert metrics.sum_rate(scene, w) == pytest.approx(result.sum_rate, rel=1e-9, abs=0.0)
+    assert metrics.crlb_trace(metrics.fim(scene, w)) == pytest.approx(result.crlb_trace, rel=1e-9, abs=0.0)
+    assert metrics.objective(scene, w, WTS) == pytest.approx(result.objective, rel=1e-9, abs=0.0)
