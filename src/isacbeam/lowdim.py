@@ -2,13 +2,15 @@
 
 Instead of the full n_tx x (K + n_sense) beamformer W, it iterates on the
 frame coordinates Q of `sca.solver_core`, W = V~ Q with V~ an orthonormal
-basis of the span of V = [channels, steering, steering derivatives], whose
-rank r <= K + 3M is independent of the antenna count, from the start B^H P0
-of `sca.start_coefficients`. The iteration is the shared core in `sca.run`:
-Z = B Q, lift is the identity, and the projection scales Q onto the sphere
-|Q|^2 = power budget, which is also the retraction of the quasi-Newton
-candidate. The lifted beamformer stays in span(V), so the per-antenna
-constraint cannot be honoured here.
+basis of the span of V = [channels, steering, steering derivatives] (left
+singular vectors of V), whose rank r <= K + 3M is independent of the antenna
+count, from the start B^H P0 of `sca.start_coefficients`. The default
+n_sense is the structural stream count there, so Q is r x (K + n_sense)
+with no more sensing columns than the optimum needs. The iteration is the
+shared core in `sca.run`: Z = B Q, lift is the identity, and the projection
+scales Q onto the sphere |Q|^2 = power budget, which is also the retraction
+of the quasi-Newton candidate. The lifted beamformer stays in span(V), so the
+per-antenna constraint cannot be honoured here.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ def solve_ld(
     """Reduced-dimension front end; the reported beamformer is lifted back to
     the antenna domain (on the power sphere there by construction).
 
-    n_sense defaults to 3 * n_targets. The start is B^H P0 scaled onto the
+    n_sense defaults to the structural stream count of
+    `sca.start_coefficients`. The start is B^H P0 scaled onto the
     sphere, so from every start it takes the same iterates as `sca.solve`.
     Raises ValueError for power_constraint="per-antenna", whose projection
     leaves span(V).

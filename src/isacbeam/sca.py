@@ -3,13 +3,14 @@
 Stationary beamformers lie in the span of V = [H, A, A_dtheta, A_dphi], and
 every per-iteration quantity depends on the iterate only through Z = V^H W:
 the rates through the rows Z[:K], the Fisher matrix through
-R_s = Z_S Z_S^H with Z_S = Z[K:]. Only range(G), G = V^H V = U L U^H, carries
-information, so the iteration runs in frame coordinates Q: with U_r, L_r the
-r numerically nonzero eigenpairs, the frame B = U_r L_r^1/2 gives Z = B Q, and
-V~ = V U_r L_r^-1/2 has orthonormal columns, so W = V~ Q and |Q|^2 = |W|^2
-(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
-2008, sec. 3.6). Each iteration evaluates the objective and the surrogate
-auxiliaries at Z once. The objective's gradient in Q is 2 B^H g with
+R_s = Z_S Z_S^H with Z_S = Z[K:]. Only range(G), G = V^H V, carries
+information, so the iteration runs in frame coordinates Q: V~, the left
+singular vectors of V whose squared singular values (the eigenvalues of G)
+are numerically nonzero, has orthonormal columns to roundoff, so W = V~ Q and
+|Q|^2 = |W|^2, and the frame B = V^H V~ gives Z = B Q (Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, sec. 3.6).
+Each iteration evaluates the objective and the surrogate auxiliaries at Z
+once. The objective's gradient in Q is 2 B^H g with
 g = E - D Z, and its majorization-minimization (MM) candidate (Sun, Babu &
 Palomar, IEEE TSP 2017) is
 
@@ -162,13 +163,13 @@ class SolveResult:
 class SolverCore:
     """What the iteration needs of a scene, in frame coordinates.
 
-    basis is V = [H, A, A_dtheta, A_dphi] (n_tx x (K + 3M)). With U_r, L_r the
-    r numerically nonzero eigenpairs of G = V^H V (G may be singular, for
-    example with repeated targets or fewer antennas than basis columns),
-    frame is B = U_r L_r^1/2, so B B^H = G, and orthonormal is
-    V~ = V U_r L_r^-1/2, whose columns are orthonormal. operator is the
-    scene's Fisher operator (`metrics.fisher_operator`), None when the scene
-    has no targets.
+    basis is V = [H, A, A_dtheta, A_dphi] (n_tx x (K + 3M)). orthonormal is
+    V~, the r left singular vectors of V whose squared singular values pass
+    numpy's `matrix_rank` cut on the eigenvalues of G = V^H V (G may be
+    singular, for example with repeated targets or fewer antennas than basis
+    columns); frame is B = V^H V~, so Z = B Q for W = V~ Q, and B B^H = G.
+    operator is the scene's Fisher operator (`metrics.fisher_operator`), None
+    when the scene has no targets.
     """
 
     scene: Scene
@@ -199,17 +200,17 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     is singular (repeated targets, for example) and ValueError is raised.
     """
     basis = _basis(scene)
-    gram = basis.conj().T @ basis
-    eigs, vecs = np.linalg.eigh(gram)
-    keep = eigs > eigs.max(initial=0.0) * eigs.size * np.finfo(float).eps  # matrix_rank's cut
-    root = np.sqrt(eigs[keep])
-    frame, orthonormal = vecs[:, keep] * root, basis @ (vecs[:, keep] / root)
+    left, sing, _ = np.linalg.svd(basis, full_matrices=False)
+    eigs = sing**2  # the eigenvalues of G beyond n_tx are 0
+    keep = eigs > eigs.max(initial=0.0) * basis.shape[1] * np.finfo(float).eps  # matrix_rank's cut
+    orthonormal = left[:, keep]
+    frame = basis.conj().T @ orthonormal
     if weights.sense > 0 and scene.n_targets == 0:
         raise ValueError("a positive sensing weight needs at least one target")
     operator = metrics.fisher_operator(scene) if scene.n_targets else None
     if weights.sense > 0:
-        k = scene.n_users
-        widest = metrics.fim_matrix(operator, gram[k:, k:])
+        sbar = basis[:, scene.n_users :]
+        widest = metrics.fim_matrix(operator, sbar.conj().T @ sbar)
         if np.linalg.matrix_rank(widest, hermitian=True) < widest.shape[0]:
             raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
     return SolverCore(scene, weights, basis, frame, orthonormal, operator)
@@ -337,15 +338,21 @@ def _start_rng(cfg: SolverConfig) -> np.random.Generator:
 
 
 def start_coefficients(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> np.ndarray:
-    """Basis coefficients P0 of the start, (K + 3M) x (K + n_sense) with
-    n_sense 3 * n_targets by default, so every start lies in span(V). The
-    matched filter has coefficient 1 on each normalized user channel and on
-    the transmit steering vectors, cycled over the sensing columns; without
-    targets those columns are zero. Under init_mode="random" the
-    coefficients are standard complex normal."""
+    """Basis coefficients P0 of the start, (K + 3M) x (K + n_sense), so every
+    start lies in span(V). The matched filter has coefficient 1 on each
+    normalized user channel and on the transmit steering vectors, cycled over
+    the sensing columns; without targets those columns are zero. Under
+    init_mode="random" the coefficients are standard complex normal.
+
+    n_sense defaults to the fewest dedicated sensing streams the stationary
+    structure needs, the radar-stream reduction of arXiv 2503.09489: M
+    without users, where the sensing-only optimum has rank M, and
+    max(0, M + 1 - K) with users, whose K communication streams also carry
+    sensing power. More streams only add columns that the solve drives to
+    zero at moderate weights; an explicit n_sense overrides the default."""
     k, m = scene.n_users, scene.n_targets
     if n_sense is None:
-        n_sense = 3 * m
+        n_sense = m if k == 0 else max(0, m + 1 - k)
     elif n_sense < 0:
         raise ValueError(f"n_sense must be nonnegative, got {n_sense}")
     shape = (k + 3 * m, k + n_sense)
@@ -594,7 +601,7 @@ def solve(
     starts at the projection of V P0, and under the total-power constraint
     takes the same iterates as `lowdim.solve_ld` from every start.
 
-    n_sense defaults to 3 * n_targets (the structural stream bound).
+    n_sense defaults to the structural stream count of `start_coefficients`.
     """
     t0 = time.perf_counter()
     p0 = start_coefficients(scene, n_sense, cfg)

@@ -1,9 +1,14 @@
 """CLI subcommands and exit codes, driven through main() with temp files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isacbeam
 from isacbeam import cli
 from isacbeam.experiments import CSV_HEADER
 
@@ -135,6 +140,19 @@ def test_verify_exit_codes(scene_config, tmp_path, capsys, monkeypatch):
     )
     assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
     assert "FAILED: forced" in capsys.readouterr().err
+
+
+def test_passing_verify_writes_nothing_to_stderr(tmp_path):
+    # its deliberately capped solve must not print the solver's max_iters
+    # warning; a separate process, because pytest routes logging itself
+    src = str(Path(isacbeam.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "isacbeam.cli", "verify", "--out", str(tmp_path / "v.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+    )
+    assert done.returncode == cli.EXIT_OK
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -159,3 +159,12 @@ def test_verify_passes_on_small_scene():
     assert "stationarity_report_error" in names
     failed = [c for c in checks if not c.passed]
     assert not failed, failed
+
+
+def test_verify_checks_an_active_sensing_block():
+    # the sensing eigen residual is taken where the sensing streams carry
+    # power; on the scene with users every sensing column falls below the
+    # zero-column tolerance and the residual reads exactly 0
+    [check] = [c for c in verify(seed=0) if c.name == "obs_sense_eigen_residual"]
+    assert check.passed and check.threshold == 1e-2
+    assert check.value > 0.0

@@ -39,6 +39,24 @@ def test_basis_shape_and_gram(default_scene):
     assert core.frame.shape == (8, 2) and core.orthonormal.shape == (2, 2)
 
 
+def test_orthonormal_basis_to_roundoff():
+    # V~ must be orthonormal to roundoff however ill-conditioned G is
+    # (cond(G) = 1.2e6 and 1.6e10 here): an error of order eps cond(G) moves
+    # the iterates of both front ends apart and changes where solves stop
+    scenes = (
+        sample_scene(2, targets=benchmark_targets()),
+        sample_scene(
+            23, tx_geometry=ArrayGeometry(3, 3), rx_geometry=ArrayGeometry(2, 2),
+            n_users=3, n_targets=1, n_slots=8,
+        ),
+    )
+    for scene in scenes:
+        core = sca.solver_core(scene, WTS)
+        v = core.orthonormal
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-12
+        assert np.allclose(core.frame, core.basis.conj().T @ v)  # Z = B Q from W = V~ Q
+
+
 def test_lifted_beamformer_on_sphere(default_scene):
     result = solve_ld(default_scene, WTS)
     assert result.converged
@@ -98,12 +116,13 @@ def test_duplicated_targets_report_nan_crlb():
 
 
 def test_empty_basis_raises():
-    # no users and no targets leave the basis without columns
+    # no users and no targets leave the basis, and the default beamformer,
+    # without columns
     scene = sample_scene(0, n_users=0, n_targets=0)
     weights = Weights(1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no columns"):
         solve(scene, weights)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no columns"):
         solve_ld(scene, weights)
 
 

@@ -174,7 +174,9 @@ def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, mo
 
     for name in ("shift_parameter", "sca_step", "evaluate"):
         monkeypatch.setattr(sca, name, counted(name, getattr(sca, name)))
-    result = front_end(default_scene, WTS)
+    # calibrated on 3M sensing streams: 9 MM candidates in 43 iterations
+    # there, 9 in 28 at the default stream count
+    result = front_end(default_scene, WTS, n_sense=3 * default_scene.n_targets)
     assert result.converged
     assert 0 < events.count("shift_parameter") < 0.3 * result.iterations
     last = len(events) - 1 - events[::-1].index("evaluate")
@@ -411,6 +413,37 @@ def test_solve_per_antenna_constraint(small_scene):
     result = solve(small_scene, WTS, cfg)
     rows = np.sum(np.abs(result.beamformer.matrix) ** 2, axis=1)
     assert np.allclose(rows, small_scene.power_budget / small_scene.n_tx, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n_users, n_targets, n_sense",
+    [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 2), (2, 2, 1), (1, 1, 1), (3, 2, 0), (4, 2, 0), (2, 0, 0)],
+)
+def test_default_stream_count(n_users, n_targets, n_sense):
+    # the fewest dedicated sensing streams the stationary structure needs:
+    # M without users, max(0, M + 1 - K) with them
+    scene = sample_scene(0, n_users=n_users, n_targets=n_targets)
+    p0 = sca.start_coefficients(scene, None, SolverConfig())
+    assert p0.shape == (n_users + 3 * n_targets, n_users + n_sense)
+
+
+def test_default_streams_lose_nothing_against_3m():
+    # tight solves over users K = 0..4 with M = 2 targets, a sensing-led and a
+    # rate-led weight: the default stream count reaches the objective of
+    # 3M = 6 streams (worst relative shortfall of a mean about 3e-5)
+    cfg = SolverConfig(tol_objective=1e-9)
+    for n_users in range(5):
+        expected = 2 if n_users == 0 else max(0, 3 - n_users)
+        for weights in (Weights(0.25, 1.0), Weights(1.0, 0.01)):
+            default, wide = [], []
+            for seed in range(3):
+                scene = sample_scene(seed, n_users=n_users, n_targets=2)
+                result = solve(scene, weights, cfg)
+                assert result.beamformer.n_sense == expected
+                default.append(result.objective)
+                wide.append(solve(scene, weights, cfg, n_sense=6).objective)
+            floor = np.mean(wide) - 1e-4 * abs(np.mean(wide))
+            assert np.mean(default) >= floor, (n_users, weights)
 
 
 def test_solve_without_sensing_streams(default_scene):
