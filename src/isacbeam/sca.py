@@ -344,12 +344,15 @@ def start_coefficients(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) 
     the sensing columns; without targets those columns are zero. Under
     init_mode="random" the coefficients are standard complex normal.
 
-    n_sense defaults to the fewest dedicated sensing streams the stationary
-    structure needs, the radar-stream reduction of arXiv 2503.09489: M
-    without users, where the sensing-only optimum has rank M, and
-    max(0, M + 1 - K) with users, whose K communication streams also carry
-    sensing power. More streams only add columns that the solve drives to
-    zero at moderate weights; an explicit n_sense overrides the default."""
+    n_sense defaults to a reduced count of dedicated sensing streams, after
+    the radar-stream reduction of arXiv 2503.09489: M without users, where
+    the sensing-only optimum has rank M, and max(0, M + 1 - K) with users,
+    whose K communication streams also carry sensing power. The count with
+    users is this package's rule, not a bound quoted from the paper; the
+    tests check per scene, over K = 0..4 and M = 2, that it reaches the
+    objective of 3M streams. More streams only add columns that the solve
+    drives to zero at moderate weights; an explicit n_sense overrides the
+    default."""
     k, m = scene.n_users, scene.n_targets
     if n_sense is None:
         n_sense = m if k == 0 else max(0, m + 1 - k)

@@ -306,6 +306,13 @@ def test_obs_residuals_20_instances_with_separation(rng):
         report = analysis.obs_residuals(scene, scene.steering, result.beamformer, DEFAULT_WEIGHTS)
         assert report.stationarity_residual <= 1e-2, seed
         assert report.comm_structure_residual <= 1e-2, seed
+        # with users the default solve has no sensing columns, so the
+        # eigenvector condition is checked without users, where it has M
+        radar = sample_scene(seed, n_users=0)
+        sensing = solve(radar, DEFAULT_WEIGHTS, cfg).beamformer
+        active = np.linalg.norm(sensing.w_sense, axis=0) > 1e-2 * np.sqrt(radar.power_budget)
+        assert np.any(active), seed
+        report = analysis.obs_residuals(radar, radar.steering, sensing, DEFAULT_WEIGHTS)
         assert report.sense_eigen_residual <= 1e-2, seed
 
         w = random_on_sphere(rng, result.beamformer.matrix.shape, scene.power_budget)

@@ -95,7 +95,12 @@ def test_obs_residuals_converged_versus_random(default_scene, rng):
     report = analysis.obs_residuals(default_scene, default_scene.steering, result.beamformer, WTS)
     assert report.stationarity_residual <= 1e-2
     assert report.comm_structure_residual <= 1e-2
-    assert report.sense_eigen_residual <= 1e-2
+    # with users the default solve has no sensing columns; the eigenvector
+    # condition is checked where the sensing block carries power
+    radar = sample_scene(0, n_users=0)
+    sensing = solve(radar, WTS, cfg).beamformer
+    assert _active_sense_columns(sensing) > 0
+    assert analysis.obs_residuals(radar, radar.steering, sensing, WTS).sense_eigen_residual <= 1e-2
 
     shape = result.beamformer.matrix.shape
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -114,8 +119,20 @@ def test_obs_residuals_sensing_only(default_scene):
     report = analysis.obs_residuals(default_scene, default_scene.steering, result.beamformer, weights)
     # comm structure is vacuous without a rate term
     assert report.comm_structure_residual == 0.0
+    assert report.stationarity_residual <= 1e-2
+    # the sensing block is active without users, where the default keeps M streams
+    radar = sample_scene(0, targets=benchmark_targets(), n_users=0)
+    sensing = solve(radar, weights, cfg).beamformer
+    assert sensing.n_sense > 0 and _active_sense_columns(sensing) > 0
+    report = analysis.obs_residuals(radar, radar.steering, sensing, weights)
     assert report.sense_eigen_residual <= 1e-2
-    assert report.sense_rank <= 3 * default_scene.n_targets
+    assert 0 < report.sense_rank <= 3 * radar.n_targets
+
+
+def _active_sense_columns(w: Beamformer) -> int:
+    """Sensing columns above obs_residuals' default zero-column tolerance."""
+    norms = np.linalg.norm(w.w_sense, axis=0)
+    return int(np.count_nonzero(norms > 1e-2 * np.sqrt(w.power_budget)))
 
 
 def test_obs_residuals_no_sensing_block(default_scene):

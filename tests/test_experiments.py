@@ -1,10 +1,12 @@
 """Sweep harness: config validation, record ordering, CSV determinism, verify."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from isacbeam import ExperimentConfig, run_experiment
-from isacbeam import experiments
+from isacbeam import experiments, sca
 from isacbeam.experiments import CSV_HEADER, config_from_dict, records_to_csv, verify
 from isacbeam.sca import SolverConfig
 
@@ -168,3 +170,22 @@ def test_verify_checks_an_active_sensing_block():
     [check] = [c for c in verify(seed=0) if c.name == "obs_sense_eigen_residual"]
     assert check.passed and check.threshold == 1e-2
     assert check.value > 0.0
+
+
+def test_verify_drops_only_its_cap_warning(caplog, monkeypatch):
+    # the capped solve's max_iters warning is expected and dropped; any other
+    # warning of that solve, such as a failed ascent, still comes through
+    solve = sca.solve
+
+    def noisy(scene, weights, cfg=SolverConfig(), **kw):
+        result = solve(scene, weights, cfg, **kw)
+        if cfg.max_iters == 5:
+            sca.logger.warning("solver stopped: no ascent after %d shift doublings", 30)
+        return result
+
+    monkeypatch.setattr(sca, "solve", noisy)
+    with caplog.at_level(logging.WARNING, logger=sca.logger.name):
+        verify(seed=0)
+    messages = [r.getMessage() for r in caplog.records]
+    assert "solver stopped: no ascent after 30 shift doublings" in messages
+    assert not [m for m in messages if m.startswith("solver hit max_iters")]
