@@ -4,13 +4,14 @@ Instead of the full n_tx x (K + n_sense) beamformer W, it iterates on the
 frame coordinates Q of `sca.solver_core`, W = V~ Q with V~ an orthonormal
 basis of the span of V = [channels, steering, steering derivatives] (left
 singular vectors of V), whose rank r <= K + 3M is independent of the antenna
-count, from the start B^H P0 of `sca.start_coefficients`. The default
-n_sense is the structural stream count there, so Q is r x (K + n_sense)
-with no more sensing columns than the optimum needs. The iteration is the
-shared core in `sca.run`: Z = B Q, lift is the identity, and the projection
-scales Q onto the sphere |Q|^2 = power budget, which is also the retraction
-of the quasi-Newton candidate. The lifted beamformer stays in span(V), so the
-per-antenna constraint cannot be honoured here.
+count, from the start B^H P0 of `sca.start_coefficients` (regularized
+zero-forcing by default). The default n_sense is the structural stream
+count there, so Q is r x (K + n_sense) with no more sensing columns than the
+optimum needs. The iteration is the shared core in `sca.run`: Z = B Q,
+lift is the identity, and the projection scales Q onto the sphere
+|Q|^2 = power budget, which is also the retraction of the quasi-Newton
+candidate. The lifted beamformer stays in span(V), so the per-antenna
+constraint cannot be honoured here.
 """
 
 from __future__ import annotations

@@ -19,10 +19,12 @@ Palomar, IEEE TSP 2017) is
 with D = blockdiag(delta_c diag(sigma2), -delta_s K) the surrogate curvature
 in basis coordinates and lambda = 1.1 max|eig(B^H D B)| the exact spectral
 shift. Every start is built as basis coefficients P0, whose frame
-coordinates are B^H P0. `solve` keeps antenna coordinates (X = W,
-Q = V~^H W, lift = V~., sphere or per-antenna Pi); `lowdim.solve_ld` keeps
-frame coordinates (X = Q, lift the identity, Pi the sphere). Both run the
-loop in `run`.
+coordinates are B^H P0; the default is regularized zero-forcing
+(`start_coefficients`), the structure of the optimal communication beams
+(Bjornson, Bengtsson & Ottersten, IEEE SPM 2014). `solve` keeps antenna
+coordinates (X = W, Q = V~^H W, lift = V~., sphere or per-antenna Pi);
+`lowdim.solve_ld` keeps frame coordinates (X = Q, lift the identity, Pi the
+sphere). Both run the loop in `run`.
 
 Under the total-power constraint each iteration first forms a quasi-Newton
 candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
@@ -38,9 +40,10 @@ quasi-Newton acceleration of MM (Zhou, Alexander & Lange, Stat. Comput.
 linearized sensing term bounds -tr(F^-1) from above, not below, so even the
 MM candidate can descend: then the ascent check doubles the shift and
 retries it. A candidate that falls by no more than tol_objective counts as
-no change (the iterate stays and the solve has converged), so every
-objective trace is monotone. The result reports the stationarity residual
-at the returned iterate, computed from the same frame coordinates.
+no change (the iterate stays and the solve has converged, except on the
+first pass, which cannot end a solve), so every objective trace is
+monotone. The result reports the stationarity residual at the returned
+iterate, computed from the same frame coordinates.
 Per-antenna solves and first iterations, which have no quasi-Newton
 direction, take the MM candidate alone.
 """
@@ -78,7 +81,7 @@ __all__ = [
     "run",
     "solve",
     "analytic_gradient",
-    "matched_filter_init",
+    "start_beamformer",
     "start_coefficients",
 ]
 
@@ -118,7 +121,7 @@ class CommAux:
 class SolverConfig:
     max_iters: int = 5000
     tol_objective: float = 1e-4
-    init_mode: str = "matched-filter"  # or "random"
+    init_mode: str = "rzf"  # or "random"
     power_constraint: str = "total"  # or "per-antenna"
     init_seed: int = 0
 
@@ -127,8 +130,8 @@ class SolverConfig:
             raise ValueError("tol_objective must be finite and nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.init_mode not in ("matched-filter", "random"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        if self.init_mode not in ("rzf", "random"):
+            raise ValueError(f"unknown init_mode {self.init_mode!r}: use 'rzf' or 'random'")
         if self.power_constraint not in ("total", "per-antenna"):
             raise ValueError(f"unknown power_constraint {self.power_constraint!r}")
         if self.init_mode == "random":
@@ -339,9 +342,13 @@ def _start_rng(cfg: SolverConfig) -> np.random.Generator:
 
 def start_coefficients(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> np.ndarray:
     """Basis coefficients P0 of the start, (K + 3M) x (K + n_sense), so every
-    start lies in span(V). The matched filter has coefficient 1 on each
-    normalized user channel and on the transmit steering vectors, cycled over
-    the sensing columns; without targets those columns are zero. Under
+    start lies in span(V). The default start is regularized zero-forcing
+    (RZF): the user block is (H^H H + alpha I)^-1 with the MMSE regularization
+    alpha = sum_k sigma2_k / P, so the communication columns are
+    H (H^H H + alpha I)^-1, the structure of the optimal beams (Bjornson,
+    Bengtsson & Ottersten, IEEE SPM 2014), and the sensing columns have
+    coefficient 1 on the transmit steering vectors, cycled over the sensing
+    columns; without targets those columns are zero. Under
     init_mode="random" the coefficients are standard complex normal.
 
     n_sense defaults to a reduced count of dedicated sensing streams, after
@@ -365,16 +372,17 @@ def start_coefficients(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) 
         rng = _start_rng(cfg)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     p0 = np.zeros(shape, dtype=complex)
-    norms = np.linalg.norm(scene.channels, axis=0)
-    p0[np.arange(k), np.arange(k)] = 1.0 / np.where(norms > 0, norms, 1.0)
+    h = scene.channels
+    alpha = scene.noise_comm.sum() / scene.power_budget
+    p0[:k, :k] = np.linalg.inv(h.conj().T @ h + alpha * np.eye(k))
     if m:
         p0[k + np.arange(n_sense) % m, k + np.arange(n_sense)] = 1.0
     return p0
 
 
-def matched_filter_init(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> Beamformer:
+def start_beamformer(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> Beamformer:
     """The start in the antenna domain: the projection of V P0, P0 from
-    `start_coefficients` (the matched filter by default)."""
+    `start_coefficients` (regularized zero-forcing by default)."""
     w = _project(_basis(scene) @ start_coefficients(scene, n_sense, cfg), scene.power_budget, cfg)
     return Beamformer(w[:, : scene.n_users], w[:, scene.n_users :], scene.power_budget)
 
@@ -494,10 +502,14 @@ def run(
     there, or a smaller gain), and always under the per-antenna constraint,
     the iteration forms the MM candidate and keeps the better of the two.
     If neither ascends, the shift doubles (at most MAX_RETRIES times) until
-    the MM candidate does. converged=True means the better of both
-    candidates gained at most tol_objective; a run that exhausts max_iters
-    without meeting the tolerance, or finds no ascent, is reported via
-    converged=False, never silently truncated.
+    the MM candidate does. converged=True means that on a pass after the
+    first the better of both candidates gained at most tol_objective. The
+    first pass cannot end the solve: it has only the MM candidate, whose step
+    length comes from the global curvature bound alone, so a small gain there
+    says little about stationarity (from the RZF start at 30 dBm it would end
+    most solves after one pass). A run that exhausts max_iters without meeting
+    the tolerance, or finds no ascent, is reported via converged=False, never
+    silently truncated.
     """
     frame, frame_h = core.frame, core.frame.conj().T
 
@@ -550,7 +562,7 @@ def run(
             d = curvature(core, point)
             h = frame_h @ half_gradient(core, point, z, d)
         trace.append(point.objective)
-        if delta <= cfg.tol_objective:
+        if delta <= cfg.tol_objective and len(trace) > 2:
             converged = True
             break
     t_iter = time.perf_counter() - t1

@@ -214,7 +214,7 @@ def test_trace_inverse_surrogate_tangent_and_bound(default_scene, rng):
 
 def test_trace_quadratic_surrogate_tangent_and_bound(default_scene, rng):
     scene = default_scene
-    w0 = sca.matched_filter_init(scene, 6, SolverConfig())
+    w0 = sca.start_beamformer(scene, 6, SolverConfig())
     core = sca.solver_core(scene, DEFAULT_WEIGHTS)
     d = sca.curvature(core, sca.evaluate(core, core.basis.conj().T @ w0.matrix))
     shift = sca.shift_parameter(core, d)
@@ -253,14 +253,15 @@ def test_ld_faster_per_iteration_at_1024_antennas():
 
 
 def test_quasi_newton_candidate_accelerates_20_dbm():
-    # plain MM took 1235 iterations here and stopped at residual 0.23; a
-    # trust radius that only shrank would take about 390
+    # from the RZF start the shipped solve takes 20 iterations to residual
+    # 0.038; plain MM takes 545 and stops at residual 0.22, and a trust
+    # radius that only shrank stops after 13 at residual 0.21
     scene = sample_scene(0, targets=benchmark_targets(), power_dbm=20)
     for front_end in (solve, solve_ld):
         result = front_end(scene, DEFAULT_WEIGHTS)
         assert result.converged
         assert result.iterations <= 100, front_end.__name__
-        assert result.stationarity < 0.22, front_end.__name__
+        assert result.stationarity < 0.1, front_end.__name__
 
 
 # --- 9. sensing stream threshold --------------------------------------------

@@ -1,6 +1,7 @@
 """Sweep harness: config validation, record ordering, CSV determinism, verify."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_csv_header_and_determinism():
     assert a.splitlines()[0] == CSV_HEADER
     assert a == b  # byte-identical with measure_time=False
     assert len(a.splitlines()) == 9
+
+
+def test_process_pool_returns_the_same_records():
+    # the pool path of run_experiment, as the power sweep of the benchmark
+    # runs it: two workers give the serial records, in the serial order
+    cfg = ExperimentConfig(
+        sweep_axis="power_dbm", sweep_values=(-10.0, 10.0, 20.0), trials=1,
+        solver="both", measure_time=False,
+    )
+    serial = run_experiment(cfg)
+    pooled = run_experiment(replace(cfg, workers=2))
+    assert len(serial.records) == 6
+    assert pooled.records == serial.records
+    assert pooled.summary == serial.summary
 
 
 def test_n_sense_sweep_front_ends_agree():

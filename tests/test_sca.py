@@ -2,6 +2,7 @@
 
 import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_matched_filter_single_channel_rate_maximizer():
         slots=8,
         power_budget=10.0,
     )
-    w = sca.matched_filter_init(scene, 0, SolverConfig())
+    w = sca.start_beamformer(scene, 0, SolverConfig())  # RZF of one user
     expect = np.sqrt(10.0) * h / np.linalg.norm(h)
     assert np.allclose(w.w_comm, expect)
 
@@ -92,6 +93,65 @@ def test_adjoint_identity_between_fim_and_quad(default_scene, rng):
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
+def _rzf_oracle(scene):
+    """Projection of H (H^H H + alpha I)^-1, alpha = sum sigma2 / P, formed in
+    the antenna domain from the channels alone."""
+    h = scene.channels
+    alpha = scene.noise_comm.sum() / scene.power_budget
+    w = h @ np.linalg.inv(h.conj().T @ h + alpha * np.eye(scene.n_users))
+    return np.sqrt(scene.power_budget) / np.linalg.norm(w) * w
+
+
+def _collinear_users(scene):
+    channels = scene.channels.copy()
+    channels[:, 1] = channels[:, 0]
+    return replace(scene, channels=channels)
+
+
+@pytest.mark.parametrize(
+    "make_scene",
+    [
+        pytest.param(lambda: sample_scene(0, targets=benchmark_targets()), id="default"),
+        pytest.param(lambda: _collinear_users(sample_scene(0, targets=benchmark_targets())), id="collinear"),
+        pytest.param(
+            lambda: sample_scene(
+                7, tx_geometry=ArrayGeometry(1, 1), rx_geometry=ArrayGeometry(2, 2),
+                n_users=3, n_targets=1, n_slots=8,
+            ),
+            id="more-users-than-antennas",
+        ),
+    ],
+)
+def test_start_is_regularized_zero_forcing(make_scene):
+    # the default start's communication columns are RZF: on the default
+    # scene, with two identical user channels (H^H H singular) and with three
+    # users on one antenna (K > n_tx); it is finite, on the sphere, and both
+    # front ends take the same iterates from it
+    scene = make_scene()
+    w = sca.start_beamformer(scene, 0, SolverConfig())
+    assert np.all(np.isfinite(w.matrix))
+    assert w.total_power == pytest.approx(scene.power_budget, rel=1e-12)
+    expect = _rzf_oracle(scene)
+    assert np.linalg.norm(w.w_comm - expect) <= 1e-10 * np.linalg.norm(expect)
+    full, ld = solve(scene, WTS), solve_ld(scene, WTS)
+    assert ld.iterations == full.iterations
+    np.testing.assert_allclose(ld.objective_trace, full.objective_trace, rtol=1e-8)
+
+
+def test_high_power_solves_never_stop_on_the_first_pass():
+    # the first pass has only the MM candidate, whose step comes from the
+    # global curvature bound; stopping there at 30 dBm ends most RZF solves
+    # after one pass at a mean objective of 34.804 (weights 1/0), below the
+    # matched filter's 34.894; the means below are the matched filter's
+    for weights, floor in ((Weights(1.0, 0.0), 34.894), (Weights(0.25, 1.0), 8.541)):
+        results = [
+            solve(sample_scene(seed, targets=benchmark_targets(), power_dbm=30), weights)
+            for seed in range(12)
+        ]
+        assert all(r.converged and r.iterations >= 2 for r in results)
+        assert np.mean([r.objective for r in results]) >= floor
+
+
 def _curvature_at(scene, w):
     core = sca.solver_core(scene, WTS)
     z = core.basis.conj().T @ w.matrix
@@ -101,7 +161,7 @@ def _curvature_at(scene, w):
 
 def test_shift_makes_curvature_positive_semidefinite(default_scene):
     scene = default_scene
-    w = sca.matched_filter_init(scene, 6, SolverConfig())
+    w = sca.start_beamformer(scene, 6, SolverConfig())
     core, _, _, d = _curvature_at(scene, w)
     shift = sca.shift_parameter(core, d)
     c2 = shift * np.eye(scene.n_tx) - core.basis @ d @ core.basis.conj().T
@@ -111,7 +171,7 @@ def test_shift_makes_curvature_positive_semidefinite(default_scene):
 
 def test_step_equals_projected_gradient_ascent(default_scene):
     scene = default_scene
-    w = sca.matched_filter_init(scene, 6, SolverConfig())
+    w = sca.start_beamformer(scene, 6, SolverConfig())
     core, z, point, d = _curvature_at(scene, w)
     project = lambda x: sca.project_total_power(x, scene.power_budget)
     shift = sca.shift_parameter(core, d)
@@ -126,7 +186,7 @@ def test_analytic_gradient_matches_finite_differences(small_scene):
     from isacbeam.analysis import fd_gradient
 
     cfg = SolverConfig()
-    w = sca.matched_filter_init(small_scene, 2, cfg)
+    w = sca.start_beamformer(small_scene, 2, cfg)
     grad = sca.analytic_gradient(small_scene, w, WTS)
     oracle = fd_gradient(small_scene, w, WTS)
     assert np.linalg.norm(grad - oracle) / np.linalg.norm(oracle) < 1e-5
@@ -145,8 +205,6 @@ def test_solve_monotone_and_on_sphere(default_scene):
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
 def test_solve_reports_nonconvergence(default_scene, front_end, caplog):
-    from dataclasses import replace
-
     cfg = replace(SolverConfig(), tol_objective=0.0, max_iters=4)
     with caplog.at_level(logging.WARNING, logger="isacbeam.sca"):
         result = front_end(default_scene, WTS, cfg)
@@ -174,8 +232,8 @@ def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, mo
 
     for name in ("shift_parameter", "sca_step", "evaluate"):
         monkeypatch.setattr(sca, name, counted(name, getattr(sca, name)))
-    # calibrated on 3M sensing streams: 9 MM candidates in 43 iterations
-    # there, 9 in 28 at the default stream count
+    # calibrated on 3M sensing streams: 8 MM candidates in 50 iterations
+    # there, 4 in 20 at the default stream count
     result = front_end(default_scene, WTS, n_sense=3 * default_scene.n_targets)
     assert result.converged
     assert 0 < events.count("shift_parameter") < 0.3 * result.iterations
@@ -205,14 +263,27 @@ def test_trust_radius_leaves_mm_only_paths_alone(default_scene, monkeypatch):
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
-def test_trust_radius_recovers_from_short_steps(front_end):
+def test_trust_radius_recovers_from_short_steps(front_end, monkeypatch):
     # after a run of failed quasi-Newton steps the radius can be too short for
     # any step to gain tol_objective; had it grown only after such gains, this
-    # solve would have crawled at the MM pace for about 3000 iterations
-    # (about 1100 without a radius)
-    result = front_end(sample_scene(14, targets=benchmark_targets(), power_dbm=30), WTS)
+    # solve would have crawled at the MM pace for about 1970 iterations. The
+    # random start keeps it far from the optimum (from the RZF start it ends
+    # in 11 iterations), and the capped steps show the radius at work
+    capped = []
+    direction = sca._History.direction
+
+    def measured_direction(history, radius):
+        step = direction(history, radius)
+        if step is not None:
+            capped.append(step[1] == radius)
+        return step
+
+    monkeypatch.setattr(sca._History, "direction", measured_direction)
+    scene = sample_scene(19, targets=benchmark_targets(), power_dbm=30)
+    result = front_end(scene, WTS, SolverConfig(init_mode="random"))
     assert result.converged
     assert result.iterations <= 200
+    assert any(capped)
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
@@ -357,6 +428,8 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(init_mode="zeros")
+    with pytest.raises(ValueError, match="'rzf'"):  # the matched-filter start is gone
+        SolverConfig(init_mode="matched-filter")
     with pytest.raises(ValueError):
         SolverConfig(power_constraint="per-user")
     with pytest.raises(ValueError, match="init_mode"):  # a seed the start would ignore
@@ -398,8 +471,6 @@ def test_negative_n_sense_raises(front_end, small_scene):
 
 
 def test_solve_random_init_mode(small_scene):
-    from dataclasses import replace
-
     cfg = replace(SolverConfig(), init_mode="random", init_seed=1)
     result = solve(small_scene, WTS, cfg)
     assert result.beamformer.total_power == pytest.approx(small_scene.power_budget, rel=1e-9)
@@ -407,8 +478,6 @@ def test_solve_random_init_mode(small_scene):
 
 
 def test_solve_per_antenna_constraint(small_scene):
-    from dataclasses import replace
-
     cfg = replace(SolverConfig(), power_constraint="per-antenna")
     result = solve(small_scene, WTS, cfg)
     rows = np.sum(np.abs(result.beamformer.matrix) ** 2, axis=1)
