@@ -5,15 +5,14 @@ frame coordinates Q of `sca.solver_core`, W = V~ Q with V~ an orthonormal
 basis of the span of V = [channels, steering, steering derivatives] (left
 singular vectors of V), whose rank r <= K + 3M is independent of the antenna
 count, from the start B^H P0 of `sca.start_coefficients` (regularized
-zero-forcing by default). The default n_sense is the structural stream
-count there, so Q is r x (K + n_sense) with no more sensing columns than the
-optimum needs. The iteration is the shared core in `sca.run`: Z = B Q,
-lift is the identity, and the projection scales Q onto the sphere
-|Q|^2 = power budget, which is also the retraction of the quasi-Newton
-candidate. The lifted beamformer stays in span(V), so the per-antenna
-constraint cannot be honoured here.
+zero-forcing by default, with the structural stream count there). The
+iteration is `sca.run` under the total-power constraint: Z = B Q, lift is
+the identity, the projection onto the sphere |Q|^2 = power budget is also
+the retraction of the quasi-Newton candidate, and W is lifted once at the
+end. Total-power `sca.solve` makes the same call, so both return the same
+result bit for bit. The lifted beamformer stays in span(V), so the
+per-antenna constraint cannot be honoured here.
 """
-
 from __future__ import annotations
 
 import time
@@ -37,21 +36,12 @@ def solve_ld(
     the antenna domain (on the power sphere there by construction).
 
     n_sense defaults to the structural stream count of
-    `sca.start_coefficients`. The start is B^H P0 scaled onto the
-    sphere, so from every start it takes the same iterates as `sca.solve`.
-    Raises ValueError for power_constraint="per-antenna", whose projection
-    leaves span(V).
+    `sca.start_coefficients`. The start is B^H P0 scaled onto the sphere;
+    the result equals that of total-power `sca.solve`. Raises ValueError
+    for power_constraint="per-antenna", whose projection leaves span(V).
     """
     t0 = time.perf_counter()
     if cfg.power_constraint != "total":
         raise ValueError("solve_ld honours only power_constraint='total'")
     p0 = sca.start_coefficients(scene, n_sense, cfg)
-    core = sca.solver_core(scene, weights)
-    return sca.run(
-        core, p0, cfg,
-        coords=lambda q: q,
-        lift=lambda q: q,
-        project=lambda q: sca.project_total_power(q, scene.power_budget),
-        antenna=lambda q: core.orthonormal @ q,
-        t0=t0,
-    )
+    return sca.run(sca.solver_core(scene, weights), p0, cfg, t0)

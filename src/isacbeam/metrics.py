@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene
+from .scene import Scene, SteeringSet
 
 __all__ = [
     "Beamformer",
@@ -125,7 +125,14 @@ def sum_rate(scene: Scene, w: Beamformer) -> float:
 
 
 def fisher_operator(scene: Scene) -> np.ndarray:
-    """The Fisher operator T of the scene's targets: the complex
+    """The Fisher operator T of the scene's targets, read-only and shared
+    with every scene of the same target geometry (`scene.target_geometry`
+    builds it once by `_fisher_operator`)."""
+    return scene.geometry.operator
+
+
+def _fisher_operator(steering: SteeringSet, slots: int, noise_radar: float) -> np.ndarray:
+    """The Fisher operator T of the targets of a steering set: the complex
     (16M^2, 9M^2) matrix whose row (i, j) is vec(T_ij), with
 
         T_ij = (L / sigma^2) (C_i^H Bbar^H Bbar C_j + C_j^H Bbar^H Bbar C_i),
@@ -138,7 +145,6 @@ def fisher_operator(scene: Scene) -> np.ndarray:
     are equal and every T_ij is Hermitian, both exactly, so F is symmetric
     whatever R_s and the adjoint K(phi) = sum_ij phi_ij T_ij is Hermitian.
     """
-    steering = scene.steering
     m = steering.n_targets
     u = steering.rcs
     i = np.arange(m)
@@ -149,7 +155,7 @@ def fisher_operator(scene: Scene) -> np.ndarray:
     c[m + i, i, 2 * m + i] = u  # elevation: B U A_dphi^H
     c[2 * m + i, i, i] = 1.0  # Re rcs: B A^H
     c[3 * m + i, i, i] = 1j  # Im rcs: j B A^H
-    weighted = (2.0 * scene.slots / scene.noise_radar) * ((steering.rx.conj().T @ steering.rx) @ c)
+    weighted = (2.0 * slots / noise_radar) * ((steering.rx.conj().T @ steering.rx) @ c)
     # x[i, j] = C_i^H Bbar^H Bbar C_j (2L / sigma^2); both sums below are
     # symmetric term by term, which makes the symmetries exact in floating point.
     x = c.conj().transpose(0, 2, 1)[:, None] @ weighted[None, :]

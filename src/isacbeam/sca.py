@@ -21,10 +21,12 @@ in basis coordinates and lambda = 1.1 max|eig(B^H D B)| the exact spectral
 shift. Every start is built as basis coefficients P0, whose frame
 coordinates are B^H P0; the default is regularized zero-forcing
 (`start_coefficients`), the structure of the optimal communication beams
-(Bjornson, Bengtsson & Ottersten, IEEE SPM 2014). `solve` keeps antenna
-coordinates (X = W, Q = V~^H W, lift = V~., sphere or per-antenna Pi);
-`lowdim.solve_ld` keeps frame coordinates (X = Q, lift the identity, Pi the
-sphere). Both run the loop in `run`.
+(Bjornson, Bengtsson & Ottersten, IEEE SPM 2014). Under the total-power
+constraint both front ends make one call of `run`, which iterates on X = Q
+(lift the identity, Pi the sphere) and lifts once at the end, W = V~ Q; only
+a per-antenna `solve` keeps antenna coordinates (X = W, Q = V~^H W,
+lift = V~.), since that projection leaves span(V). The steering set, Fisher
+operator and identifiability come memoized from `scene.target_geometry`.
 
 Under the total-power constraint each iteration first forms a quasi-Newton
 candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
@@ -186,21 +188,21 @@ class SolverCore:
 @dataclass(frozen=True)
 class Point:
     """Objective value at an iterate and the surrogate auxiliaries there:
-    the rate auxiliaries and the squared inverse Fisher matrix (None without a
-    sensing term)."""
+    the rate auxiliaries, the squared inverse Fisher matrix and the CRLB
+    trace tr(F^-1) (None and NaN without a sensing term)."""
 
     objective: float
     comm: CommAux
     inv_sq: Optional[np.ndarray]
+    crlb: float = math.nan
 
 
 def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     """Basis, frame and Fisher operator of a scene.
 
-    A positive sensing weight needs targets whose parameters are identifiable:
-    the Fisher matrix at R_x = I has the largest null space of any transmit
-    covariance, so when it is rank-deficient every beamformer's Fisher matrix
-    is singular (repeated targets, for example) and ValueError is raised.
+    A positive sensing weight needs targets whose parameters are identifiable
+    (`scene.TargetGeometry`); otherwise every beamformer's Fisher matrix is
+    singular and ValueError is raised.
     """
     basis = _basis(scene)
     left, sing, _ = np.linalg.svd(basis, full_matrices=False)
@@ -210,12 +212,9 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     frame = basis.conj().T @ orthonormal
     if weights.sense > 0 and scene.n_targets == 0:
         raise ValueError("a positive sensing weight needs at least one target")
-    operator = metrics.fisher_operator(scene) if scene.n_targets else None
-    if weights.sense > 0:
-        sbar = basis[:, scene.n_users :]
-        widest = metrics.fim_matrix(operator, sbar.conj().T @ sbar)
-        if np.linalg.matrix_rank(widest, hermitian=True) < widest.shape[0]:
-            raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
+    if weights.sense > 0 and not scene.geometry.identifiable:
+        raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
+    operator = scene.geometry.operator if scene.n_targets else None
     return SolverCore(scene, weights, basis, frame, orthonormal, operator)
 
 
@@ -242,7 +241,8 @@ def evaluate(core: SolverCore, z: np.ndarray) -> Point:
         return Point(value, aux, None)
     zs = z[k:]
     inv = metrics.spd_inverse(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
-    return Point(value - core.weights.sense * float(inv.trace()), aux, inv @ inv)
+    crlb = float(inv.trace())
+    return Point(value - core.weights.sense * crlb, aux, inv @ inv, crlb)
 
 
 def curvature(core: SolverCore, point: Point) -> np.ndarray:
@@ -387,6 +387,9 @@ def start_beamformer(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) ->
     return Beamformer(w[:, : scene.n_users], w[:, scene.n_users :], scene.power_budget)
 
 
+_UPPER = np.triu(np.ones((MEMORY, MEMORY)))  # masks S^T Y to its upper triangle R
+
+
 class _History:
     """Limited-memory quasi-Newton model of the objective on the power sphere
     |Q|^2 = budget, in frame coordinates Q with the plain inner product
@@ -405,7 +408,6 @@ class _History:
         self.count = 0  # pairs in memory
         self.last: Optional[tuple] = None  # the newest iterate, its Riemannian gradient, its shape
         self.scale = 1.0  # <s, y> / <y, y> of the newest pair: the initial inverse Hessian
-        self.upper = np.triu(np.ones((MEMORY, MEMORY)))
 
     def observe(self, q: np.ndarray, h: np.ndarray) -> None:
         """Take the Riemannian ascent direction h - mu Q at the iterate Q
@@ -445,7 +447,7 @@ class _History:
         pairs = self.rows[:m].reshape(2 * m, -1)  # s_0, y_0, s_1, y_1, ...
         gram = pairs @ self.rows[:m, 1].T  # rows <s_i, y_j> and <y_i, y_j> in turn
         sy = gram[::2]
-        inverse = np.linalg.inv(sy * self.upper[:m, :m])
+        inverse = np.linalg.inv(sy * _UPPER[:m, :m])
         products = pairs.dot(v)
         c = inverse @ products[::2]
         coefficients = np.empty(2 * m)
@@ -476,24 +478,17 @@ def _stationarity(q: np.ndarray, h: np.ndarray, off_span: float, budget: float) 
     return float(np.hypot(np.linalg.norm(h - mu * q), mu * off_span) / norm)
 
 
-def run(
-    core: SolverCore,
-    p0: np.ndarray,
-    cfg: SolverConfig,
-    coords: Callable[[np.ndarray], np.ndarray],
-    lift: Callable[[np.ndarray], np.ndarray],
-    project: Callable[[np.ndarray], np.ndarray],
-    antenna: Callable[[np.ndarray], np.ndarray],
-    t0: float,
-) -> SolveResult:
-    """The iteration shared by both front ends, from the start
-    project(lift(B^H P0)) to tolerance or iteration budget.
+def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> SolveResult:
+    """The iteration of both front ends, from the start project(lift(B^H P0))
+    to tolerance or iteration budget.
 
-    p0 holds the start's basis coefficients (`start_coefficients`), coords
-    maps an iterate to its frame coordinates Q, lift maps frame coordinates
-    into the iterate's coordinates, project applies the power constraint
-    there, and antenna returns the antenna-domain beamformer matrix; t0 is
-    the front end's start time. Under the total-power constraint each
+    p0 holds the start's basis coefficients (`start_coefficients`) and t0 is
+    the front end's start time. The iterate X has frame coordinates
+    coords(X) = Q; lift maps frame coordinates into X's, project applies the
+    power constraint there, and antenna returns the beamformer. Under the
+    total-power constraint X = Q, lift is the identity and W = V~ Q is formed
+    once, at the end; under the per-antenna constraint, whose projection
+    leaves span(V), X = W. Under the total-power constraint each
     iteration first evaluates the quasi-Newton candidate, its step capped at
     the trust radius; the radius becomes at least GROW times the step when the
     candidate climbs, and SHRINK times the step when it does not or its
@@ -512,6 +507,17 @@ def run(
     silently truncated.
     """
     frame, frame_h = core.frame, core.frame.conj().T
+    budget, v = core.scene.power_budget, core.orthonormal
+    if cfg.power_constraint == "total":
+        coords = lift = lambda q: q
+        project = lambda q: project_total_power(q, budget)
+        antenna = lambda q: v @ q
+    else:
+        v_h = v.conj().T
+        coords = lambda w: v_h @ w
+        lift = lambda q: v @ q
+        project = lambda w: project_per_antenna(w, budget)
+        antenna = lambda w: w
 
     def candidate(nxt: np.ndarray) -> tuple:
         q = coords(nxt)
@@ -521,7 +527,7 @@ def run(
     x, q, z, point = candidate(project(lift(frame_h @ p0)))
     d = curvature(core, point)
     h = frame_h @ half_gradient(core, point, z, d)
-    history = _History(core.scene.power_budget) if cfg.power_constraint == "total" else None
+    history = _History(budget) if cfg.power_constraint == "total" else None
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
     t1 = time.perf_counter()
@@ -579,8 +585,8 @@ def run(
     wmat = antenna(x)
     w = Beamformer(wmat[:, : scene.n_users], wmat[:, scene.n_users :], scene.power_budget)
     final_rate = metrics.sum_rate(scene, w)
-    final_crlb = float("nan")  # without targets, or at a singular or non-finite Fisher matrix
-    if core.operator is not None:
+    final_crlb = point.crlb  # NaN without targets, or at a singular or non-finite Fisher matrix
+    if core.weights.sense == 0 and core.operator is not None:
         zs = z[scene.n_users :]
         try:
             final_crlb = metrics.crlb_trace(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
@@ -611,23 +617,14 @@ def solve(
     cfg: SolverConfig = SolverConfig(),
     n_sense: Optional[int] = None,
 ) -> SolveResult:
-    """Full-dimension front end: iterates on the antenna-domain beamformer, so
-    it honours the per-antenna constraint (with MM candidates only). It
-    starts at the projection of V P0, and under the total-power constraint
-    takes the same iterates as `lowdim.solve_ld` from every start.
+    """Front end for both power constraints, from the projection of V P0.
+    Under the total-power constraint it is the same call as
+    `lowdim.solve_ld`: it iterates on the frame coordinates Q and lifts once
+    at the end. Only a per-antenna solve iterates on the antenna-domain
+    beamformer, whose projection leaves span(V), with MM candidates only.
 
     n_sense defaults to the structural stream count of `start_coefficients`.
     """
     t0 = time.perf_counter()
     p0 = start_coefficients(scene, n_sense, cfg)
-    core = solver_core(scene, weights)
-    budget = scene.power_budget
-    orthonormal_h = core.orthonormal.conj().T
-    return run(
-        core, p0, cfg,
-        coords=lambda w: orthonormal_h @ w,
-        lift=lambda q: core.orthonormal @ q,
-        project=lambda w: _project(w, budget, cfg),
-        antenna=lambda w: w,
-        t0=t0,
-    )
+    return run(solver_core(scene, weights), p0, cfg, t0)

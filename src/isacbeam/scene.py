@@ -19,6 +19,8 @@ __all__ = [
     "Target",
     "Scene",
     "SteeringSet",
+    "TargetGeometry",
+    "target_geometry",
     "steering_vector",
     "steering_derivatives",
     "build_steering_set",
@@ -93,8 +95,9 @@ class Scene:
     """One problem instance: geometries, channels, targets, powers.
 
     channels has shape (n_tx, n_users); noise_comm has one entry per user
-    (linear mW). Immutable after construction; `steering` is the targets'
-    stacked sensing geometry, built on first use.
+    (linear mW). Immutable after construction; `geometry` and `steering`
+    are read on first use from the memoized `target_geometry`, which every
+    scene with the same tx/rx geometry, targets, slots and radar noise shares.
     """
 
     tx_geometry: ArrayGeometry
@@ -144,8 +147,17 @@ class Scene:
         return len(self.targets)
 
     @functools.cached_property
+    def geometry(self) -> "TargetGeometry":
+        """What the scene's targets fix independently of its channels
+        (`target_geometry`), shared with every scene of the same geometry."""
+        return target_geometry(
+            self.tx_geometry, self.rx_geometry, self.targets, self.slots, self.noise_radar
+        )
+
+    @functools.cached_property
     def steering(self) -> "SteeringSet":
-        """Sbar, Bbar and the reflection coefficients (`build_steering_set`)."""
+        """Sbar, Bbar and the reflection coefficients (`build_steering_set`):
+        shared with every scene of the same target geometry, so read-only."""
         return build_steering_set(self)
 
 
@@ -207,14 +219,48 @@ def steering_derivatives(geom: ArrayGeometry, azimuth: float, elevation: float):
 
 
 def build_steering_set(scene: Scene) -> SteeringSet:
-    """Sbar, Bbar and the reflection coefficients of every target."""
-    az = np.array([t.azimuth for t in scene.targets], dtype=float)
-    el = np.array([t.elevation for t in scene.targets], dtype=float)
-    return SteeringSet(
-        tx=_steering_columns(scene.tx_geometry, az, el),
-        rx=_steering_columns(scene.rx_geometry, az, el),
-        rcs=np.array([t.rcs for t in scene.targets]),
+    """Sbar, Bbar and the reflection coefficients of every target, from the
+    scene's memoized `target_geometry` (read-only, shared across scenes)."""
+    return scene.geometry.steering
+
+
+# Distinct target geometries whose steering set and Fisher operator each
+# process keeps; the statistical protocol redraws channels under one geometry.
+GEOMETRY_CACHE = 64
+
+
+@dataclass(frozen=True)
+class TargetGeometry:
+    """What a scene's targets fix whatever its channels: the steering set,
+    the Fisher operator (`metrics.fisher_operator`, read-only) and whether
+    the Fisher matrix at R_x = I is nonsingular. That covariance has the
+    largest null space of any, so when identifiable is False every
+    beamformer's Fisher matrix is singular (repeated targets, for example)."""
+
+    steering: SteeringSet
+    operator: np.ndarray
+    identifiable: bool
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE)
+def target_geometry(
+    tx_geometry: ArrayGeometry, rx_geometry: ArrayGeometry, targets: tuple, slots: int, noise_radar: float
+) -> TargetGeometry:
+    """The target geometry of every scene with these fields, built once per
+    process for each of the last GEOMETRY_CACHE distinct keys."""
+    from . import metrics  # which imports this module
+
+    az = np.array([t.azimuth for t in targets], dtype=float)
+    el = np.array([t.elevation for t in targets], dtype=float)
+    steering = SteeringSet(
+        tx=_steering_columns(tx_geometry, az, el),
+        rx=_steering_columns(rx_geometry, az, el),
+        rcs=np.array([t.rcs for t in targets]),
     )
+    operator = _freeze(metrics._fisher_operator(steering, slots, noise_radar))
+    widest = metrics.fim_matrix(operator, steering.tx.conj().T @ steering.tx)
+    identifiable = np.linalg.matrix_rank(widest, hermitian=True) == widest.shape[0]
+    return TargetGeometry(steering, operator, bool(identifiable))
 
 
 _AZIMUTH_SPAN = 2.0 * np.pi / 3.0

@@ -235,7 +235,7 @@ def test_trace_quadratic_surrogate_tangent_and_bound(default_scene, rng):
         assert lhs >= linearized(w) - 1e-9 * max(1.0, abs(lhs))
 
 
-# --- 8. reduced/full parity and per-iteration timing ------------------------
+# --- 8. reduced/full parity ---------------------------------------------------
 
 
 def test_ld_full_parity_50_seeds(benchmark_batch):
@@ -244,12 +244,17 @@ def test_ld_full_parity_50_seeds(benchmark_batch):
         assert abs(ld.objective_trace[-1] - full.objective_trace[-1]) <= 0.01 * ref
 
 
-def test_ld_faster_per_iteration_at_1024_antennas():
+def test_front_ends_identical_at_1024_antennas():
+    # under the total-power constraint both front ends iterate on the frame
+    # coordinates Q and lift once at the end, so no iteration of either pays
+    # for the 1024 antennas and their results are equal bit for bit
     scene = sample_scene(0, tx_geometry=ArrayGeometry(32, 32), targets=benchmark_targets())
-    cfg = replace(SolverConfig(), max_iters=40, tol_objective=0.0)
-    full = solve(scene, DEFAULT_WEIGHTS, cfg)
-    ld = solve_ld(scene, DEFAULT_WEIGHTS, cfg)
-    assert ld.timings["per_iteration_s"] < full.timings["per_iteration_s"]
+    full = solve(scene, DEFAULT_WEIGHTS)
+    ld = solve_ld(scene, DEFAULT_WEIGHTS)
+    assert full.converged and full.iterations == ld.iterations
+    assert np.array_equal(full.objective_trace, ld.objective_trace)
+    assert np.array_equal(full.beamformer.matrix, ld.beamformer.matrix)
+    assert full.beamformer.n_tx == 1024
 
 
 def test_quasi_newton_candidate_accelerates_20_dbm():

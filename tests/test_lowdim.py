@@ -194,15 +194,12 @@ def test_front_ends_agree_or_both_raise(seed, n_users, n_targets, tx, weights, d
     assert ld.objective == pytest.approx(full.objective, rel=1e-8, abs=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the absolute tol_objective (1e-4) lies below the "
-    "roundoff of an objective near -1.8e8 (cond(G) = 1.6e10), so the stop "
-    "falls on a different iteration in each front end",
-)
 def test_front_ends_agree_at_a_large_objective():
-    # a scene inside the property test's domain, pinned so that the split
-    # shows whatever examples Hypothesis draws
+    # a scene inside the property test's domain, pinned whatever examples
+    # Hypothesis draws: at an objective near -1.8e8 (cond(G) = 1.6e10) the
+    # absolute tol_objective (1e-4) lies below roundoff, so where a solve
+    # stops is decided by roundoff; both front ends run the same iteration
+    # and so stop on the same pass
     scene = sample_scene(
         23,
         tx_geometry=ArrayGeometry(3, 3),

@@ -1,5 +1,7 @@
 """Rates, Fisher information, CRLB trace: closed-form cases and oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from isacbeam import (
     SingularFisherError,
     Target,
     Weights,
+    benchmark_targets,
     sample_scene,
 )
 from isacbeam import metrics
+from isacbeam import scene as scene_module
 from isacbeam.analysis import fd_fim
 from isacbeam.scene import Scene
 
@@ -206,6 +210,46 @@ def test_fisher_operator_properties(seed, n_targets):
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in forbidden.items():
             mp.setattr(metrics, name, fn)
+        oracle = fd_fim(scene, w)
+    f = metrics.fim(scene, w)
+    assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) < 1e-5
+
+
+def test_target_geometry_key_is_complete():
+    # a scene that differs from a memoized one in a single key field gets a
+    # steering set and Fisher operator equal to an uncached build
+    targets = benchmark_targets()
+    base = sample_scene(0, targets=targets)
+    metrics.fisher_operator(base)
+    build = scene_module.target_geometry.__wrapped__
+    variants = (
+        sample_scene(0, targets=targets, n_slots=32),
+        sample_scene(0, targets=targets, noise_radar_dbm=3.0),
+        sample_scene(0, targets=targets, rx_geometry=ArrayGeometry(4, 5)),
+        sample_scene(0, targets=targets, tx_geometry=ArrayGeometry(4, 5)),
+        sample_scene(0, targets=(replace(targets[0], rcs=1.5 * targets[0].rcs), targets[1])),
+    )
+
+    def arrays(operator, steering):
+        return [operator, steering.tx, steering.rx, steering.rcs]
+
+    def equal(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    for scene in variants:
+        fresh = build(scene.tx_geometry, scene.rx_geometry, scene.targets, scene.slots, scene.noise_radar)
+        got = arrays(metrics.fisher_operator(scene), scene.steering)
+        assert equal(got, arrays(fresh.operator, fresh.steering))
+        assert not equal(got, arrays(metrics.fisher_operator(base), base.steering))  # a new geometry
+
+
+def test_fd_fim_builds_no_target_geometry(rng):
+    # the finite-difference oracle stays independent of the memoized operator
+    scene = sample_scene(0, targets=benchmark_targets(), n_slots=16)
+    w = make_beamformer(scene, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene_module, "target_geometry", _forbidden("target_geometry"))
+        mp.setattr(metrics, "_fisher_operator", _forbidden("_fisher_operator"))
         oracle = fd_fim(scene, w)
     f = metrics.fim(scene, w)
     assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) < 1e-5

@@ -5,12 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from isacbeam import ArrayGeometry, Target, benchmark_targets, build_steering_set, sample_scene
+from isacbeam import (
+    ArrayGeometry,
+    Target,
+    Weights,
+    benchmark_targets,
+    build_steering_set,
+    metrics,
+    sample_scene,
+    solve,
+)
 from isacbeam.scene import (
     dbm_to_linear,
     scene_from_config,
     steering_derivatives,
     steering_vector,
+    target_geometry,
 )
 
 
@@ -165,6 +175,38 @@ def test_scene_arrays_are_write_protected():
     scene = sample_scene(0)
     with pytest.raises(ValueError):
         scene.channels[0, 0] = 0.0
+
+
+def test_channel_draws_share_one_read_only_target_geometry():
+    # the statistical protocol redraws channels under fixed targets: the
+    # steering set and Fisher operator are built once and shared read-only
+    a = sample_scene(0, targets=benchmark_targets())
+    b = sample_scene(1, targets=benchmark_targets())
+    assert not np.array_equal(a.channels, b.channels)
+    assert a.steering is b.steering and build_steering_set(b) is a.steering
+    assert metrics.fisher_operator(a) is metrics.fisher_operator(b)
+    for array in (a.steering.tx, b.steering.rx, a.steering.rcs, metrics.fisher_operator(b)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+# `solve` objectives (weights 0.25/1) on random-target scenes, computed
+# before target geometries were memoized
+RANDOM_TARGET_OBJECTIVES = {
+    0: 2.4178208287969634,
+    1: -0.32477209916663874,
+    2: 4.182613822350555,
+    4: 2.2632579768958703,
+}
+
+
+def test_random_target_scenes_build_their_own_geometry():
+    target_geometry.cache_clear()
+    for seed, expected in RANDOM_TARGET_OBJECTIVES.items():
+        misses = target_geometry.cache_info().misses
+        result = solve(sample_scene(seed), Weights(0.25, 1.0))
+        assert target_geometry.cache_info().misses == misses + 1
+        assert result.objective == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_scene_properties():
