@@ -74,7 +74,9 @@ def obs_residuals(
     norm is below zero_column_tol times the power scale satisfy the structure
     through its zero-vector branch and are excluded from the eigen residual
     (at moderate tradeoff weights the sensing block typically vanishes).
-    Residuals are relative; an empty sensing block reports residual 0.
+    Residuals are relative; an empty sensing block reports residual 0. The
+    one multiplier (`recover_multiplier`) certifies total-power beamformers
+    only: per-antenna ones have one per row (`SolveResult.stationarity`).
     steering must equal scene.steering exactly (ValueError otherwise).
     """
     own = scene.steering

@@ -28,26 +28,25 @@ a per-antenna `solve` keeps antenna coordinates (X = W, Q = V~^H W,
 lift = V~.), since that projection leaves span(V). The steering set, Fisher
 operator and identifiability come memoized from `scene.target_geometry`.
 
-Under the total-power constraint each iteration first forms a quasi-Newton
-candidate: an L-BFGS step over the last MEMORY pairs of Riemannian gradients
-on the power sphere |Q|^2 = budget (Liu & Nocedal, Math. Prog. 1989; Huang,
-Gallivan & Absil, SIAM J. Optim. 2015), formed in the compact representation
+Each iteration first forms a quasi-Newton candidate: an L-BFGS step over the
+last MEMORY pairs of Riemannian gradients (Liu & Nocedal, Math. Prog. 1989;
+Huang, Gallivan & Absil, SIAM J. Optim. 2015) in the compact representation
 (Byrd, Nocedal & Schnabel, Math. Prog. 1994), retracted by Pi and capped at a
-trust radius (Absil, Mahony & Sepulchre, 2008, ch. 7). Its vectors are frame
-coordinates with the plain inner product, so both front ends run it in the
-same arithmetic. A candidate that climbs by more than
-tol_objective is taken without forming the MM candidate, as in the guarded
-quasi-Newton acceleration of MM (Zhou, Alexander & Lange, Stat. Comput.
-2011); otherwise the iteration keeps the better of the two (see `run`). The
+trust radius (Absil, Mahony & Sepulchre, 2008, ch. 7). It runs on the sphere
+|Q|^2 = budget (total power; both front ends in the same arithmetic) or on the
+row spheres |w_i|^2 = budget/n_tx (per-antenna: the oblique manifold, Absil &
+Gallivan, ICASSP 2006); only the tangent projection differs. A candidate that
+climbs by more than tol_objective is taken without forming the MM candidate,
+as in the guarded quasi-Newton acceleration of MM (Zhou, Alexander & Lange,
+Stat. Comput. 2011); otherwise the iteration keeps the better of the two. The
 linearized sensing term bounds -tr(F^-1) from above, not below, so even the
 MM candidate can descend: then the ascent check doubles the shift and
 retries it. A candidate that falls by no more than tol_objective counts as
 no change (the iterate stays and the solve has converged, except on the
 first pass, which cannot end a solve), so every objective trace is
-monotone. The result reports the stationarity residual at the returned
-iterate, computed from the same frame coordinates.
-Per-antenna solves and first iterations, which have no quasi-Newton
-direction, take the MM candidate alone.
+monotone. The result reports the stationarity residual, the relative norm
+of the gradient's tangent component at the returned iterate. First
+iterations, which have no quasi-Newton direction, take the MM candidate alone.
 """
 
 from __future__ import annotations
@@ -145,10 +144,11 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """What a solve returns. stationarity is the relative residual
-    |grad - 2 mu W| / |grad| at the returned beamformer (mu the least-squares
-    power multiplier), the figure `analysis.obs_residuals` reports as
-    stationarity_residual; it comes after timings so that positional
-    construction keeps working."""
+    |grad - 2 diag(mu) W| / |grad| at the returned beamformer: one
+    least-squares power multiplier under the total-power constraint (the
+    figure `analysis.obs_residuals` reports as stationarity_residual), one per
+    row, mu_i = Re<w_i, grad_i> / (2|w_i|^2), under the per-antenna one. It
+    comes after timings so that positional construction keeps working."""
 
     beamformer: Beamformer
     objective_trace: np.ndarray
@@ -392,8 +392,9 @@ _UPPER = np.triu(np.ones((MEMORY, MEMORY)))  # masks S^T Y to its upper triangle
 
 class _History:
     """Limited-memory quasi-Newton model of the objective on the power sphere
-    |Q|^2 = budget, in frame coordinates Q with the plain inner product
-    <a, b> = Re tr(a^H b), so none of its arithmetic runs on n_tx rows.
+    (frame coordinates) or the row spheres (antenna coordinates) with the
+    plain inner product <a, b> = Re tr(a^H b); tangent(x, g) projects g onto
+    the tangent space at x, both as float views.
 
     The inverse Hessian is the compact L-BFGS representation (Byrd, Nocedal &
     Schnabel, Math. Prog. 1994; Nocedal & Wright eq. 7.24), which gives the
@@ -402,20 +403,20 @@ class _History:
     product is <a, b>), oldest first; the slot after them stages the next pair.
     """
 
-    def __init__(self, budget: float):
-        self.budget = budget
+    def __init__(self, tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.tangent = tangent
         self.rows: Optional[np.ndarray] = None  # (MEMORY + 1, 2, n): (s, y) per pair
         self.count = 0  # pairs in memory
         self.last: Optional[tuple] = None  # the newest iterate, its Riemannian gradient, its shape
         self.scale = 1.0  # <s, y> / <y, y> of the newest pair: the initial inverse Hessian
 
-    def observe(self, q: np.ndarray, h: np.ndarray) -> None:
-        """Take the Riemannian ascent direction h - mu Q at the iterate Q
-        (mu = <Q, h> / budget, h the half gradient) and pair it with the
+    def observe(self, x: np.ndarray, g: np.ndarray) -> None:
+        """Take the Riemannian ascent direction tangent(X, g) at the iterate X
+        (g the half gradient in X's coordinates) and pair it with the
         previous iterate's; a pair enters the memory only with positive
         curvature."""
-        point, half = q.reshape(-1).view(float), h.reshape(-1).view(float)
-        grad = half - (point.dot(half) / self.budget) * point
+        point = x.reshape(-1).view(float)
+        grad = self.tangent(point, g.reshape(-1).view(float))
         if self.last is None:
             self.rows = np.empty((MEMORY + 1, 2, point.size))
         else:
@@ -429,7 +430,7 @@ class _History:
                     self.count += 1
                 else:
                     self.rows[:MEMORY] = self.rows[1:]
-        self.last = (point, grad, q.shape)
+        self.last = (point, grad, x.shape)
 
     def direction(self, radius: float) -> Optional[tuple]:
         """The L-BFGS ascent step H v (v the newest Riemannian gradient)
@@ -455,27 +456,12 @@ class _History:
             sy.diagonal() * c + self.scale * (gram[1::2] @ c - products[1::2])
         )
         coefficients[1::2] = -self.scale * c
-        r = self.scale * v + coefficients @ pairs
-        r -= (point.dot(r) / self.budget) * point
+        r = self.tangent(point, self.scale * v + coefficients @ pairs)
         length = math.sqrt(r.dot(r))
         if length > radius:
             r *= radius / length
             length = radius
         return r.view(complex).reshape(shape), length
-
-
-def _stationarity(q: np.ndarray, h: np.ndarray, off_span: float, budget: float) -> float:
-    """Relative residual |grad - 2 mu W| / |grad| of the stationarity
-    condition, mu the least-squares power multiplier, at the iterate
-    W = V~ Q + W_off with |W|^2 the power budget: grad = 2 V~ h is orthogonal
-    to W_off, whose norm off_span is nonzero only off the span of V (the
-    per-antenna projection), so the residual is
-    |(h - mu Q, mu off_span)| / |h| with mu = <Q, h> / budget."""
-    norm = np.linalg.norm(h)
-    if norm == 0.0:
-        return 0.0
-    mu = np.vdot(q, h).real / budget
-    return float(np.hypot(np.linalg.norm(h - mu * q), mu * off_span) / norm)
 
 
 def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> SolveResult:
@@ -485,24 +471,26 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     p0 holds the start's basis coefficients (`start_coefficients`) and t0 is
     the front end's start time. The iterate X has frame coordinates
     coords(X) = Q; lift maps frame coordinates into X's, project applies the
-    power constraint there, and antenna returns the beamformer. Under the
-    total-power constraint X = Q, lift is the identity and W = V~ Q is formed
-    once, at the end; under the per-antenna constraint, whose projection
-    leaves span(V), X = W. Under the total-power constraint each
-    iteration first evaluates the quasi-Newton candidate, its step capped at
-    the trust radius; the radius becomes at least GROW times the step when the
-    candidate climbs, and SHRINK times the step when it does not or its
-    Fisher matrix is singular. The candidate is taken when it gains more than
-    tol_objective; otherwise (no direction yet, a singular Fisher matrix
-    there, or a smaller gain), and always under the per-antenna constraint,
-    the iteration forms the MM candidate and keeps the better of the two.
-    If neither ascends, the shift doubles (at most MAX_RETRIES times) until
-    the MM candidate does. converged=True means that on a pass after the
-    first the better of both candidates gained at most tol_objective. The
-    first pass cannot end the solve: it has only the MM candidate, whose step
-    length comes from the global curvature bound alone, so a small gain there
-    says little about stationarity (from the RZF start at 30 dBm it would end
-    most solves after one pass). A run that exhausts max_iters without meeting
+    power constraint there, tangent projects a gradient (as float views) onto
+    the tangent space at X, and antenna returns the beamformer. Under the
+    total-power constraint X = Q, lift is the identity, tangent removes the
+    component along Q and W = V~ Q is formed once, at the end; under the
+    per-antenna constraint, whose projection leaves span(V), X = W and tangent
+    removes each row's component along w_i. The history observes X and the
+    gradient lift(h). Each iteration first evaluates the quasi-Newton
+    candidate project(X + r), r capped at the trust radius; the radius becomes
+    at least GROW times the step when the candidate climbs, and SHRINK times
+    the step when it does not or its Fisher matrix is singular. The candidate
+    is taken when it gains more than tol_objective; otherwise (no direction
+    yet, a singular Fisher matrix there, or a smaller gain) the iteration
+    forms the MM candidate and keeps the better of the two. If neither
+    ascends, the shift doubles (at most MAX_RETRIES times) until the MM
+    candidate does. converged=True means that on a pass after the first the
+    better of both candidates gained at most tol_objective. The first pass
+    cannot end the solve: it has only the MM candidate, whose step length
+    comes from the global curvature bound alone, so a small gain there says
+    little about stationarity (from the RZF start at 30 dBm it would end most
+    solves after one pass). A run that exhausts max_iters without meeting
     the tolerance, or finds no ascent, is reported via converged=False, never
     silently truncated.
     """
@@ -512,12 +500,18 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         coords = lift = lambda q: q
         project = lambda q: project_total_power(q, budget)
         antenna = lambda q: v @ q
+        tangent = lambda x, g: g - (x.dot(g) / budget) * x
     else:
         v_h = v.conj().T
         coords = lambda w: v_h @ w
         lift = lambda q: v @ q
         project = lambda w: project_per_antenna(w, budget)
         antenna = lambda w: w
+
+        def tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+            rows, grads = x.reshape(v.shape[0], -1), g.reshape(v.shape[0], -1)
+            mu = np.einsum("ij,ij->i", rows, grads) / np.einsum("ij,ij->i", rows, rows)
+            return (grads - mu[:, None] * rows).reshape(-1)
 
     def candidate(nxt: np.ndarray) -> tuple:
         q = coords(nxt)
@@ -527,7 +521,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     x, q, z, point = candidate(project(lift(frame_h @ p0)))
     d = curvature(core, point)
     h = frame_h @ half_gradient(core, point, z, d)
-    history = _History(budget) if cfg.power_constraint == "total" else None
+    history = _History(tangent)
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
     t1 = time.perf_counter()
@@ -536,17 +530,16 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     radius = np.inf  # the trust radius
     for _ in range(cfg.max_iters):
         qn = None
-        if history is not None:
-            history.observe(q, h)
-            proposal = history.direction(radius)
-            if proposal is not None:
-                r, length = proposal
-                try:
-                    qn = candidate(project(x + lift(r)))
-                except SingularFisherError:  # the model stepped to an unidentifiable point
-                    pass
-                climbed = qn is not None and qn[-1].objective > point.objective
-                radius = max(radius, GROW * length) if climbed else SHRINK * length
+        history.observe(x, lift(h))
+        proposal = history.direction(radius)
+        if proposal is not None:
+            r, length = proposal
+            try:
+                qn = candidate(project(x + r))
+            except SingularFisherError:  # the model stepped to an unidentifiable point
+                pass
+            climbed = qn is not None and qn[-1].objective > point.objective
+            radius = max(radius, GROW * length) if climbed else SHRINK * length
         if qn is not None and qn[-1].objective - point.objective > cfg.tol_objective:
             best = qn  # a climb that cannot end the solve: no MM candidate
         else:
@@ -593,6 +586,9 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         except (ValueError, SingularFisherError):
             pass
     iterations = len(trace) - 1
+    grad = lift(h).reshape(-1).view(float)
+    norm = np.linalg.norm(grad)
+    residual = np.linalg.norm(tangent(x.reshape(-1).view(float), grad)) / norm if norm else 0.0
     timings = {
         "setup_s": t_setup,
         "iterations_s": t_iter,
@@ -607,7 +603,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         iterations=iterations,
         converged=converged,
         timings=timings,
-        stationarity=_stationarity(q, h, np.linalg.norm(x - lift(q)), scene.power_budget),
+        stationarity=float(residual),
     )
 
 
@@ -621,7 +617,8 @@ def solve(
     Under the total-power constraint it is the same call as
     `lowdim.solve_ld`: it iterates on the frame coordinates Q and lifts once
     at the end. Only a per-antenna solve iterates on the antenna-domain
-    beamformer, whose projection leaves span(V), with MM candidates only.
+    beamformer, whose projection leaves span(V), on the product of row
+    spheres.
 
     n_sense defaults to the structural stream count of `start_coefficients`.
     """

@@ -239,27 +239,32 @@ def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, mo
     assert 0 < events.count("shift_parameter") < 0.3 * result.iterations
     last = len(events) - 1 - events[::-1].index("evaluate")
     assert events[last - 1] == "sca_step"
+    # per-antenna solves run the same loop on the row spheres: 3 MM
+    # candidates in 21 iterations at the default stream count
     events.clear()
     per_antenna = solve(default_scene, WTS, SolverConfig(power_constraint="per-antenna"))
-    assert events.count("shift_parameter") >= per_antenna.iterations >= 1
+    assert per_antenna.converged
+    assert 0 < events.count("shift_parameter") < 0.3 * per_antenna.iterations
 
 
 def test_trust_radius_leaves_mm_only_paths_alone(default_scene, monkeypatch):
-    # per-antenna solves and first iterations never form a quasi-Newton
-    # candidate, so the radius constants cannot move them; under the total
-    # power constraint they do move the later iterates
-    configs = (
-        SolverConfig(power_constraint="per-antenna", max_iters=40),
-        SolverConfig(max_iters=40),
-    )
+    # first iterations have no quasi-Newton direction yet, so the radius
+    # constants cannot move them; under both power constraints they do move
+    # the later iterates
+    configs = [
+        SolverConfig(power_constraint=constraint, max_iters=max_iters)
+        for constraint in ("total", "per-antenna")
+        for max_iters in (1, 40)
+    ]
     shipped = [solve(default_scene, WTS, cfg) for cfg in configs]
     monkeypatch.setattr(sca, "GROW", 0.0)
     monkeypatch.setattr(sca, "SHRINK", 0.0)
     frozen = [solve(default_scene, WTS, cfg) for cfg in configs]
-    assert np.array_equal(shipped[0].beamformer.matrix, frozen[0].beamformer.matrix)
-    assert np.array_equal(shipped[0].objective_trace, frozen[0].objective_trace)
-    assert np.array_equal(shipped[1].objective_trace[:2], frozen[1].objective_trace[:2])
-    assert not np.array_equal(shipped[1].objective_trace, frozen[1].objective_trace)
+    for first, later in ((0, 1), (2, 3)):
+        assert np.array_equal(shipped[first].beamformer.matrix, frozen[first].beamformer.matrix)
+        assert np.array_equal(shipped[first].objective_trace, frozen[first].objective_trace)
+        assert np.array_equal(shipped[later].objective_trace[:2], frozen[later].objective_trace[:2])
+        assert not np.array_equal(shipped[later].objective_trace, frozen[later].objective_trace)
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
@@ -336,9 +341,9 @@ def test_trust_radius_survives_a_rank_deficient_gram(front_end):
         assert np.all(np.diff(result.objective_trace) >= 0.0), seed
 
 
-def _two_loop_step(pairs, v, point, budget):
+def _two_loop_step(pairs, v):
     """Nocedal & Wright Alg. 7.4 with <a, b> = Re vdot(a, b) on the pairs
-    (s, y), oldest first, then the projection onto the tangent space at point."""
+    (s, y), oldest first."""
     alphas = []
     for s, y in reversed(pairs):
         alpha = np.vdot(s, v).real / np.vdot(s, y).real
@@ -348,47 +353,67 @@ def _two_loop_step(pairs, v, point, budget):
     r = (np.vdot(s, y).real / np.vdot(y, y).real) * v
     for (s, y), alpha in zip(pairs, reversed(alphas)):
         r = r + (alpha - np.vdot(y, r).real / np.vdot(s, y).real) * s
-    return r - (np.vdot(point, r).real / budget) * point
+    return r
+
+
+def _row_tangent(point, g):
+    """g minus, row by row, its component along that row of point."""
+    mu = np.sum((point.conj() * g).real, axis=1) / np.sum(np.abs(point) ** 2, axis=1)
+    return g - mu[:, None] * point
 
 
 def test_history_step_matches_two_loop_recursion():
     # an independent oracle for the compact representation, on random pairs:
     # more than the memory holds, and some with negative curvature, which the
-    # memory skips
+    # memory skips; on the power sphere and on the row spheres, with the
+    # oracle's final projection onto the tangent space done in complex
+    # arithmetic, over the whole matrix or row by row
     rng = np.random.default_rng(5)
     budget, shape = 10.0, (6, 4)
     a = rng.standard_normal((6, 6))
     hessian = a @ a.T + np.eye(6)
-    history = sca._History(budget)
-    assert history.direction(np.inf) is None
-    pairs, previous, accepted, rejected = [], None, 0, 0
-    for _ in range(5 * sca.MEMORY):
-        q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        q *= np.sqrt(budget) / np.linalg.norm(q)
-        h = -hessian @ q
-        history.observe(q, h)
-        grad = h - (np.vdot(q, h).real / budget) * q
-        if previous is not None:
-            s, y = q - previous[0], previous[1] - grad
-            if np.vdot(s, y).real > sca.CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
-                pairs = (pairs + [(s, y)])[-sca.MEMORY:]
-                accepted += 1
-            else:
-                rejected += 1
-        previous = q, grad
-        step = history.direction(np.inf)
-        if not pairs:
-            assert step is None
-            continue
-        r, length = step
-        expect = _two_loop_step(pairs, grad, q, budget)
-        assert np.linalg.norm(r - expect) <= 1e-12 * np.linalg.norm(expect)
-        assert length == pytest.approx(np.linalg.norm(r), rel=1e-12)
-        assert abs(np.vdot(q, r).real) <= 1e-12 * np.linalg.norm(q) * np.linalg.norm(r)
-        capped, capped_length = history.direction(0.5 * length)
-        assert capped_length <= 0.5 * length
-        assert np.linalg.norm(capped) <= 0.5 * length * (1.0 + 1e-12)
-    assert accepted > sca.MEMORY and rejected > 0
+    cases = (
+        (
+            lambda x, g: g - (x.dot(g) / budget) * x,
+            lambda q: q * np.sqrt(budget) / np.linalg.norm(q),
+            lambda point, g: g - (np.vdot(point, g).real / budget) * point,
+        ),
+        (
+            lambda x, g: _row_tangent(x.reshape(shape[0], -1), g.reshape(shape[0], -1)).reshape(-1),
+            lambda q: sca.project_per_antenna(q, budget),
+            _row_tangent,
+        ),
+    )
+    for tangent, retract, oracle_tangent in cases:
+        history = sca._History(tangent)
+        assert history.direction(np.inf) is None
+        pairs, previous, accepted, rejected = [], None, 0, 0
+        for _ in range(5 * sca.MEMORY):
+            q = retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            h = -hessian @ q
+            history.observe(q, h)
+            grad = oracle_tangent(q, h)
+            if previous is not None:
+                s, y = q - previous[0], previous[1] - grad
+                if np.vdot(s, y).real > sca.CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
+                    pairs = (pairs + [(s, y)])[-sca.MEMORY:]
+                    accepted += 1
+                else:
+                    rejected += 1
+            previous = q, grad
+            step = history.direction(np.inf)
+            if not pairs:
+                assert step is None
+                continue
+            r, length = step
+            expect = oracle_tangent(q, _two_loop_step(pairs, grad))
+            assert np.linalg.norm(r - expect) <= 1e-12 * np.linalg.norm(expect)
+            assert length == pytest.approx(np.linalg.norm(r), rel=1e-12)
+            assert np.linalg.norm(oracle_tangent(q, r) - r) <= 1e-12 * np.linalg.norm(r)
+            capped, capped_length = history.direction(0.5 * length)
+            assert capped_length <= 0.5 * length
+            assert np.linalg.norm(capped) <= 0.5 * length * (1.0 + 1e-12)
+        assert accepted > sca.MEMORY and rejected > 0
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
@@ -484,6 +509,21 @@ def test_solve_per_antenna_constraint(small_scene):
     assert np.allclose(rows, small_scene.power_budget / small_scene.n_tx, rtol=1e-9)
 
 
+@pytest.mark.parametrize("power_dbm", [10, 20, 30])
+def test_per_antenna_stationarity_is_the_per_row_residual(power_dbm):
+    # the per-antenna KKT condition has one multiplier per row,
+    # mu_i = Re<w_i, g_i> / |w_i|^2; the reported residual, formed from frame
+    # coordinates inside the solve, matches the one from the antenna-domain
+    # gradient of `analytic_gradient`
+    scene = sample_scene(0, targets=benchmark_targets(), power_dbm=power_dbm)
+    result = solve(scene, WTS, SolverConfig(power_constraint="per-antenna"))
+    w = result.beamformer.matrix
+    g = sca.analytic_gradient(scene, result.beamformer, WTS)
+    mu = np.sum((w.conj() * g).real, axis=1) / np.sum(np.abs(w) ** 2, axis=1)
+    expect = np.linalg.norm(g - mu[:, None] * w) / np.linalg.norm(g)
+    assert result.stationarity == pytest.approx(expect, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "n_users, n_targets, n_sense",
     [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 2), (2, 2, 1), (1, 1, 1), (3, 2, 0), (4, 2, 0), (2, 0, 0)],
@@ -569,9 +609,11 @@ def test_ascent_check_keeps_traces_monotone(front_end):
 @pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
 def test_ascent_check_stops_when_retries_run_out(monkeypatch, caplog, power_constraint):
     # with no shift doublings allowed, the first step that finds no ascent
-    # ends the solve instead of appending a lower objective
+    # ends the solve instead of appending a lower objective; the per-antenna
+    # solve stalls after 26 iterations (seed 12's objective sits on its
+    # evaluation-noise floor, so whether it stalls there depends on roundoff)
     monkeypatch.setattr(sca, "MAX_RETRIES", 0)
-    seed, n_users = (223, 3) if power_constraint == "total" else (12, 2)
+    seed, n_users = (223, 3) if power_constraint == "total" else (23, 2)
     cfg = SolverConfig(power_constraint=power_constraint)
     with caplog.at_level(logging.WARNING, logger="isacbeam.sca"):
         result = solve(_ill_conditioned(seed, n_users), WTS, cfg)
