@@ -76,10 +76,10 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be nonempty")
         if list(values) != sorted(values):
             raise ValueError("sweep_values must be sorted ascending")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("trials", "workers"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
             raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
         object.__setattr__(self, "sweep_values", values)
@@ -305,13 +305,13 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
 
     small = sample_scene(seed + 1, tx_geometry=ArrayGeometry(3, 2), rx_geometry=ArrayGeometry(2, 2),
                          n_users=2, n_targets=1, n_slots=8)
-    w_small = sca.start_beamformer(small, 3, SolverConfig())
+    w_small = sca.start_beamformer(small, 3)
     g_fd = analysis.fd_gradient(small, w_small, weights)
     g_an = sca.analytic_gradient(small, w_small, weights)
     checks.append(_check("gradient_fd_relative_error",
                          np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd), 1e-5))
 
-    w0 = sca.start_beamformer(scene, 3 * scene.n_targets, SolverConfig())
+    w0 = sca.start_beamformer(scene, 3 * scene.n_targets)
     f_fd = analysis.fd_fim(scene, w0)
     f_an = metrics.fim(scene, w0)
     checks.append(_check("fim_fd_relative_error",

@@ -4,14 +4,15 @@ Instead of the full n_tx x (K + n_sense) beamformer W, it iterates on the
 frame coordinates Q of `sca.solver_core`, W = V~ Q with V~ an orthonormal
 basis of the span of V = [channels, steering, steering derivatives] (left
 singular vectors of V), whose rank r <= K + 3M is independent of the antenna
-count, from the start B^H P0 of `sca.start_coefficients` (regularized
-zero-forcing by default, with the structural stream count there). The
-iteration is `sca.run` under the total-power constraint: Z = B Q, lift is
-the identity, the projection onto the sphere |Q|^2 = power budget is also
-the retraction of the quasi-Newton candidate, and W is lifted once at the
-end. Total-power `sca.solve` makes the same call, so both return the same
-result bit for bit. The lifted beamformer stays in span(V), so the
-per-antenna constraint cannot be honoured here.
+count. The iteration is `sca.run` under the total-power constraint, which
+reads Q through the one matrix A = B, the frame: Z = B Q, the start is the
+projection of B^H P0 with P0 from `sca.start_coefficients` (regularized
+zero-forcing, with the structural stream count there), the projection onto
+the sphere |Q|^2 = power budget is also the retraction of the quasi-Newton
+candidate, and W = V~ Q is formed once, at the end. Total-power `sca.solve`
+makes the same call, so both return the same result bit for bit. The
+returned beamformer stays in span(V), so the per-antenna constraint cannot
+be honoured here.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ def solve_ld(
     cfg: SolverConfig = SolverConfig(),
     n_sense: Optional[int] = None,
 ) -> SolveResult:
-    """Reduced-dimension front end; the reported beamformer is lifted back to
+    """Reduced-dimension front end; the reported beamformer is W = V~ Q in
     the antenna domain (on the power sphere there by construction).
 
     n_sense defaults to the structural stream count of
@@ -43,5 +44,5 @@ def solve_ld(
     t0 = time.perf_counter()
     if cfg.power_constraint != "total":
         raise ValueError("solve_ld honours only power_constraint='total'")
-    p0 = sca.start_coefficients(scene, n_sense, cfg)
+    p0 = sca.start_coefficients(scene, n_sense)
     return sca.run(sca.solver_core(scene, weights), p0, cfg, t0)

@@ -3,30 +3,30 @@
 Stationary beamformers lie in the span of V = [H, A, A_dtheta, A_dphi], and
 every per-iteration quantity depends on the iterate only through Z = V^H W:
 the rates through the rows Z[:K], the Fisher matrix through
-R_s = Z_S Z_S^H with Z_S = Z[K:]. Only range(G), G = V^H V, carries
-information, so the iteration runs in frame coordinates Q: V~, the left
-singular vectors of V whose squared singular values (the eigenvalues of G)
-are numerically nonzero, has orthonormal columns to roundoff, so W = V~ Q and
-|Q|^2 = |W|^2, and the frame B = V^H V~ gives Z = B Q (Absil, Mahony &
-Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, sec. 3.6).
-Each iteration evaluates the objective and the surrogate auxiliaries at Z
-once. The objective's gradient in Q is 2 B^H g with
-g = E - D Z, and its majorization-minimization (MM) candidate (Sun, Babu &
-Palomar, IEEE TSP 2017) is
+R_s = Z_S Z_S^H with Z_S = Z[K:]. So the solver reads its iterate X through
+one matrix A, Z = A X. Under the total-power constraint X is the frame
+coordinates Q: V~, the left singular vectors of V whose squared singular
+values (the eigenvalues of G = V^H V) are numerically nonzero, has
+orthonormal columns to roundoff, so W = V~ Q, |Q|^2 = |W|^2 and A is the
+frame B = V^H V~ (Absil, Mahony & Sepulchre, Optimization Algorithms on
+Matrix Manifolds, 2008, sec. 3.6). Under the per-antenna constraint, whose
+projection leaves span(V), X = W and A = V^H. Each iteration evaluates the
+objective and the surrogate auxiliaries at Z once. The objective's gradient
+in X is 2 A^H g with g = E - D Z, and its majorization-minimization (MM)
+candidate (Sun, Babu & Palomar, IEEE TSP 2017) is
 
-    X+ = Pi(lambda X + lift(B^H g)),
+    X+ = Pi(lambda X + A^H g),
 
 with D = blockdiag(delta_c diag(sigma2), -delta_s K) the surrogate curvature
 in basis coordinates and lambda = 1.1 max|eig(B^H D B)| the exact spectral
-shift. Every start is built as basis coefficients P0, whose frame
-coordinates are B^H P0; the default is regularized zero-forcing
+shift. A start is its basis coefficients P0 alone, and the iteration starts
+at Pi(A^H P0): since V~ B^H = V, under both constraints that is V P0
+projected onto the constraint set. The default P0 is regularized zero-forcing
 (`start_coefficients`), the structure of the optimal communication beams
-(Bjornson, Bengtsson & Ottersten, IEEE SPM 2014). Under the total-power
-constraint both front ends make one call of `run`, which iterates on X = Q
-(lift the identity, Pi the sphere) and lifts once at the end, W = V~ Q; only
-a per-antenna `solve` keeps antenna coordinates (X = W, Q = V~^H W,
-lift = V~.), since that projection leaves span(V). The steering set, Fisher
-operator and identifiability come memoized from `scene.target_geometry`.
+(Bjornson, Bengtsson & Ottersten, IEEE SPM 2014). Both front ends make one
+call of `run`; under the total-power constraint it forms W = V~ Q once, at
+the end. The steering set, Fisher operator and identifiability come memoized
+from `scene.target_geometry`.
 
 Each iteration first forms a quasi-Newton candidate: an L-BFGS step over the
 last MEMORY pairs of Riemannian gradients (Liu & Nocedal, Math. Prog. 1989;
@@ -61,7 +61,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import Beamformer, SingularFisherError, Weights
-from .scene import Scene, philox
+from .scene import Scene
 
 __all__ = [
     "CommAux",
@@ -122,23 +122,15 @@ class CommAux:
 class SolverConfig:
     max_iters: int = 5000
     tol_objective: float = 1e-4
-    init_mode: str = "rzf"  # or "random"
     power_constraint: str = "total"  # or "per-antenna"
-    init_seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.tol_objective) and self.tol_objective >= 0):
             raise ValueError("tol_objective must be finite and nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.init_mode not in ("rzf", "random"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}: use 'rzf' or 'random'")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.power_constraint not in ("total", "per-antenna"):
             raise ValueError(f"unknown power_constraint {self.power_constraint!r}")
-        if self.init_mode == "random":
-            _start_rng(self)  # ValueError for a seed whose key is out of range
-        elif self.init_seed != 0:
-            raise ValueError("init_seed needs init_mode='random'")
 
 
 @dataclass(frozen=True)
@@ -303,23 +295,16 @@ def project_per_antenna(x: np.ndarray, power_budget: float) -> np.ndarray:
     return x * np.sqrt(power_budget / x.shape[0] / row_power)[:, None]
 
 
-def _project(x: np.ndarray, power_budget: float, cfg: SolverConfig) -> np.ndarray:
-    if cfg.power_constraint == "per-antenna":
-        return project_per_antenna(x, power_budget)
-    return project_total_power(x, power_budget)
-
-
 def sca_step(
     x: np.ndarray,
     g: np.ndarray,
     shift: float,
-    lift: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """One surrogate maximization, the MM candidate X+ = Pi(lambda X + lift(g))
-    with g the half gradient (E - D Z from `half_gradient`, in the
-    coordinates lift maps from) and lambda the shift."""
-    return project(shift * x + lift(g))
+    """One surrogate maximization, the MM candidate X+ = Pi(lambda X + g)
+    with g the half gradient in X's coordinates (A^H (E - D Z), E - D Z from
+    `half_gradient`) and lambda the shift."""
+    return project(shift * x + g)
 
 
 def analytic_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
@@ -335,21 +320,17 @@ def _basis(scene: Scene) -> np.ndarray:
     return np.concatenate([scene.channels, scene.steering.tx], axis=1)
 
 
-def _start_rng(cfg: SolverConfig) -> np.random.Generator:
-    """The random start's stream, keyed apart from the scene seeds."""
-    return philox(cfg.init_seed + 0xA11)
-
-
-def start_coefficients(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> np.ndarray:
-    """Basis coefficients P0 of the start, (K + 3M) x (K + n_sense), so every
-    start lies in span(V). The default start is regularized zero-forcing
-    (RZF): the user block is (H^H H + alpha I)^-1 with the MMSE regularization
-    alpha = sum_k sigma2_k / P, so the communication columns are
-    H (H^H H + alpha I)^-1, the structure of the optimal beams (Bjornson,
-    Bengtsson & Ottersten, IEEE SPM 2014), and the sensing columns have
-    coefficient 1 on the transmit steering vectors, cycled over the sensing
-    columns; without targets those columns are zero. Under
-    init_mode="random" the coefficients are standard complex normal.
+def start_coefficients(scene: Scene, n_sense: Optional[int]) -> np.ndarray:
+    """Basis coefficients P0 of the start, (K + 3M) x (K + n_sense), so the
+    start lies in span(V): regularized zero-forcing (RZF). The user block is
+    (H^H H + alpha I)^-1 with the MMSE regularization alpha = sum_k sigma2_k / P,
+    so the communication columns are H (H^H H + alpha I)^-1, the structure of
+    the optimal beams (Bjornson, Bengtsson & Ottersten, IEEE SPM 2014). The
+    sensing columns put the coefficient |H P_KK|_F / sqrt(K), the RMS norm of
+    those columns (1 where they are zero or absent), on the unit-norm
+    transmit steering vectors, cycled over the sensing columns, so every
+    column starts with the same power; without targets those columns are
+    zero. Another start is any P0 of this shape passed to `run`.
 
     n_sense defaults to a reduced count of dedicated sensing streams, after
     the radar-stream reduction of arXiv 2503.09489: M without users, where
@@ -365,25 +346,22 @@ def start_coefficients(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) 
         n_sense = m if k == 0 else max(0, m + 1 - k)
     elif n_sense < 0:
         raise ValueError(f"n_sense must be nonnegative, got {n_sense}")
-    shape = (k + 3 * m, k + n_sense)
-    if shape[1] == 0:
+    if k + n_sense == 0:
         raise ValueError("beamformer has no columns (n_users + n_sense = 0)")
-    if cfg.init_mode == "random":
-        rng = _start_rng(cfg)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    p0 = np.zeros(shape, dtype=complex)
+    p0 = np.zeros((k + 3 * m, k + n_sense), dtype=complex)
     h = scene.channels
     alpha = scene.noise_comm.sum() / scene.power_budget
     p0[:k, :k] = np.linalg.inv(h.conj().T @ h + alpha * np.eye(k))
     if m:
-        p0[k + np.arange(n_sense) % m, k + np.arange(n_sense)] = 1.0
+        rms = np.linalg.norm(h @ p0[:k, :k]) / math.sqrt(k) if k else 0.0
+        p0[k + np.arange(n_sense) % m, k + np.arange(n_sense)] = rms if rms > 0 else 1.0
     return p0
 
 
-def start_beamformer(scene: Scene, n_sense: Optional[int], cfg: SolverConfig) -> Beamformer:
-    """The start in the antenna domain: the projection of V P0, P0 from
-    `start_coefficients` (regularized zero-forcing by default)."""
-    w = _project(_basis(scene) @ start_coefficients(scene, n_sense, cfg), scene.power_budget, cfg)
+def start_beamformer(scene: Scene, n_sense: Optional[int]) -> Beamformer:
+    """The start in the antenna domain: V P0 scaled onto the total-power
+    sphere, P0 from `start_coefficients`."""
+    w = project_total_power(_basis(scene) @ start_coefficients(scene, n_sense), scene.power_budget)
     return Beamformer(w[:, : scene.n_users], w[:, scene.n_users :], scene.power_budget)
 
 
@@ -465,22 +443,25 @@ class _History:
 
 
 def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> SolveResult:
-    """The iteration of both front ends, from the start project(lift(B^H P0))
-    to tolerance or iteration budget.
+    """The iteration of both front ends, from the start project(A^H P0) to
+    tolerance or iteration budget.
 
-    p0 holds the start's basis coefficients (`start_coefficients`) and t0 is
-    the front end's start time. The iterate X has frame coordinates
-    coords(X) = Q; lift maps frame coordinates into X's, project applies the
-    power constraint there, tangent projects a gradient (as float views) onto
-    the tangent space at X, and antenna returns the beamformer. Under the
-    total-power constraint X = Q, lift is the identity, tangent removes the
-    component along Q and W = V~ Q is formed once, at the end; under the
-    per-antenna constraint, whose projection leaves span(V), X = W and tangent
-    removes each row's component along w_i. The history observes X and the
-    gradient lift(h). Each iteration first evaluates the quasi-Newton
-    candidate project(X + r), r capped at the trust radius; the radius becomes
-    at least GROW times the step when the candidate climbs, and SHRINK times
-    the step when it does not or its Fisher matrix is singular. The candidate
+    p0 holds the start's basis coefficients, (K + 3M) x (K + n_sense), from
+    `start_coefficients` or any other start, and t0 is the front end's start
+    time. The iterate X enters every quantity through Z = A X, one matrix per
+    constraint: under the total-power constraint X = Q and A = B, tangent
+    removes the component along Q, and W = V~ Q is formed once, at the end;
+    under the per-antenna constraint, whose projection leaves span(V), X = W,
+    A = V^H and tangent removes each row's component along w_i. Since
+    V~ B^H = V, both start from V P0 projected onto the constraint set. The
+    gradient in X's coordinates is A^H g, g = E - D Z the half gradient, and
+    the history observes X and it; project applies the power constraint,
+    tangent projects a gradient (as float views) onto the tangent space at X,
+    and antenna returns the beamformer. Each iteration first evaluates the
+    quasi-Newton candidate project(X + r), r capped at the trust radius; the
+    radius becomes at least GROW times the step when the candidate climbs,
+    and SHRINK times the step when it does not or its Fisher matrix is
+    singular. The candidate
     is taken when it gains more than tol_objective; otherwise (no direction
     yet, a singular Fisher matrix there, or a smaller gain) the iteration
     forms the MM candidate and keeps the better of the two. If neither
@@ -494,33 +475,31 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     the tolerance, or finds no ascent, is reported via converged=False, never
     silently truncated.
     """
-    frame, frame_h = core.frame, core.frame.conj().T
-    budget, v = core.scene.power_budget, core.orthonormal
+    budget = core.scene.power_budget
     if cfg.power_constraint == "total":
-        coords = lift = lambda q: q
+        a = core.frame
         project = lambda q: project_total_power(q, budget)
-        antenna = lambda q: v @ q
+        antenna = lambda q: core.orthonormal @ q
         tangent = lambda x, g: g - (x.dot(g) / budget) * x
     else:
-        v_h = v.conj().T
-        coords = lambda w: v_h @ w
-        lift = lambda q: v @ q
+        a = core.basis.conj().T
         project = lambda w: project_per_antenna(w, budget)
         antenna = lambda w: w
 
         def tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-            rows, grads = x.reshape(v.shape[0], -1), g.reshape(v.shape[0], -1)
+            rows, grads = x.reshape(core.scene.n_tx, -1), g.reshape(core.scene.n_tx, -1)
             mu = np.einsum("ij,ij->i", rows, grads) / np.einsum("ij,ij->i", rows, rows)
             return (grads - mu[:, None] * rows).reshape(-1)
 
-    def candidate(nxt: np.ndarray) -> tuple:
-        q = coords(nxt)
-        z = frame @ q
-        return nxt, q, z, evaluate(core, z)
+    a_h = a.conj().T
 
-    x, q, z, point = candidate(project(lift(frame_h @ p0)))
+    def candidate(nxt: np.ndarray) -> tuple:
+        z = a @ nxt
+        return nxt, z, evaluate(core, z)
+
+    x, z, point = candidate(project(a_h @ p0))
     d = curvature(core, point)
-    h = frame_h @ half_gradient(core, point, z, d)
+    h = a_h @ half_gradient(core, point, z, d)
     history = _History(tangent)
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
@@ -530,7 +509,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     radius = np.inf  # the trust radius
     for _ in range(cfg.max_iters):
         qn = None
-        history.observe(x, lift(h))
+        history.observe(x, h)
         proposal = history.direction(radius)
         if proposal is not None:
             r, length = proposal
@@ -544,22 +523,22 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
             best = qn  # a climb that cannot end the solve: no MM candidate
         else:
             shift = shift_parameter(core, d)
-            best = candidate(sca_step(x, h, shift, lift, project))
+            best = candidate(sca_step(x, h, shift, project))
             if qn is not None and qn[-1].objective > best[-1].objective:
                 best = qn
             for _ in range(MAX_RETRIES):
                 if best[-1].objective >= point.objective - cfg.tol_objective:
                     break
                 shift *= 2.0
-                best = candidate(sca_step(x, h, shift, lift, project))
+                best = candidate(sca_step(x, h, shift, project))
         delta = best[-1].objective - point.objective
         if not delta >= -cfg.tol_objective:
             stalled = True
             break
         if delta >= 0.0:  # after a fall within the tolerance the iterate stays
-            x, q, z, point = best
+            x, z, point = best
             d = curvature(core, point)
-            h = frame_h @ half_gradient(core, point, z, d)
+            h = a_h @ half_gradient(core, point, z, d)
         trace.append(point.objective)
         if delta <= cfg.tol_objective and len(trace) > 2:
             converged = True
@@ -586,7 +565,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         except (ValueError, SingularFisherError):
             pass
     iterations = len(trace) - 1
-    grad = lift(h).reshape(-1).view(float)
+    grad = h.reshape(-1).view(float)
     norm = np.linalg.norm(grad)
     residual = np.linalg.norm(tangent(x.reshape(-1).view(float), grad)) / norm if norm else 0.0
     timings = {
@@ -613,15 +592,14 @@ def solve(
     cfg: SolverConfig = SolverConfig(),
     n_sense: Optional[int] = None,
 ) -> SolveResult:
-    """Front end for both power constraints, from the projection of V P0.
-    Under the total-power constraint it is the same call as
-    `lowdim.solve_ld`: it iterates on the frame coordinates Q and lifts once
-    at the end. Only a per-antenna solve iterates on the antenna-domain
-    beamformer, whose projection leaves span(V), on the product of row
-    spheres.
+    """Front end for both power constraints: `run` from the default start P0
+    of `start_coefficients`. Under the total-power constraint it is the same
+    call as `lowdim.solve_ld`, on the frame coordinates Q; a per-antenna solve
+    iterates on the antenna-domain beamformer, whose projection leaves
+    span(V), on the product of row spheres.
 
     n_sense defaults to the structural stream count of `start_coefficients`.
     """
     t0 = time.perf_counter()
-    p0 = start_coefficients(scene, n_sense, cfg)
+    p0 = start_coefficients(scene, n_sense)
     return run(solver_core(scene, weights), p0, cfg, t0)

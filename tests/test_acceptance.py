@@ -214,7 +214,7 @@ def test_trace_inverse_surrogate_tangent_and_bound(default_scene, rng):
 
 def test_trace_quadratic_surrogate_tangent_and_bound(default_scene, rng):
     scene = default_scene
-    w0 = sca.start_beamformer(scene, 6, SolverConfig())
+    w0 = sca.start_beamformer(scene, 6)
     core = sca.solver_core(scene, DEFAULT_WEIGHTS)
     d = sca.curvature(core, sca.evaluate(core, core.basis.conj().T @ w0.matrix))
     shift = sca.shift_parameter(core, d)

@@ -156,6 +156,20 @@ def test_passing_verify_writes_nothing_to_stderr(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "solver_config",
+    [{"init_mode": "random"}, {"init_seed": 3}, {"max_iters": 2.5}],
+    ids=["init-mode", "init-seed", "fractional-max-iters"],
+)
+def test_sweep_rejects_unknown_or_fractional_solver_options(solver_config, tmp_path, capsys):
+    # the random start and its seed are gone from SolverConfig: a custom
+    # start is passed to `sca.run` as coefficients, never through a sweep
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "scene": TINY_SCENE, "solver_config": solver_config}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == cli.EXIT_BAD_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--bogus"],

@@ -54,6 +54,19 @@ def test_config_validation():
     ExperimentConfig(solver="full", solver_config=per_antenna)
 
 
+def test_counts_must_be_integers():
+    # a fractional trial count used to pass validation and fail in the sweep
+    for name in ("trials", "workers"):
+        for count in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{name: count})
+    with pytest.raises(ValueError, match="trials"):
+        config_from_dict({"trials": 1.5})
+    with pytest.raises(ValueError, match="max_iters"):
+        config_from_dict({"solver_config": {"max_iters": 2.5}})
+    assert ExperimentConfig(trials=np.int64(3), workers=np.int64(2)).trials == 3
+
+
 def test_near_square_factorization():
     assert (experiments._near_square(16).n_horizontal, experiments._near_square(16).n_vertical) == (4, 4)
     assert (experiments._near_square(12).n_horizontal, experiments._near_square(12).n_vertical) == (4, 3)

@@ -65,20 +65,13 @@ def test_lifted_beamformer_on_sphere(default_scene):
     assert np.min(diffs) >= -1e-9 * max(1.0, np.max(np.abs(result.objective_trace)))
 
 
-@pytest.mark.parametrize(
-    "seed, cfg",
-    [pytest.param(seed, SolverConfig(), id=str(seed)) for seed in (0, 3, 11)]
-    + [
-        pytest.param(seed, SolverConfig(init_mode="random", init_seed=seed), id=f"random-{seed}")
-        for seed in range(5)
-    ],
-)
-def test_parity_with_full_solver(seed, cfg):
-    # every start, random ones included, lies in span(V), so both front ends
-    # take the same iterates
+@pytest.mark.parametrize("seed", [0, 3, 11], ids=str)
+def test_parity_with_full_solver(seed):
+    # the start lies in span(V), so both front ends take the same iterates;
+    # `test_sca.test_run_from_any_start` covers other starts
     scene = sample_scene(seed, targets=benchmark_targets())
-    full = solve(scene, WTS, cfg)
-    ld = solve_ld(scene, WTS, cfg)
+    full = solve(scene, WTS)
+    ld = solve_ld(scene, WTS)
     ref = abs(full.objective_trace[-1])
     assert abs(ld.objective_trace[-1] - full.objective_trace[-1]) <= 0.01 * ref
     assert ld.sum_rate == pytest.approx(full.sum_rate, rel=0.01)
