@@ -2,6 +2,8 @@
 
 Everything here is read-only over solver outputs; the finite-difference
 routines are deliberately independent of the closed-form code paths they check.
+`obs_residuals` reads the closed-form gradient, curvature and signal
+coefficients from one `sca.evaluate` at the beamformer.
 """
 
 from __future__ import annotations
@@ -75,28 +77,28 @@ def obs_residuals(
     through its zero-vector branch and are excluded from the eigen residual
     (at moderate tradeoff weights the sensing block typically vanishes).
     Residuals are relative; an empty sensing block reports residual 0. The
-    one multiplier (`recover_multiplier`) certifies total-power beamformers
-    only: per-antenna ones have one per row (`SolveResult.stationarity`).
+    gradient 2 V g and the antenna-domain curvature V D V^H come from the
+    `sca.Point` at w. The one multiplier (`recover_multiplier`) certifies
+    total-power beamformers only: per-antenna ones have one per row
+    (`SolveResult.stationarity`).
     steering must equal scene.steering exactly (ValueError otherwise).
     """
     own = scene.steering
     if not all(np.array_equal(getattr(steering, k), getattr(own, k)) for k in ("tx", "rx", "rcs")):
         raise ValueError("steering set does not belong to the scene")
     core = sca.solver_core(scene, weights)
-    z = core.basis.conj().T @ w.matrix
-    point = sca.evaluate(core, z)
-    d = sca.curvature(core, point)
-    grad = 2.0 * (core.basis @ sca.half_gradient(core, point, z, d))
+    point = sca.evaluate(core, core.basis.conj().T @ w.matrix)
+    grad = 2.0 * (core.basis @ point.gradient)
     mu = recover_multiplier(w, grad)
     grad_norm = np.linalg.norm(grad)
     stationarity = (
         float(np.linalg.norm(grad - 2.0 * mu * w.matrix) / grad_norm) if grad_norm > 0 else 0.0
     )
     # V D V^H = delta_c H Sigma2 H^H - delta_s Q, the antenna-domain curvature
-    curv = core.basis @ d @ core.basis.conj().T
+    curv = core.basis @ point.curvature @ core.basis.conj().T
 
     if scene.n_users and weights.comm > 0:
-        rhs = weights.comm * (scene.channels * point.comm.signal_coeff.conj()[None, :])
+        rhs = weights.comm * (scene.channels * point.signal_coeff.conj()[None, :])
         system = mu * np.eye(scene.n_tx) + curv
         try:
             wc_hat = np.linalg.solve(system, rhs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, lowdim, metrics, sca
 from .metrics import Weights
-from .scene import ArrayGeometry, philox, sample_scene, scene_from_config
+from .scene import ArrayGeometry, check_integer, philox, sample_scene, scene_from_config
 from .sca import SolverConfig
 
 __all__ = [
@@ -41,6 +41,8 @@ CSV_HEADER = (
 )
 
 _SWEEP_AXES = ("comm_weight", "n_sense", "n_tx", "n_users", "power_dbm")
+# the axes whose values are counts, with their least value
+_COUNT_AXES = {"n_sense": 0, "n_tx": 1, "n_users": 0}
 _SOLVERS = ("full", "lowdim", "both")
 
 
@@ -76,10 +78,12 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be nonempty")
         if list(values) != sorted(values):
             raise ValueError("sweep_values must be sorted ascending")
-        for name in ("trials", "workers"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+        check_integer("trials", self.trials, 1)
+        check_integer("workers", self.workers, 1)
+        check_integer("base_seed", self.base_seed, 0)
+        if self.sweep_axis in _COUNT_AXES:
+            for value in values:
+                check_integer(self.sweep_axis, value, _COUNT_AXES[self.sweep_axis])
         if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
             raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
         object.__setattr__(self, "sweep_values", values)
@@ -132,12 +136,12 @@ def _trial_inputs(cfg: ExperimentConfig, value, seed: int):
     if cfg.sweep_axis == "comm_weight":
         weights = Weights(float(value), cfg.sense_weight)
     elif cfg.sweep_axis == "n_sense":
-        n_sense = int(value)
+        n_sense = value
     elif cfg.sweep_axis == "n_tx":
-        geom = _near_square(int(value))
+        geom = _near_square(value)
         scene_cfg["tx_geometry"] = [geom.n_horizontal, geom.n_vertical]
     elif cfg.sweep_axis == "n_users":
-        scene_cfg["n_users"] = int(value)
+        scene_cfg["n_users"] = value
     elif cfg.sweep_axis == "power_dbm":
         scene_cfg["power_dbm"] = float(value)
     return scene_cfg, weights, n_sense
@@ -324,10 +328,10 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
         wr = w0.replace_matrix(sca.project_total_power(wmat, scene.power_budget))
         phi = rng.standard_normal((4 * scene.n_targets,) * 2)
         phi = 0.5 * (phi + phi.T)
-        f = metrics.fim(scene, wr)
-        q = sca.quad_matrix(scene, phi)
-        lhs = float(np.trace(phi.T @ f))
-        rhs = float(np.real(np.trace(wr.covariance @ q)))
+        zs = scene.steering.tx.conj().T @ wr.matrix
+        kmat = metrics.table_adjoint(scene.geometry.operator, phi)
+        lhs = float(np.trace(phi.T @ metrics.fim(scene, wr)))
+        rhs = float(np.real(np.trace(kmat @ zs @ zs.conj().T)))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     checks.append(_check("adjoint_identity_relative_error", worst, 1e-8))
 

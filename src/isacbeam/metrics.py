@@ -16,7 +16,6 @@ __all__ = [
     "sinr",
     "sum_rate",
     "fim",
-    "fisher_operator",
     "fim_matrix",
     "table_adjoint",
     "spd_inverse",
@@ -124,13 +123,6 @@ def sum_rate(scene: Scene, w: Beamformer) -> float:
     return float(np.sum(np.log1p(sinr(scene.channels.conj().T @ w.matrix, scene.noise_comm)[0])))
 
 
-def fisher_operator(scene: Scene) -> np.ndarray:
-    """The Fisher operator T of the scene's targets, read-only and shared
-    with every scene of the same target geometry (`scene.target_geometry`
-    builds it once by `_fisher_operator`)."""
-    return scene.geometry.operator
-
-
 def _fisher_operator(steering: SteeringSet, slots: int, noise_radar: float) -> np.ndarray:
     """The Fisher operator T of the targets of a steering set: the complex
     (16M^2, 9M^2) matrix whose row (i, j) is vec(T_ij), with
@@ -187,7 +179,7 @@ def fim(scene: Scene, w: Beamformer) -> np.ndarray:
     if scene.n_targets < 1:
         raise ValueError("scene has no targets")
     zs = scene.steering.tx.conj().T @ w.matrix
-    return fim_matrix(fisher_operator(scene), zs @ zs.conj().T)
+    return fim_matrix(scene.geometry.operator, zs @ zs.conj().T)
 
 
 def spd_inverse(f: np.ndarray) -> np.ndarray:

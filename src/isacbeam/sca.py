@@ -10,18 +10,19 @@ values (the eigenvalues of G = V^H V) are numerically nonzero, has
 orthonormal columns to roundoff, so W = V~ Q, |Q|^2 = |W|^2 and A is the
 frame B = V^H V~ (Absil, Mahony & Sepulchre, Optimization Algorithms on
 Matrix Manifolds, 2008, sec. 3.6). Under the per-antenna constraint, whose
-projection leaves span(V), X = W and A = V^H. Each iteration evaluates the
-objective and the surrogate auxiliaries at Z once. The objective's gradient
-in X is 2 A^H g with g = E - D Z, and its majorization-minimization (MM)
+projection leaves span(V), X = W and A = V^H. `evaluate` makes one record
+of each iterate, a `Point`: Z, the objective, the surrogate curvature
+D = blockdiag(delta_c diag(sigma2), -delta_s K) in basis coordinates and the
+half gradient g = E - D Z, which together fix the surrogate there. The
+objective's gradient in X is 2 A^H g, and its majorization-minimization (MM)
 candidate (Sun, Babu & Palomar, IEEE TSP 2017) is
 
     X+ = Pi(lambda X + A^H g),
 
-with D = blockdiag(delta_c diag(sigma2), -delta_s K) the surrogate curvature
-in basis coordinates and lambda = 1.1 max|eig(B^H D B)| the exact spectral
-shift. A start is its basis coefficients P0 alone, and the iteration starts
-at Pi(A^H P0): since V~ B^H = V, under both constraints that is V P0
-projected onto the constraint set. The default P0 is regularized zero-forcing
+with lambda = 1.1 max|eig(B^H D B)| the exact spectral shift. A start is its
+basis coefficients P0 alone, and the iteration starts at Pi(A^H P0): since
+V~ B^H = V, under both constraints that is V P0 projected onto the
+constraint set. The default P0 is regularized zero-forcing
 (`start_coefficients`), the structure of the optimal communication beams
 (Bjornson, Bengtsson & Ottersten, IEEE SPM 2014). Both front ends make one
 call of `run`; under the total-power constraint it forms W = V~ Q once, at
@@ -61,24 +62,18 @@ import numpy as np
 
 from . import metrics
 from .metrics import Beamformer, SingularFisherError, Weights
-from .scene import Scene
+from .scene import Scene, check_integer
 
 __all__ = [
-    "CommAux",
     "Point",
     "SolverConfig",
     "SolverCore",
     "SolveResult",
-    "comm_aux_core",
     "solver_core",
     "evaluate",
-    "curvature",
-    "half_gradient",
     "shift_parameter",
-    "quad_matrix",
     "project_total_power",
     "project_per_antenna",
-    "sca_step",
     "run",
     "solve",
     "analytic_gradient",
@@ -106,19 +101,6 @@ MAX_RETRIES = 30
 
 
 @dataclass(frozen=True)
-class CommAux:
-    """Per-user expansion-point auxiliaries for the rate surrogate.
-
-    sinr: current SINR values; signal_coeff: complex linearization coefficient
-    of the desired signal; power_coeff: received-power penalty weight.
-    """
-
-    sinr: np.ndarray
-    signal_coeff: np.ndarray
-    power_coeff: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
     tol_objective: float = 1e-4
@@ -127,8 +109,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tol_objective) and self.tol_objective >= 0):
             raise ValueError("tol_objective must be finite and nonnegative")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        check_integer("max_iters", self.max_iters, 1)
         if self.power_constraint not in ("total", "per-antenna"):
             raise ValueError(f"unknown power_constraint {self.power_constraint!r}")
 
@@ -165,7 +146,7 @@ class SolverCore:
     numpy's `matrix_rank` cut on the eigenvalues of G = V^H V (G may be
     singular, for example with repeated targets or fewer antennas than basis
     columns); frame is B = V^H V~, so Z = B Q for W = V~ Q, and B B^H = G.
-    operator is the scene's Fisher operator (`metrics.fisher_operator`), None
+    operator is the scene's Fisher operator (`scene.geometry.operator`), None
     when the scene has no targets.
     """
 
@@ -179,13 +160,20 @@ class SolverCore:
 
 @dataclass(frozen=True)
 class Point:
-    """Objective value at an iterate and the surrogate auxiliaries there:
-    the rate auxiliaries, the squared inverse Fisher matrix and the CRLB
-    trace tr(F^-1) (None and NaN without a sensing term)."""
+    """An iterate's coordinates Z and what the surrogate there needs: the
+    objective, the rate signal coefficients sinr_k / (h_k^H w_k) (0 for a
+    user with no desired signal), the curvature
+    D = blockdiag(delta_c diag(sigma2), -delta_s K), Hermitian, so that the
+    antenna-domain surrogate curvature delta_c H Sigma2 H^H - delta_s Q is
+    V D V^H, the half gradient g = E - D Z, E holding delta_c Sigma1^H in the
+    user rows and columns, so that the objective's gradient is 2 V g, and the
+    CRLB trace tr(F^-1) (NaN without a sensing term)."""
 
+    z: np.ndarray
     objective: float
-    comm: CommAux
-    inv_sq: Optional[np.ndarray]
+    signal_coeff: np.ndarray
+    curvature: np.ndarray
+    gradient: np.ndarray
     crlb: float = math.nan
 
 
@@ -210,51 +198,29 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
     return SolverCore(scene, weights, basis, frame, orthonormal, operator)
 
 
-def comm_aux_core(gains: np.ndarray, noise: np.ndarray) -> CommAux:
-    """Rate-surrogate auxiliaries from the gains H^H W (K x streams, the first
-    K columns the communication streams).
-
-    Users with a vanishing desired signal get all three auxiliaries set to 0,
-    which drops the linear term from their surrogate.
-    """
-    sinr, total = metrics.sinr(gains, noise)
+def evaluate(core: SolverCore, z: np.ndarray) -> Point:
+    """The point with coordinates Z: one SINR evaluation on the gains Z[:K]
+    = H^H W, one Fisher matrix and one SPD factorization. The rate terms of
+    a user with a vanishing desired signal are 0, which drops the linear term
+    from its surrogate."""
+    k = core.scene.n_users
+    gains = z[:k]
+    sinr, total = metrics.sinr(gains, core.scene.noise_comm)
     desired = gains.diagonal()
     signal_coeff = sinr / np.where(desired == 0, 1.0, desired)
-    return CommAux(sinr=sinr, signal_coeff=signal_coeff, power_coeff=sinr / total)
-
-
-def evaluate(core: SolverCore, z: np.ndarray) -> Point:
-    """Objective and surrogate auxiliaries at the iterate with coordinates Z:
-    one Fisher matrix and one SPD factorization."""
-    k = core.scene.n_users
-    aux = comm_aux_core(z[:k], core.scene.noise_comm)
-    value = core.weights.comm * float(np.log1p(aux.sinr).sum())
-    if core.weights.sense == 0:
-        return Point(value, aux, None)
-    zs = z[k:]
-    inv = metrics.spd_inverse(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
-    crlb = float(inv.trace())
-    return Point(value - core.weights.sense * crlb, aux, inv @ inv, crlb)
-
-
-def curvature(core: SolverCore, point: Point) -> np.ndarray:
-    """D = blockdiag(delta_c diag(sigma2), -delta_s K), Hermitian, so that the
-    antenna-domain surrogate curvature delta_c H Sigma2 H^H - delta_s Q is V D V^H."""
-    k = core.scene.n_users
+    value = core.weights.comm * float(np.log1p(sinr).sum())
     d = np.zeros((core.basis.shape[1],) * 2, dtype=complex)
-    _add_to_diagonal(d, core.weights.comm * point.comm.power_coeff)
-    if point.inv_sq is not None:
-        d[k:, k:] = -core.weights.sense * metrics.table_adjoint(core.operator, point.inv_sq)
-    return d
-
-
-def half_gradient(core: SolverCore, point: Point, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """E - D Z, where E holds delta_c Sigma1^H in the user rows and columns:
-    the objective's gradient at the iterate is 2 V (E - D Z)."""
-    k = core.scene.n_users
+    _add_to_diagonal(d, core.weights.comm * (sinr / total))
+    crlb = math.nan
+    if core.weights.sense > 0:
+        zs = z[k:]
+        inv = metrics.spd_inverse(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
+        crlb = float(inv.trace())
+        value -= core.weights.sense * crlb
+        d[k:, k:] = -core.weights.sense * metrics.table_adjoint(core.operator, inv @ inv)
     g = -(d @ z)
-    _add_to_diagonal(g, core.weights.comm * point.comm.signal_coeff.conj())
-    return g
+    _add_to_diagonal(g, core.weights.comm * signal_coeff.conj())
+    return Point(z, value, signal_coeff, d, g, crlb)
 
 
 def _add_to_diagonal(a: np.ndarray, values: np.ndarray) -> None:
@@ -264,18 +230,13 @@ def _add_to_diagonal(a: np.ndarray, values: np.ndarray) -> None:
     a.reshape(-1)[: values.size * step : step] += values
 
 
-def shift_parameter(core: SolverCore, d: np.ndarray) -> float:
-    """Safety factor times max|eig(B^H D B)|, which equals the spectral
-    radius of the antenna-domain curvature V D V^H; floored away from zero."""
+def shift_parameter(core: SolverCore, point: Point) -> float:
+    """Safety factor times max|eig(B^H D B)|, D the point's curvature, which
+    equals the spectral radius of the antenna-domain curvature V D V^H;
+    floored away from zero."""
+    d = point.curvature
     radius = float(np.max(np.abs(np.linalg.eigvalsh(core.frame.conj().T @ d @ core.frame))))
     return max(LAMBDA_FLOOR, LAMBDA_SAFETY * radius)
-
-
-def quad_matrix(scene: Scene, phi: np.ndarray) -> np.ndarray:
-    """Transmit-side quadratic form matching tr(phi^T F): the n_tx x n_tx
-    matrix Q = Sbar K Sbar^H with tr(phi^T F(W)) = Re tr(R_x Q)."""
-    kmat = metrics.table_adjoint(metrics.fisher_operator(scene), phi)
-    return scene.steering.tx @ kmat @ scene.steering.tx.conj().T
 
 
 def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
@@ -295,24 +256,10 @@ def project_per_antenna(x: np.ndarray, power_budget: float) -> np.ndarray:
     return x * np.sqrt(power_budget / x.shape[0] / row_power)[:, None]
 
 
-def sca_step(
-    x: np.ndarray,
-    g: np.ndarray,
-    shift: float,
-    project: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """One surrogate maximization, the MM candidate X+ = Pi(lambda X + g)
-    with g the half gradient in X's coordinates (A^H (E - D Z), E - D Z from
-    `half_gradient`) and lambda the shift."""
-    return project(shift * x + g)
-
-
 def analytic_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
     """Closed-form gradient of the tradeoff objective at w: 2 V (E - D Z)."""
     core = solver_core(scene, weights)
-    z = core.basis.conj().T @ w.matrix
-    point = evaluate(core, z)
-    return 2.0 * (core.basis @ half_gradient(core, point, z, curvature(core, point)))
+    return 2.0 * (core.basis @ evaluate(core, core.basis.conj().T @ w.matrix).gradient)
 
 
 def _basis(scene: Scene) -> np.ndarray:
@@ -344,8 +291,8 @@ def start_coefficients(scene: Scene, n_sense: Optional[int]) -> np.ndarray:
     k, m = scene.n_users, scene.n_targets
     if n_sense is None:
         n_sense = m if k == 0 else max(0, m + 1 - k)
-    elif n_sense < 0:
-        raise ValueError(f"n_sense must be nonnegative, got {n_sense}")
+    else:
+        check_integer("n_sense", n_sense, 0)
     if k + n_sense == 0:
         raise ValueError("beamformer has no columns (n_users + n_sense = 0)")
     p0 = np.zeros((k + 3 * m, k + n_sense), dtype=complex)
@@ -454,17 +401,18 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     under the per-antenna constraint, whose projection leaves span(V), X = W,
     A = V^H and tangent removes each row's component along w_i. Since
     V~ B^H = V, both start from V P0 projected onto the constraint set. The
-    gradient in X's coordinates is A^H g, g = E - D Z the half gradient, and
-    the history observes X and it; project applies the power constraint,
-    tangent projects a gradient (as float views) onto the tangent space at X,
-    and antenna returns the beamformer. Each iteration first evaluates the
+    loop carries the iterate as a pair (X, point), point = evaluate(A X), and
+    h = A^H point.gradient, the half gradient in X's coordinates, which the
+    history observes with X; project applies the power constraint, tangent
+    projects a gradient (as float views) onto the tangent space at X, and
+    antenna returns the beamformer. Each iteration first evaluates the
     quasi-Newton candidate project(X + r), r capped at the trust radius; the
     radius becomes at least GROW times the step when the candidate climbs,
     and SHRINK times the step when it does not or its Fisher matrix is
-    singular. The candidate
-    is taken when it gains more than tol_objective; otherwise (no direction
-    yet, a singular Fisher matrix there, or a smaller gain) the iteration
-    forms the MM candidate and keeps the better of the two. If neither
+    singular. The candidate is taken when it gains more than tol_objective;
+    otherwise (no direction yet, a singular Fisher matrix there, or a smaller
+    gain) the iteration forms the MM candidate project(lambda X + h), lambda
+    from `shift_parameter`, and keeps the better of the two. If neither
     ascends, the shift doubles (at most MAX_RETRIES times) until the MM
     candidate does. converged=True means that on a pass after the first the
     better of both candidates gained at most tol_objective. The first pass
@@ -494,12 +442,10 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     a_h = a.conj().T
 
     def candidate(nxt: np.ndarray) -> tuple:
-        z = a @ nxt
-        return nxt, z, evaluate(core, z)
+        return nxt, evaluate(core, a @ nxt)
 
-    x, z, point = candidate(project(a_h @ p0))
-    d = curvature(core, point)
-    h = a_h @ half_gradient(core, point, z, d)
+    x, point = candidate(project(a_h @ p0))
+    h = a_h @ point.gradient
     history = _History(tangent)
     trace = [point.objective]
     t_setup = time.perf_counter() - t0
@@ -522,23 +468,22 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         if qn is not None and qn[-1].objective - point.objective > cfg.tol_objective:
             best = qn  # a climb that cannot end the solve: no MM candidate
         else:
-            shift = shift_parameter(core, d)
-            best = candidate(sca_step(x, h, shift, project))
+            shift = shift_parameter(core, point)
+            best = candidate(project(shift * x + h))
             if qn is not None and qn[-1].objective > best[-1].objective:
                 best = qn
             for _ in range(MAX_RETRIES):
                 if best[-1].objective >= point.objective - cfg.tol_objective:
                     break
                 shift *= 2.0
-                best = candidate(sca_step(x, h, shift, project))
+                best = candidate(project(shift * x + h))
         delta = best[-1].objective - point.objective
         if not delta >= -cfg.tol_objective:
             stalled = True
             break
         if delta >= 0.0:  # after a fall within the tolerance the iterate stays
-            x, z, point = best
-            d = curvature(core, point)
-            h = a_h @ half_gradient(core, point, z, d)
+            x, point = best
+            h = a_h @ point.gradient
         trace.append(point.objective)
         if delta <= cfg.tol_objective and len(trace) > 2:
             converged = True
@@ -559,7 +504,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     final_rate = metrics.sum_rate(scene, w)
     final_crlb = point.crlb  # NaN without targets, or at a singular or non-finite Fisher matrix
     if core.weights.sense == 0 and core.operator is not None:
-        zs = z[scene.n_users :]
+        zs = point.z[scene.n_users :]
         try:
             final_crlb = metrics.crlb_trace(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
         except (ValueError, SingularFisherError):

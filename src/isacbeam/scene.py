@@ -25,11 +25,19 @@ __all__ = [
     "steering_derivatives",
     "build_steering_set",
     "philox",
+    "check_integer",
     "sample_scene",
     "benchmark_targets",
     "dbm_to_linear",
     "scene_from_config",
 ]
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """ValueError unless value is an integer (Python or numpy) >= minimum;
+    a float, even a whole one, or a string is not."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def dbm_to_linear(value_dbm: float) -> float:
@@ -54,8 +62,8 @@ class ArrayGeometry:
     n_vertical: int
 
     def __post_init__(self):
-        if self.n_horizontal < 1 or self.n_vertical < 1:
-            raise ValueError("array dimensions must be >= 1")
+        check_integer("n_horizontal", self.n_horizontal, 1)
+        check_integer("n_vertical", self.n_vertical, 1)
 
     @property
     def n_elements(self) -> int:
@@ -232,9 +240,9 @@ GEOMETRY_CACHE = 64
 @dataclass(frozen=True)
 class TargetGeometry:
     """What a scene's targets fix whatever its channels: the steering set,
-    the Fisher operator (`metrics.fisher_operator`, read-only) and whether
-    the Fisher matrix at R_x = I is nonsingular. That covariance has the
-    largest null space of any, so when identifiable is False every
+    the Fisher operator (built by `metrics._fisher_operator`, read-only) and
+    whether the Fisher matrix at R_x = I is nonsingular. That covariance has
+    the largest null space of any, so when identifiable is False every
     beamformer's Fisher matrix is singular (repeated targets, for example)."""
 
     steering: SteeringSet
@@ -304,10 +312,9 @@ def sample_scene(
     Explicit ``targets`` override the random draw (the target stream is still
     consumed so channel realizations are unaffected).
     """
-    if n_users < 0 or n_targets < 0:
-        raise ValueError("dimensions must be nonnegative")
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
+    check_integer("n_users", n_users, 0)
+    check_integer("n_targets", n_targets, 0)
+    check_integer("n_slots", n_slots, 1)
     if elevation_mode not in ("domain", "wide-clipped"):
         raise ValueError(f"unknown elevation_mode {elevation_mode!r}")
     if not 0 < channel_variance < np.inf:
@@ -375,15 +382,15 @@ def benchmark_targets() -> tuple:
 def scene_from_config(config: dict) -> Scene:
     """Build a scene from a flat config dict (see module docstring for keys)."""
     cfg = dict(config)
-    seed = int(cfg.pop("seed"))
+    seed = cfg.pop("seed")
     kwargs = {}
     for key in ("tx_geometry", "rx_geometry"):
         if key in cfg:
             nh, nv = cfg.pop(key)
-            kwargs[key] = ArrayGeometry(int(nh), int(nv))
+            kwargs[key] = ArrayGeometry(nh, nv)
     for key in ("n_users", "n_targets", "n_slots"):
         if key in cfg:
-            kwargs[key] = int(cfg.pop(key))
+            kwargs[key] = cfg.pop(key)
     for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm", "channel_variance"):
         if key in cfg:
             kwargs[key] = float(cfg.pop(key))

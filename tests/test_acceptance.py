@@ -146,27 +146,29 @@ def test_adjoint_identity_100_pairs(default_scene, rng):
         phi = rng.standard_normal((m4, m4))
         phi = 0.5 * (phi + phi.T)
         f = metrics.fim(scene, bf)
-        q = sca.quad_matrix(scene, phi)
+        kmat = metrics.table_adjoint(scene.geometry.operator, phi)
+        zs = scene.steering.tx.conj().T @ w
         lhs = float(np.trace(phi.T @ f))
-        rhs = float(np.real(np.trace(bf.covariance @ q)))
+        rhs = float(np.real(np.trace(kmat @ zs @ zs.conj().T)))  # Re tr(K R_s)
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs), trial
 
 
 # --- 7. surrogate tangency and bounds ---------------------------------------
 
 
-def _fp_rate_surrogate(scene, aux, w_matrix, k):
+def _fp_rate_surrogate(scene, sinr, point, w_matrix, k):
     """Fractional-programming lower bound on user k's rate, expanded at the
-    beamformer that produced aux."""
+    beamformer with SINRs sinr and point (weights 1/0: the user block of the
+    point's curvature holds the received-power penalty weights)."""
     h = scene.channels[:, k]
     gains = h.conj() @ w_matrix
     total = float(np.sum(np.abs(gains) ** 2) + scene.noise_comm[k])
-    xi = aux.sinr[k]
+    xi = sinr[k]
     return (
         np.log1p(xi)
         - xi
-        + 2.0 * np.real(aux.signal_coeff[k] * gains[k])
-        - aux.power_coeff[k] * total
+        + 2.0 * np.real(point.signal_coeff[k] * gains[k])
+        - point.curvature[k, k].real * total
     )
 
 
@@ -178,16 +180,18 @@ def _user_rates(scene, w_matrix):
 def test_rate_surrogate_tangent_and_lower_bound(default_scene, rng):
     scene = default_scene
     w0 = random_on_sphere(rng, (scene.n_tx, 10), scene.power_budget)
-    aux = sca.comm_aux_core(scene.channels.conj().T @ w0, scene.noise_comm)
+    core = sca.solver_core(scene, Weights(1.0, 0.0))
+    point = sca.evaluate(core, core.basis.conj().T @ w0)
+    sinr0 = metrics.sinr(scene.channels.conj().T @ w0, scene.noise_comm)[0]
     rates0 = _user_rates(scene, w0)
     for k in range(scene.n_users):
-        assert _fp_rate_surrogate(scene, aux, w0, k) == pytest.approx(rates0[k], rel=1e-9)
+        assert _fp_rate_surrogate(scene, sinr0, point, w0, k) == pytest.approx(rates0[k], rel=1e-9)
     for _ in range(100):
         w = random_on_sphere(rng, w0.shape, scene.power_budget)
         rates = _user_rates(scene, w)
         for k in range(scene.n_users):
             rate = rates[k]
-            bound = _fp_rate_surrogate(scene, aux, w, k)
+            bound = _fp_rate_surrogate(scene, sinr0, point, w, k)
             assert rate >= bound - 1e-9 * max(1.0, abs(rate))
 
 
@@ -216,9 +220,9 @@ def test_trace_quadratic_surrogate_tangent_and_bound(default_scene, rng):
     scene = default_scene
     w0 = sca.start_beamformer(scene, 6)
     core = sca.solver_core(scene, DEFAULT_WEIGHTS)
-    d = sca.curvature(core, sca.evaluate(core, core.basis.conj().T @ w0.matrix))
-    shift = sca.shift_parameter(core, d)
-    c2 = shift * np.eye(scene.n_tx) - core.basis @ d @ core.basis.conj().T
+    point = sca.evaluate(core, core.basis.conj().T @ w0.matrix)
+    shift = sca.shift_parameter(core, point)
+    c2 = shift * np.eye(scene.n_tx) - core.basis @ point.curvature @ core.basis.conj().T
     c2 = 0.5 * (c2 + c2.conj().T)
     assert np.min(np.linalg.eigvalsh(c2)) >= -1e-10 * np.max(np.abs(c2))  # PSD
 

@@ -170,6 +170,22 @@ def test_sweep_rejects_unknown_or_fractional_solver_options(solver_config, tmp_p
 
 
 @pytest.mark.parametrize(
+    "config",
+    [{"base_seed": 1.5}, {"scene": {**TINY_SCENE, "n_users": 1.5}},
+     {"scene": {**TINY_SCENE, "tx_geometry": [2.5, 2]}}],
+    ids=["base-seed", "n-users", "tx-geometry"],
+)
+def test_sweep_rejects_fractional_integers(config, tmp_path, capsys):
+    # a fractional base seed used to exit 0 with seed 1.5 rows
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "scene": TINY_SCENE, **config}))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_BAD_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--bogus"],

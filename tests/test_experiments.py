@@ -67,6 +67,27 @@ def test_counts_must_be_integers():
     assert ExperimentConfig(trials=np.int64(3), workers=np.int64(2)).trials == 3
 
 
+def test_base_seed_must_be_an_integer():
+    # a fractional base seed used to run, writing seed 1.5 rows for scenes
+    # built from seed 1
+    for seed in (1.5, 2.0, "3", -1):
+        with pytest.raises(ValueError, match="base_seed"):
+            ExperimentConfig(base_seed=seed)
+    with pytest.raises(ValueError, match="base_seed"):
+        config_from_dict({"base_seed": 1.5})
+    assert ExperimentConfig(base_seed=np.uint64(7)).base_seed == 7
+
+
+@pytest.mark.parametrize("axis, bad", [("n_users", 1.5), ("n_sense", 2.0), ("n_tx", "16"), ("n_tx", 0)])
+def test_count_axes_take_integer_values(axis, bad):
+    # an n_users sweep over 1.5 used to solve one-user scenes and write 1.5 rows
+    with pytest.raises(ValueError, match=axis):
+        ExperimentConfig(sweep_axis=axis, sweep_values=(bad,))
+    with pytest.raises(ValueError, match=axis):
+        config_from_dict({"sweep_axis": axis, "sweep_values": [bad]})
+    assert ExperimentConfig(sweep_axis=axis, sweep_values=(np.int64(1), 2)).sweep_values == (1, 2)
+
+
 def test_near_square_factorization():
     assert (experiments._near_square(16).n_horizontal, experiments._near_square(16).n_vertical) == (4, 4)
     assert (experiments._near_square(12).n_horizontal, experiments._near_square(12).n_vertical) == (4, 3)

@@ -191,7 +191,7 @@ def test_fisher_operator_properties(seed, n_targets):
     runs without the operator."""
     scene = sample_scene(seed, n_targets=n_targets)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    op = metrics.fisher_operator(scene)
+    op = scene.geometry.operator
     m3, m4 = 3 * n_targets, 4 * n_targets
     x = rng.standard_normal((m3, m3 + 1)) + 1j * rng.standard_normal((m3, m3 + 1))
     r_s = x @ x.conj().T
@@ -206,7 +206,7 @@ def test_fisher_operator_properties(seed, n_targets):
     assert abs(lhs - rhs) <= 1e-10 * np.sum(np.abs(phi * f))
 
     w = make_beamformer(scene, rng, n_sense=n_targets)
-    forbidden = {name: _forbidden(name) for name in ("fisher_operator", "fim_matrix", "fim")}
+    forbidden = {name: _forbidden(name) for name in ("_fisher_operator", "fim_matrix", "fim")}
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in forbidden.items():
             mp.setattr(metrics, name, fn)
@@ -220,7 +220,7 @@ def test_target_geometry_key_is_complete():
     # steering set and Fisher operator equal to an uncached build
     targets = benchmark_targets()
     base = sample_scene(0, targets=targets)
-    metrics.fisher_operator(base)
+    base.geometry.operator
     build = scene_module.target_geometry.__wrapped__
     variants = (
         sample_scene(0, targets=targets, n_slots=32),
@@ -238,9 +238,9 @@ def test_target_geometry_key_is_complete():
 
     for scene in variants:
         fresh = build(scene.tx_geometry, scene.rx_geometry, scene.targets, scene.slots, scene.noise_radar)
-        got = arrays(metrics.fisher_operator(scene), scene.steering)
+        got = arrays(scene.geometry.operator, scene.steering)
         assert equal(got, arrays(fresh.operator, fresh.steering))
-        assert not equal(got, arrays(metrics.fisher_operator(base), base.steering))  # a new geometry
+        assert not equal(got, arrays(base.geometry.operator, base.steering))  # a new geometry
 
 
 def test_fd_fim_builds_no_target_geometry(rng):

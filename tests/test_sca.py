@@ -42,20 +42,26 @@ def test_project_per_antenna_rows(rng):
 
 
 def test_comm_aux_matches_direct_computation(rng):
+    # at weights 1/0 the point's objective is the sum rate, the user block of
+    # its curvature is diag(sinr_k / total_k) and its signal coefficients
+    # times the desired gains are the SINRs
     scene = sample_scene(0)
     shape = (scene.n_tx, scene.n_users + 2)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w = sca.project_total_power(w, scene.power_budget)
-    aux = sca.comm_aux_core(scene.channels.conj().T @ w, scene.noise_comm)
+    core = sca.solver_core(scene, Weights(1.0, 0.0))
+    point = sca.evaluate(core, core.basis.conj().T @ w)
+    rate = 0.0
     for k in range(scene.n_users):
         h = scene.channels[:, k]
         gains = np.abs(h.conj() @ w) ** 2
         signal = np.abs(h.conj() @ w[:, k]) ** 2
         total = gains.sum() + scene.noise_comm[k]
         sinr = signal / (total - signal)
-        assert aux.sinr[k] == pytest.approx(sinr, rel=1e-12)
-        assert aux.power_coeff[k] == pytest.approx(sinr / total, rel=1e-12)
-        assert aux.signal_coeff[k] * (h.conj() @ w[:, k]) == pytest.approx(sinr, rel=1e-12)
+        rate += np.log1p(sinr)
+        assert point.curvature[k, k] == pytest.approx(sinr / total, rel=1e-12)
+        assert point.signal_coeff[k] * (h.conj() @ w[:, k]) == pytest.approx(sinr, rel=1e-12)
+    assert point.objective == pytest.approx(rate, rel=1e-12)
 
 
 def test_matched_filter_single_channel_rate_maximizer():
@@ -77,6 +83,8 @@ def test_matched_filter_single_channel_rate_maximizer():
 
 
 def test_adjoint_identity_between_fim_and_quad(default_scene, rng):
+    # tr(phi^T F(W)) = Re tr(K R_s), K = table_adjoint(T, phi) and
+    # R_s = Sbar^H W W^H Sbar, the quadratic form the curvature carries
     scene = default_scene
     m = scene.n_targets
     for _ in range(10):
@@ -87,9 +95,10 @@ def test_adjoint_identity_between_fim_and_quad(default_scene, rng):
         phi = rng.standard_normal((4 * m, 4 * m))
         phi = 0.5 * (phi + phi.T)
         f = metrics.fim(scene, bf)
-        q = sca.quad_matrix(scene, phi)
+        kmat = metrics.table_adjoint(scene.geometry.operator, phi)
+        zs = scene.steering.tx.conj().T @ w
         lhs = np.trace(phi.T @ f)
-        rhs = np.real(np.trace(bf.covariance @ q))
+        rhs = np.real(np.trace(kmat @ zs @ zs.conj().T))
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
@@ -165,19 +174,17 @@ def test_high_power_solves_never_stop_on_the_first_pass():
         assert np.mean([r.objective for r in results]) >= floor
 
 
-def _curvature_at(scene, w):
+def _point_at(scene, w):
     core = sca.solver_core(scene, WTS)
-    z = core.basis.conj().T @ w.matrix
-    point = sca.evaluate(core, z)
-    return core, z, point, sca.curvature(core, point)
+    return core, sca.evaluate(core, core.basis.conj().T @ w.matrix)
 
 
 def test_shift_makes_curvature_positive_semidefinite(default_scene):
     scene = default_scene
     w = sca.start_beamformer(scene, 6)
-    core, _, _, d = _curvature_at(scene, w)
-    shift = sca.shift_parameter(core, d)
-    c2 = shift * np.eye(scene.n_tx) - core.basis @ d @ core.basis.conj().T
+    core, point = _point_at(scene, w)
+    shift = sca.shift_parameter(core, point)
+    c2 = shift * np.eye(scene.n_tx) - core.basis @ point.curvature @ core.basis.conj().T
     eigs = np.linalg.eigvalsh(0.5 * (c2 + c2.conj().T))
     assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
@@ -185,11 +192,10 @@ def test_shift_makes_curvature_positive_semidefinite(default_scene):
 def test_step_equals_projected_gradient_ascent(default_scene):
     scene = default_scene
     w = sca.start_beamformer(scene, 6)
-    core, z, point, d = _curvature_at(scene, w)
-    project = lambda x: sca.project_total_power(x, scene.power_budget)
-    shift = sca.shift_parameter(core, d)
-    g = sca.half_gradient(core, point, z, d)
-    nxt = sca.sca_step(w.matrix, core.basis @ g, shift, project)
+    core, point = _point_at(scene, w)
+    shift = sca.shift_parameter(core, point)
+    # the MM candidate in antenna coordinates: Pi(lambda W + V g)
+    nxt = sca.project_total_power(shift * w.matrix + core.basis @ point.gradient, scene.power_budget)
     grad = sca.analytic_gradient(scene, w, WTS)
     pga = sca.project_total_power(w.matrix + grad / (2.0 * shift), scene.power_budget)
     assert np.linalg.norm(nxt - pga) <= 1e-10 * np.linalg.norm(pga)
@@ -243,15 +249,18 @@ def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, mo
 
         return wrapper
 
-    for name in ("shift_parameter", "sca_step", "evaluate"):
+    for name in ("shift_parameter", "evaluate"):
         monkeypatch.setattr(sca, name, counted(name, getattr(sca, name)))
     # calibrated on 3M sensing streams: 10 MM candidates in 45 iterations
     # there, 4 in 20 at the default stream count
     result = front_end(default_scene, WTS, n_sense=3 * default_scene.n_targets)
     assert result.converged
     assert 0 < events.count("shift_parameter") < 0.3 * result.iterations
-    last = len(events) - 1 - events[::-1].index("evaluate")
-    assert events[last - 1] == "sca_step"
+    # the MM candidate is the one evaluation after a shift (this scene's
+    # stopping pass needs no doublings), so the solve ends on it: one more
+    # pass, quasi-Newton or MM, would evaluate again after it
+    last_shift = len(events) - 1 - events[::-1].index("shift_parameter")
+    assert events[last_shift + 1 :] == ["evaluate"]
     # per-antenna solves run the same loop on the row spheres: 3 MM
     # candidates in 21 iterations at the default stream count
     events.clear()
@@ -506,6 +515,8 @@ def test_front_ends_build_steering_set_once(monkeypatch):
 def test_negative_n_sense_raises(front_end, small_scene):
     with pytest.raises(ValueError, match="n_sense"):
         front_end(small_scene, WTS, n_sense=-1)
+    with pytest.raises(ValueError, match="n_sense"):
+        front_end(small_scene, WTS, n_sense=2.5)
 
 
 @pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
@@ -658,21 +669,30 @@ def test_ascent_check_stops_when_retries_run_out(monkeypatch, caplog, power_cons
 
 
 @pytest.mark.parametrize(
-    "front_end, tx, cfg",
+    "front_end, tx, cfg, weights",
     [
-        pytest.param(solve, (4, 4), SolverConfig(), id="full-4x4"),
-        pytest.param(solve_ld, (4, 4), SolverConfig(), id="lowdim-4x4"),
-        pytest.param(solve, (12, 12), SolverConfig(), id="full-12x12"),
-        pytest.param(solve_ld, (12, 12), SolverConfig(), id="lowdim-12x12"),
-        pytest.param(solve, (4, 4), SolverConfig(power_constraint="per-antenna"), id="full-per-antenna"),
+        pytest.param(solve, (4, 4), SolverConfig(), WTS, id="full-4x4"),
+        pytest.param(solve_ld, (4, 4), SolverConfig(), WTS, id="lowdim-4x4"),
+        pytest.param(solve, (12, 12), SolverConfig(), WTS, id="full-12x12"),
+        pytest.param(solve_ld, (12, 12), SolverConfig(), WTS, id="lowdim-12x12"),
+        pytest.param(
+            solve, (4, 4), SolverConfig(power_constraint="per-antenna"), WTS, id="full-per-antenna"
+        ),
+        # without a sensing term the CRLB trace is formed once, after the loop
+        pytest.param(solve, (4, 4), SolverConfig(), Weights(1.0, 0.0), id="full-comm-only"),
+        pytest.param(
+            solve, (4, 4), SolverConfig(power_constraint="per-antenna"), Weights(1.0, 0.0),
+            id="full-per-antenna-comm-only",
+        ),
+        pytest.param(solve, (4, 4), SolverConfig(), Weights(0.0, 1.0), id="full-sense-only"),
     ],
 )
-def test_returned_beamformer_reproduces_report(front_end, tx, cfg):
+def test_returned_beamformer_reproduces_report(front_end, tx, cfg, weights):
     """The metrics evaluated at the returned beamformer (lifted to the
     antenna domain by solve_ld) are the ones the result reports."""
     scene = sample_scene(0, tx_geometry=ArrayGeometry(*tx), targets=benchmark_targets())
-    result = front_end(scene, WTS, cfg)
+    result = front_end(scene, weights, cfg)
     w = result.beamformer
     assert metrics.sum_rate(scene, w) == pytest.approx(result.sum_rate, rel=1e-9, abs=0.0)
     assert metrics.crlb_trace(metrics.fim(scene, w)) == pytest.approx(result.crlb_trace, rel=1e-9, abs=0.0)
-    assert metrics.objective(scene, w, WTS) == pytest.approx(result.objective, rel=1e-9, abs=0.0)
+    assert metrics.objective(scene, w, weights) == pytest.approx(result.objective, rel=1e-9, abs=0.0)

@@ -11,7 +11,6 @@ from isacbeam import (
     Weights,
     benchmark_targets,
     build_steering_set,
-    metrics,
     sample_scene,
     solve,
 )
@@ -69,7 +68,7 @@ def test_azimuth_derivative_vanishes_at_zero_elevation():
 @pytest.mark.parametrize("n_targets", [0, 1, 3])
 def test_steering_set_column_layout(n_targets):
     # column m of each block belongs to target m: tx = [A, A_dtheta, A_dphi],
-    # rx = [B, B_dtheta, B_dphi], the order fisher_operator indexes
+    # rx = [B, B_dtheta, B_dphi], the order the Fisher operator indexes
     scene = sample_scene(4, tx_geometry=ArrayGeometry(4, 3), n_targets=n_targets)
     steering = build_steering_set(scene)
     m = n_targets
@@ -104,7 +103,14 @@ def test_angle_validation():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(0, 3)
+    # fractional dimensions used to fail with TypeError deep inside numpy
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="n_horizontal"):
+            ArrayGeometry(bad, 2)
+        with pytest.raises(ValueError, match="n_vertical"):
+            ArrayGeometry(2, bad)
     assert ArrayGeometry(5, 4).n_elements == 20
+    assert ArrayGeometry(np.int64(5), 4).n_elements == 20
 
 
 def test_same_seed_identical_scenes():
@@ -154,6 +160,13 @@ def test_invalid_sampling_inputs():
             sample_scene(0, **{key: 4000.0})
     with pytest.raises(ValueError):
         sample_scene(0, channel_variance=0.0)
+    # counts are integers: n_slots=2.5 used to build a scene with 2.5 slots,
+    # and n_users=1.5 to fail with TypeError inside numpy
+    for key in ("n_users", "n_targets", "n_slots"):
+        for bad in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=key):
+                sample_scene(0, **{key: bad})
+    assert sample_scene(0, n_users=np.int64(2), n_slots=np.int64(8)).slots == 8
 
 
 def test_seed_must_be_a_64_bit_key():
@@ -184,8 +197,8 @@ def test_channel_draws_share_one_read_only_target_geometry():
     b = sample_scene(1, targets=benchmark_targets())
     assert not np.array_equal(a.channels, b.channels)
     assert a.steering is b.steering and build_steering_set(b) is a.steering
-    assert metrics.fisher_operator(a) is metrics.fisher_operator(b)
-    for array in (a.steering.tx, b.steering.rx, a.steering.rcs, metrics.fisher_operator(b)):
+    assert a.geometry.operator is b.geometry.operator
+    for array in (a.steering.tx, b.steering.rx, a.steering.rcs, b.geometry.operator):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -242,6 +255,17 @@ def test_scene_from_config_round_trip():
 def test_scene_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         scene_from_config({"seed": 0, "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.5), ("seed", "3"), ("n_users", 2.7), ("n_targets", 1.0), ("n_slots", 8.5),
+     ("tx_geometry", [2.5, 2]), ("rx_geometry", [2, 2.0])],
+)
+def test_scene_from_config_rejects_fractional_integers(key, value):
+    # these used to be truncated by int(): seed 1.5 built the scene of seed 1
+    with pytest.raises(ValueError):
+        scene_from_config({"seed": 0, key: value})
 
 
 def test_scene_from_config_explicit_targets():
