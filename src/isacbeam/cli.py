@@ -1,5 +1,9 @@
 """Command-line interface: single solves, sweeps, and the verification suite.
 
+A flag given on the command line overrides the config file's value; an absent
+flag leaves the file's value, or the default (seed 0, solver full, total power
+constraint).
+
 Exit codes: 0 success, 1 invalid configuration (usage errors included),
 2 verification failure, 3 nonconvergence in strict mode.
 """
@@ -44,15 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON configuration file")
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    common.add_argument("--seed", type=int, help="base RNG seed (default 0)")
     solvers = argparse.ArgumentParser(add_help=False)
     solvers.add_argument(
-        "--solver", choices=("full", "lowdim", "both"), default="full",
-        help="which solver(s) to run",
+        "--solver", choices=("full", "lowdim", "both"),
+        help="which solver(s) to run (default full)",
     )
     solvers.add_argument(
-        "--power-constraint", choices=("total", "per-antenna"), default="total",
-        help="transmit power constraint handled by the projection step",
+        "--power-constraint", choices=("total", "per-antenna"),
+        help="transmit power constraint handled by the projection step (default total)",
     )
 
     p_solve = sub.add_parser("solve", parents=[common, solvers], help="solve one instance")
@@ -61,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", type=Path, help="write metrics JSON here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", parents=[common, solvers], help="run a configured sweep")
-    p_sweep.add_argument("--trials", type=int, help="override trial count")
+    p_sweep.add_argument("--trials", type=int, help="trial count per sweep value")
     p_sweep.add_argument("--out", type=Path, help="CSV output path (summary JSON alongside)")
     p_sweep.add_argument("--strict", action="store_true",
                          help="exit nonzero if any trial fails to converge")
@@ -80,14 +84,22 @@ def _load_json(path: Optional[Path]) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
+def _given(config: dict, **flags) -> dict:
+    """config with each flag given on the command line (not None) written
+    over it: the one precedence of every setting the CLI merges."""
+    return {**config, **{key: value for key, value in flags.items() if value is not None}}
+
+
+def _scene_config(args) -> dict:
+    return _given({"seed": 0, **_load_json(args.config)}, seed=args.seed)
+
+
 def _cmd_solve(args) -> int:
-    scene_cfg = _load_json(args.config)
-    scene_cfg.setdefault("seed", args.seed)
-    scene = scene_from_config(scene_cfg)
+    scene = scene_from_config(_scene_config(args))
     weights = Weights(args.comm_weight, args.sense_weight)
-    cfg = SolverConfig(power_constraint=args.power_constraint)
+    cfg = SolverConfig(power_constraint=args.power_constraint or "total")
     report = {}
-    for name, runner in experiments.front_ends(args.solver):
+    for name, runner in experiments.front_ends(args.solver or "full"):
         result = runner(scene, weights, cfg)
         report[name] = {
             "sum_rate_nats": result.sum_rate,
@@ -107,15 +119,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_json(args.config)
-    raw.setdefault("base_seed", args.seed)
-    raw.setdefault("solver", args.solver)
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.strict:
-        raw["strict"] = True
-    solver_cfg = raw.setdefault("solver_config", {})
-    solver_cfg.setdefault("power_constraint", args.power_constraint)
+    raw = _given(_load_json(args.config), base_seed=args.seed, solver=args.solver, trials=args.trials)
+    raw["solver_config"] = _given(raw.get("solver_config", {}), power_constraint=args.power_constraint)
     cfg = experiments.config_from_dict(raw)
     result = experiments.run_experiment(cfg)
     csv_text = experiments.records_to_csv(result.records, cfg.sweep_axis)
@@ -126,14 +131,14 @@ def _cmd_sweep(args) -> int:
     else:
         sys.stdout.write(csv_text)
         print(summary_text)
-    if cfg.strict and any(r.status != "ok" for r in result.records):
+    if args.strict and any(r.status != "ok" for r in result.records):
         return EXIT_NONCONVERGED
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    scene_cfg = _load_json(args.config)
-    checks = experiments.verify(scene_cfg or None, seed=args.seed)
+    scene_cfg = _scene_config(args)
+    checks = experiments.verify(scene_cfg, seed=scene_cfg["seed"])
     report = [dataclasses.asdict(c) for c in checks]
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -43,6 +43,8 @@ CSV_HEADER = (
 _SWEEP_AXES = ("comm_weight", "n_sense", "n_tx", "n_users", "power_dbm")
 # the axes whose values are counts, with their least value
 _COUNT_AXES = {"n_sense": 0, "n_tx": 1, "n_users": 0}
+# the scene key that each trial of a sweep along these axes sets
+_SCENE_KEYS = {"n_tx": "tx_geometry", "n_users": "n_users", "power_dbm": "power_dbm"}
 _SOLVERS = ("full", "lowdim", "both")
 
 
@@ -50,9 +52,10 @@ _SOLVERS = ("full", "lowdim", "both")
 class ExperimentConfig:
     """One sweep: axis, values, trial count, solver selection, scene overrides.
 
-    scene holds sample_scene config keys (minus seed); trial seeds are
-    base_seed + trial index. measure_time=False zeroes wall_ms so repeated
-    runs emit byte-identical CSV.
+    scene holds scene_from_config keys, but neither seed (trial seeds are
+    base_seed + trial index) nor the key the sweep axis sets (tx_geometry
+    under n_tx, n_users, power_dbm): either is a ValueError. measure_time=False
+    zeroes wall_ms so repeated runs emit byte-identical CSV.
     """
 
     sweep_axis: str = "comm_weight"
@@ -65,7 +68,6 @@ class ExperimentConfig:
     scene: dict = field(default_factory=dict)
     solver_config: SolverConfig = SolverConfig()
     workers: int = 1
-    strict: bool = False
     measure_time: bool = True
 
     def __post_init__(self):
@@ -86,6 +88,9 @@ class ExperimentConfig:
                 check_integer(self.sweep_axis, value, _COUNT_AXES[self.sweep_axis])
         if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
             raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
+        for key in ("seed", _SCENE_KEYS.get(self.sweep_axis)):
+            if key in self.scene:
+                raise ValueError(f"scene must not hold {key!r}, which each trial of this sweep sets")
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "scene", dict(self.scene))
 

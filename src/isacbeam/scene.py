@@ -35,8 +35,8 @@ __all__ = [
 
 def check_integer(name: str, value, minimum: int) -> None:
     """ValueError unless value is an integer (Python or numpy) >= minimum;
-    a float, even a whole one, or a string is not."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    a bool, a float (even a whole one) or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -130,8 +130,7 @@ class Scene:
             raise ValueError("noise_comm needs one entry per user")
         if not (np.all((0 < noise) & (noise < np.inf)) and 0 < self.noise_radar < np.inf):
             raise ValueError("noise powers must be finite and strictly positive")
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
+        check_integer("slots", self.slots, 1)
         if not 0 < self.power_budget < np.inf:
             raise ValueError("power budget must be finite and positive")
         object.__setattr__(self, "channels", _freeze(channels))
@@ -276,7 +275,7 @@ _AZIMUTH_SPAN = 2.0 * np.pi / 3.0
 
 def philox(key: int) -> np.random.Generator:
     """The Philox stream keyed by an integer in [0, 2^64); ValueError otherwise."""
-    if not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
         raise ValueError(f"a seed must be an integer in [0, 2^64), got {key!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(key)))
 
@@ -287,7 +286,7 @@ def sample_scene(
     tx_geometry: ArrayGeometry = ArrayGeometry(4, 4),
     rx_geometry: ArrayGeometry = ArrayGeometry(5, 4),
     n_users: int = 4,
-    n_targets: int = 2,
+    n_targets: Optional[int] = None,
     n_slots: int = 64,
     power_dbm: float = 10.0,
     noise_radar_dbm: float = 0.0,
@@ -309,11 +308,18 @@ def sample_scene(
       * "domain": uniform on (-pi/2, pi/2), the full declared domain;
       * "wide-clipped": uniform on (-2pi/3, 2pi/3) then clipped to the domain.
 
-    Explicit ``targets`` override the random draw (the target stream is still
-    consumed so channel realizations are unaffected).
+    n_targets defaults to 2 random targets, or to the number of explicit
+    ``targets``, which override the random draw (the target stream is still
+    consumed so channel realizations are unaffected); an explicit n_targets
+    that differs from it is a ValueError.
     """
     check_integer("n_users", n_users, 0)
+    targets = None if targets is None else tuple(targets)
+    if n_targets is None:
+        n_targets = 2 if targets is None else len(targets)
     check_integer("n_targets", n_targets, 0)
+    if targets is not None and n_targets != len(targets):
+        raise ValueError(f"n_targets={n_targets!r} but {len(targets)} explicit targets given")
     check_integer("n_slots", n_slots, 1)
     if elevation_mode not in ("domain", "wide-clipped"):
         raise ValueError(f"unknown elevation_mode {elevation_mode!r}")
@@ -337,8 +343,6 @@ def sample_scene(
         targets = tuple(
             Target(float(a), float(e), complex(r)) for a, e, r in zip(azimuth, elevation, rcs)
         )
-    else:
-        targets = tuple(targets)
     return Scene(
         tx_geometry=tx_geometry,
         rx_geometry=rx_geometry,
@@ -402,7 +406,6 @@ def scene_from_config(config: dict) -> Scene:
                    complex(float(t["rcs_real"]), float(t["rcs_imag"])))
             for t in cfg.pop("targets")
         )
-        kwargs.setdefault("n_targets", len(kwargs["targets"]))
     if cfg:
         raise ValueError(f"unknown scene config keys: {sorted(cfg)}")
     return sample_scene(seed, **kwargs)

@@ -1,5 +1,7 @@
 """CLI subcommands and exit codes, driven through main() with temp files."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -85,6 +87,94 @@ def test_sweep_strict_flags_nonconvergence(tmp_path):
     code = cli.main(["sweep", "--config", str(cfg_path), "--strict", "--out", str(out)])
     assert code == cli.EXIT_NONCONVERGED
     assert "nonconverged" in out.read_text()
+
+
+def _sweep(tmp_path, config, *flags):
+    """Exit code and CSV rows of `sweep` on a one-trial tiny-scene config
+    updated by `config`, with the given flags."""
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "scene": TINY_SCENE, "measure_time": False, **config}))
+    out = tmp_path / "sweep.csv"
+    out.unlink(missing_ok=True)
+    code = cli.main(["sweep", "--config", str(cfg_path), *flags, "--out", str(out)])
+    return code, list(csv.DictReader(io.StringIO(out.read_text()))) if out.exists() else []
+
+
+@pytest.mark.parametrize(
+    "config, flags, expected",
+    [
+        ({"base_seed": 0}, ["--seed", "7"], [("7", "full")]),
+        ({"solver": "full"}, ["--solver", "lowdim"], [("0", "lowdim")]),
+        ({"trials": 1}, ["--trials", "2"], [("0", "full"), ("1", "full")]),
+        # used to write full rows for seeds 0 and 1
+        ({"solver": "full", "base_seed": 0}, ["--solver", "lowdim", "--seed", "7", "--trials", "2"],
+         [("7", "lowdim"), ("8", "lowdim")]),
+        # an absent flag leaves the file's value
+        ({"solver": "lowdim", "base_seed": 3, "trials": 2}, [], [("3", "lowdim"), ("4", "lowdim")]),
+    ],
+    ids=["seed", "solver", "trials", "all", "absent"],
+)
+def test_sweep_flags_override_the_config_file(config, flags, expected, tmp_path):
+    code, rows = _sweep(tmp_path, config, *flags)
+    assert code == cli.EXIT_OK
+    assert [(row["seed"], row["solver"]) for row in rows] == expected
+
+
+def test_sweep_power_constraint_flag_overrides_the_config_file(tmp_path):
+    def objectives(constraint, *flags):
+        code, rows = _sweep(tmp_path, {"solver_config": {"power_constraint": constraint}}, *flags)
+        assert code == cli.EXIT_OK
+        return [row["objective"] for row in rows]
+
+    per_antenna = objectives("per-antenna")  # no flag: the file's value
+    assert per_antenna != objectives("total")
+    assert objectives("total", "--power-constraint", "per-antenna") == per_antenna
+    assert objectives("per-antenna", "--power-constraint", "total") == objectives("total")
+
+
+def test_solve_seed_flag_overrides_the_config_file(tmp_path, capsys):
+    def report(seed, *flags):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**TINY_SCENE, "seed": seed}))
+        assert cli.main(["solve", "--config", str(path), *flags]) == cli.EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    assert report(5) != report(7)
+    assert report(5, "--seed", "7") == report(7)
+
+
+def test_verify_seed_flag_overrides_the_config_file(scene_config, tmp_path, monkeypatch):
+    from isacbeam.analysis import CheckRecord
+
+    def seeds(scene_config, seed):
+        return [CheckRecord(name=name, value=value, threshold=2.0**64, passed=True)
+                for name, value in (("scene_seed", scene_config["seed"]), ("seed", seed))]
+
+    monkeypatch.setattr(cli.experiments, "verify", seeds)
+    scene_config.write_text(json.dumps({**TINY_SCENE, "seed": 5}))
+    out = tmp_path / "report.json"
+    # the file's seed used to build the scene while the flag's (or 0) seeded the rest
+    for flags, expected in ((["--seed", "7"], 7), ([], 5)):
+        argv = ["verify", "--config", str(scene_config), *flags, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert [entry["value"] for entry in json.loads(out.read_text())] == [expected, expected]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"scene": {**TINY_SCENE, "seed": 1}},
+     {"sweep_axis": "power_dbm", "sweep_values": [10], "scene": {**TINY_SCENE, "power_dbm": 30}},
+     {"sweep_axis": "n_users", "sweep_values": [1]},
+     {"sweep_axis": "n_tx", "sweep_values": [4], "scene": {**TINY_SCENE, "tx_geometry": [4, 4]}},
+     {"strict": True}],
+    ids=["scene-seed", "power-dbm", "n-users", "tx-geometry", "strict"],
+)
+def test_sweep_rejects_settings_it_would_drop(config, tmp_path, capsys):
+    # each trial overwrote these scene keys without a word, and a config's
+    # strict was copied into a field that nothing read; --strict is the flag
+    code, rows = _sweep(tmp_path, config)
+    assert code == cli.EXIT_BAD_CONFIG and rows == []
+    assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

@@ -55,9 +55,10 @@ def test_config_validation():
 
 
 def test_counts_must_be_integers():
-    # a fractional trial count used to pass validation and fail in the sweep
+    # a fractional trial count used to pass validation and fail in the sweep,
+    # and True passed as 1
     for name in ("trials", "workers"):
-        for count in (1.5, 2.0, "2"):
+        for count in (1.5, 2.0, "2", True):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(**{name: count})
     with pytest.raises(ValueError, match="trials"):
@@ -86,6 +87,27 @@ def test_count_axes_take_integer_values(axis, bad):
     with pytest.raises(ValueError, match=axis):
         config_from_dict({"sweep_axis": axis, "sweep_values": [bad]})
     assert ExperimentConfig(sweep_axis=axis, sweep_values=(np.int64(1), 2)).sweep_values == (1, 2)
+
+
+# (sweep axis, the scene key its trials set, a value for that key)
+TRIAL_SCENE_KEYS = [
+    ("comm_weight", "seed", 1),
+    ("power_dbm", "power_dbm", 30.0),
+    ("n_users", "n_users", 2),
+    ("n_tx", "tx_geometry", [4, 4]),
+]
+
+
+@pytest.mark.parametrize("axis, key, value", TRIAL_SCENE_KEYS)
+def test_scene_must_not_hold_what_each_trial_sets(axis, key, value):
+    # each trial overwrote these without a word: power_dbm 30 under a
+    # power_dbm sweep over (10,) solved 10 dBm scenes
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(sweep_axis=axis, sweep_values=(10,), scene={key: value})
+    with pytest.raises(ValueError, match=key):
+        config_from_dict({"sweep_axis": axis, "sweep_values": [10], "scene": {key: value}})
+    if key != "seed":  # a key that another axis sweeps is the scene's to set
+        ExperimentConfig(sweep_axis="comm_weight", scene={key: value})
 
 
 def test_near_square_factorization():
@@ -199,6 +221,9 @@ def test_config_from_dict_round_trip():
     assert cfg.solver_config.max_iters == 10
     with pytest.raises(TypeError):
         config_from_dict({"bogus_key": 1})
+    # strict is the CLI's, which checks the records run_experiment returns
+    with pytest.raises(TypeError):
+        config_from_dict({"strict": True})
 
 
 def test_verify_passes_on_small_scene():

@@ -479,7 +479,8 @@ def test_solver_config_validation():
     for tol in (np.nan, np.inf, -1e-4):
         with pytest.raises(ValueError):
             SolverConfig(tol_objective=tol)
-    for max_iters in (0, 2.5, 3.0, "5"):  # a fractional count used to fail inside `run`
+    # a fractional count used to fail inside `run`, and True passed as 1
+    for max_iters in (0, 2.5, 3.0, "5", True):
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(max_iters=max_iters)
     with pytest.raises(ValueError):

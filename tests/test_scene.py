@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from isacbeam import (
     ArrayGeometry,
     Target,
@@ -103,8 +105,9 @@ def test_angle_validation():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(0, 3)
-    # fractional dimensions used to fail with TypeError deep inside numpy
-    for bad in (2.5, 2.0, "2"):
+    # fractional dimensions used to fail with TypeError deep inside numpy,
+    # and True passed as 1
+    for bad in (2.5, 2.0, "2", True):
         with pytest.raises(ValueError, match="n_horizontal"):
             ArrayGeometry(bad, 2)
         with pytest.raises(ValueError, match="n_vertical"):
@@ -161,16 +164,16 @@ def test_invalid_sampling_inputs():
     with pytest.raises(ValueError):
         sample_scene(0, channel_variance=0.0)
     # counts are integers: n_slots=2.5 used to build a scene with 2.5 slots,
-    # and n_users=1.5 to fail with TypeError inside numpy
+    # n_users=1.5 to fail with TypeError inside numpy, and True to pass as 1
     for key in ("n_users", "n_targets", "n_slots"):
-        for bad in (1.5, 2.0, "2"):
+        for bad in (1.5, 2.0, "2", True):
             with pytest.raises(ValueError, match=key):
                 sample_scene(0, **{key: bad})
     assert sample_scene(0, n_users=np.int64(2), n_slots=np.int64(8)).slots == 8
 
 
 def test_seed_must_be_a_64_bit_key():
-    for bad in (-1, 1.5, 2**64):
+    for bad in (-1, 1.5, 2**64, True):
         with pytest.raises(ValueError, match="seed"):
             sample_scene(bad)
     top = sample_scene(2**64 - 1)
@@ -182,6 +185,25 @@ def test_targets_override_keeps_channels():
     override = sample_scene(5, targets=benchmark_targets())
     assert np.array_equal(base.channels, override.channels)
     assert override.targets == benchmark_targets()
+
+
+def test_explicit_targets_fix_the_target_count():
+    # n_targets=3 with two explicit targets used to return a two-target scene
+    assert sample_scene(0, targets=benchmark_targets()).n_targets == 2
+    assert sample_scene(0, n_targets=2, targets=benchmark_targets()).n_targets == 2
+    assert sample_scene(0, n_targets=0, targets=()).n_targets == 0
+    for n_targets in (0, 1, 3):
+        with pytest.raises(ValueError, match="n_targets"):
+            sample_scene(0, n_targets=n_targets, targets=benchmark_targets())
+
+
+def test_scene_slots_must_be_an_integer():
+    # slots=2.5 used to scale the Fisher operator by 2.5, and True passed as 1
+    scene = sample_scene(0)
+    for bad in (2.5, 2.0, "2", True, 0):
+        with pytest.raises(ValueError, match="slots"):
+            replace(scene, slots=bad)
+    assert replace(scene, slots=np.int64(8)).slots == 8
 
 
 def test_scene_arrays_are_write_protected():
@@ -260,7 +282,8 @@ def test_scene_from_config_rejects_unknown_keys():
 @pytest.mark.parametrize(
     "key, value",
     [("seed", 1.5), ("seed", "3"), ("n_users", 2.7), ("n_targets", 1.0), ("n_slots", 8.5),
-     ("tx_geometry", [2.5, 2]), ("rx_geometry", [2, 2.0])],
+     ("tx_geometry", [2.5, 2]), ("rx_geometry", [2, 2.0]),
+     ("seed", True), ("n_users", True), ("n_slots", True), ("rx_geometry", [2, True])],
 )
 def test_scene_from_config_rejects_fractional_integers(key, value):
     # these used to be truncated by int(): seed 1.5 built the scene of seed 1
@@ -276,6 +299,9 @@ def test_scene_from_config_explicit_targets():
     scene = scene_from_config(config)
     assert scene.n_targets == 1
     assert scene.targets[0].rcs == pytest.approx(0.1 + 0.02j)
+    # an n_targets that disagrees with the explicit targets used to be dropped
+    with pytest.raises(ValueError, match="n_targets"):
+        scene_from_config({**config, "n_targets": 5})
 
 
 def test_benchmark_targets_are_valid():
