@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics, sca
 from .metrics import Beamformer, Weights
-from .scene import Scene, SteeringSet, philox, steering_vector
+from .scene import Scene, SteeringSet, check_real, philox, steering_vector
 
 __all__ = [
     "ObsReport",
@@ -39,12 +39,8 @@ class ObsReport:
     sense_rank: int
 
     def __post_init__(self):
-        if min(
-            self.stationarity_residual,
-            self.comm_structure_residual,
-            self.sense_eigen_residual,
-        ) < 0:
-            raise ValueError("residuals must be nonnegative")
+        for name in ("stationarity_residual", "comm_structure_residual", "sense_eigen_residual"):
+            check_real(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, lowdim, metrics, sca
 from .metrics import Weights
-from .scene import ArrayGeometry, check_integer, philox, sample_scene, scene_from_config
+from .scene import ArrayGeometry, check_integer, check_real, philox, sample_scene, scene_from_config
 from .sca import SolverConfig
 
 __all__ = [
@@ -78,14 +78,19 @@ class ExperimentConfig:
         values = tuple(self.sweep_values)
         if not values:
             raise ValueError("sweep_values must be nonempty")
-        if list(values) != sorted(values):
-            raise ValueError("sweep_values must be sorted ascending")
         check_integer("trials", self.trials, 1)
         check_integer("workers", self.workers, 1)
         check_integer("base_seed", self.base_seed, 0)
-        if self.sweep_axis in _COUNT_AXES:
-            for value in values:
+        Weights(self.comm_weight, self.sense_weight)
+        for value in values:
+            if self.sweep_axis in _COUNT_AXES:
                 check_integer(self.sweep_axis, value, _COUNT_AXES[self.sweep_axis])
+            elif self.sweep_axis == "comm_weight":
+                Weights(value, self.sense_weight)
+            else:
+                check_real(self.sweep_axis, value)
+        if list(values) != sorted(values):
+            raise ValueError("sweep_values must be sorted ascending")
         if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
             raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
         for key in ("seed", _SCENE_KEYS.get(self.sweep_axis)):
@@ -134,13 +139,10 @@ def _near_square(n: int) -> ArrayGeometry:
 
 
 def _trial_inputs(cfg: ExperimentConfig, value, seed: int):
-    scene_cfg = dict(cfg.scene)
-    scene_cfg["seed"] = seed
-    weights = Weights(cfg.comm_weight, cfg.sense_weight)
+    scene_cfg = {**cfg.scene, "seed": seed}
+    weights = Weights(value if cfg.sweep_axis == "comm_weight" else cfg.comm_weight, cfg.sense_weight)
     n_sense = None
-    if cfg.sweep_axis == "comm_weight":
-        weights = Weights(float(value), cfg.sense_weight)
-    elif cfg.sweep_axis == "n_sense":
+    if cfg.sweep_axis == "n_sense":
         n_sense = value
     elif cfg.sweep_axis == "n_tx":
         geom = _near_square(value)
@@ -148,7 +150,7 @@ def _trial_inputs(cfg: ExperimentConfig, value, seed: int):
     elif cfg.sweep_axis == "n_users":
         scene_cfg["n_users"] = value
     elif cfg.sweep_axis == "power_dbm":
-        scene_cfg["power_dbm"] = float(value)
+        scene_cfg["power_dbm"] = value
     return scene_cfg, weights, n_sense
 
 
@@ -304,10 +306,11 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     `analysis.obs_residuals`, stationary-structure residuals (the sensing one
     on the same scene without users, whose sensing streams are active),
     reduced/full solver parity, and a deliberately capped solve reported as
-    nonconverged (without the solver's warning).
-    """
+    nonconverged (without the solver's warning). seed seeds every scene and
+    draw: a scene_config seed other than it is a ValueError."""
     scene_cfg = dict(scene_config or {})
-    scene_cfg.setdefault("seed", seed)
+    if scene_cfg.setdefault("seed", seed) != seed:
+        raise ValueError(f"scene_config seed {scene_cfg['seed']!r} conflicts with seed={seed!r}")
     scene = scene_from_config(scene_cfg)
     weights = Weights(0.25, 1.0)
     checks = []

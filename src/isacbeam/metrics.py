@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, SteeringSet
+from .scene import Scene, SteeringSet, check_real
 
 __all__ = [
     "Beamformer",
@@ -46,8 +46,7 @@ class Beamformer:
             raise ValueError("w_comm and w_sense must share the antenna dimension")
         if not (np.all(np.isfinite(wc)) and np.all(np.isfinite(ws))):
             raise ValueError("beamformer entries must be finite")
-        if not 0 < self.power_budget < np.inf:
-            raise ValueError("power budget must be finite and positive")
+        check_real("power budget", self.power_budget, 0.0, open_low=True)
         object.__setattr__(self, "w_comm", wc)
         object.__setattr__(self, "w_sense", ws)
 
@@ -92,10 +91,8 @@ class Weights:
     sense: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.comm) and np.isfinite(self.sense)):
-            raise ValueError("weights must be finite")
-        if self.comm < 0 or self.sense < 0:
-            raise ValueError("weights must be nonnegative")
+        check_real("comm weight", self.comm, 0.0)
+        check_real("sense weight", self.sense, 0.0)
         if self.comm == 0 and self.sense == 0:
             raise ValueError("at least one weight must be positive")
 

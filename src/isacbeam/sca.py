@@ -62,7 +62,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import Beamformer, SingularFisherError, Weights
-from .scene import Scene, check_integer
+from .scene import Scene, check_integer, check_real
 
 __all__ = [
     "Point",
@@ -107,8 +107,7 @@ class SolverConfig:
     power_constraint: str = "total"  # or "per-antenna"
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol_objective) and self.tol_objective >= 0):
-            raise ValueError("tol_objective must be finite and nonnegative")
+        check_real("tol_objective", self.tol_objective, 0.0)
         check_integer("max_iters", self.max_iters, 1)
         if self.power_constraint not in ("total", "per-antenna"):
             raise ValueError(f"unknown power_constraint {self.power_constraint!r}")

@@ -9,6 +9,7 @@ share across workers.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +27,7 @@ __all__ = [
     "build_steering_set",
     "philox",
     "check_integer",
+    "check_real",
     "sample_scene",
     "benchmark_targets",
     "dbm_to_linear",
@@ -40,8 +42,19 @@ def check_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def dbm_to_linear(value_dbm: float) -> float:
-    """Convert a dBm figure to linear milliwatts; ValueError when it overflows."""
+def check_real(name: str, value, low: float = -np.inf, high: float = np.inf, *, open_low: bool = False) -> None:
+    """ValueError unless value is a finite int or float (Python or numpy; not a
+    bool or a string) in [low, high], or in (low, high] with open_low."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (number and -np.inf < value < np.inf and (low < value if open_low else low <= value) and value <= high):
+        where = f"{'(' if open_low else '['}{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be a finite real number in {where}, got {value!r}")
+
+
+def dbm_to_linear(value_dbm: float, name: str = "value_dbm") -> float:
+    """Convert a dBm figure, a finite real number (`check_real`, under this
+    name), to linear milliwatts; ValueError when it overflows."""
+    check_real(name, value_dbm)
     try:
         return float(10.0 ** (value_dbm / 10.0))
     except OverflowError as exc:
@@ -80,16 +93,16 @@ class Target:
 
     def __post_init__(self):
         _check_angles(self.azimuth, self.elevation)
-        mag = abs(self.rcs)
-        if not (np.isfinite(mag) and mag > 0.0):
-            raise ValueError("target reflection coefficient must be finite and nonzero")
+        # a complex coefficient is checked by its magnitude, a real one as itself
+        rcs = abs(self.rcs) if isinstance(self.rcs, (complex, np.complexfloating)) else self.rcs
+        check_real("target reflection coefficient", rcs)
+        if rcs == 0:
+            raise ValueError("target reflection coefficient must be nonzero")
 
 
 def _check_angles(azimuth: float, elevation: float) -> None:
-    if not (-np.pi <= azimuth <= np.pi):
-        raise ValueError(f"azimuth {azimuth} outside [-pi, pi]")
-    if not (-np.pi / 2 <= elevation <= np.pi / 2):
-        raise ValueError(f"elevation {elevation} outside [-pi/2, pi/2]")
+    check_real("azimuth", azimuth, -np.pi, np.pi)
+    check_real("elevation", elevation, -np.pi / 2, np.pi / 2)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -123,16 +136,12 @@ class Scene:
             raise ValueError("channels must have shape (n_tx, n_users)")
         if not np.all(np.isfinite(channels)):
             raise ValueError("channel entries must be finite")
-        noise = np.atleast_1d(np.asarray(self.noise_comm, dtype=float))
-        if noise.size == 1 and channels.shape[1] > 1:
-            noise = np.full(channels.shape[1], noise[0])
-        if noise.shape != (channels.shape[1],):
-            raise ValueError("noise_comm needs one entry per user")
-        if not (np.all((0 < noise) & (noise < np.inf)) and 0 < self.noise_radar < np.inf):
-            raise ValueError("noise powers must be finite and strictly positive")
+        noise = np.asarray(self.noise_comm, dtype=float)
+        if noise.shape != (channels.shape[1],) or not np.all((0 < noise) & (noise < np.inf)):
+            raise ValueError("noise_comm needs one finite positive entry per user")
+        check_real("noise_radar", self.noise_radar, 0.0, open_low=True)
         check_integer("slots", self.slots, 1)
-        if not 0 < self.power_budget < np.inf:
-            raise ValueError("power budget must be finite and positive")
+        check_real("power budget", self.power_budget, 0.0, open_low=True)
         object.__setattr__(self, "channels", _freeze(channels))
         object.__setattr__(self, "noise_comm", _freeze(noise))
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -323,8 +332,7 @@ def sample_scene(
     check_integer("n_slots", n_slots, 1)
     if elevation_mode not in ("domain", "wide-clipped"):
         raise ValueError(f"unknown elevation_mode {elevation_mode!r}")
-    if not 0 < channel_variance < np.inf:
-        raise ValueError("channel_variance must be finite and positive")
+    check_real("channel_variance", channel_variance, 0.0, open_low=True)
     rng = philox(seed)
     n_tx = tx_geometry.n_elements
     h = np.sqrt(channel_variance / 2.0) * (
@@ -348,10 +356,10 @@ def sample_scene(
         rx_geometry=rx_geometry,
         channels=h,
         targets=targets,
-        noise_comm=np.full(n_users, dbm_to_linear(noise_comm_dbm)),
-        noise_radar=dbm_to_linear(noise_radar_dbm),
+        noise_comm=np.full(n_users, dbm_to_linear(noise_comm_dbm, "noise_comm_dbm")),
+        noise_radar=dbm_to_linear(noise_radar_dbm, "noise_radar_dbm"),
         slots=n_slots,
-        power_budget=dbm_to_linear(power_dbm),
+        power_budget=dbm_to_linear(power_dbm, "power_dbm"),
     )
 
 
@@ -377,35 +385,32 @@ def benchmark_targets() -> tuple:
 
 
 # --- serialization -----------------------------------------------------------
-#
-# A scene config is a flat JSON document describing how to (re)build a scene:
-#   seed, tx_geometry: [nh, nv], rx_geometry: [nh, nv], n_users, n_targets,
-#   n_slots, power_dbm, noise_radar_dbm, noise_comm_dbm, elevation_mode,
-#   targets: optional list of {azimuth, elevation, rcs_real, rcs_imag}.
+
+def _call(function, what: str, kwargs: dict):
+    """function(**kwargs); a missing or unknown key is a ValueError naming it."""
+    try:
+        inspect.signature(function).bind(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    return function(**kwargs)
+
+
+def _target(azimuth, elevation, rcs_real, rcs_imag) -> Target:
+    for name, part in (("rcs_real", rcs_real), ("rcs_imag", rcs_imag)):
+        check_real(name, part)  # complex() would read true as 1
+    return Target(azimuth, elevation, complex(rcs_real, rcs_imag))
+
 
 def scene_from_config(config: dict) -> Scene:
-    """Build a scene from a flat config dict (see module docstring for keys)."""
-    cfg = dict(config)
-    seed = cfg.pop("seed")
-    kwargs = {}
+    """Build a scene from a flat JSON-style dict of `sample_scene`'s arguments,
+    with tx_geometry/rx_geometry as [nh, nv] and targets as a list of
+    {azimuth, elevation, rcs_real, rcs_imag}. Only those are built here;
+    every other value goes to `sample_scene` as it is, which checks it."""
+    kwargs = dict(config)
     for key in ("tx_geometry", "rx_geometry"):
-        if key in cfg:
-            nh, nv = cfg.pop(key)
+        if key in kwargs:
+            nh, nv = kwargs[key]
             kwargs[key] = ArrayGeometry(nh, nv)
-    for key in ("n_users", "n_targets", "n_slots"):
-        if key in cfg:
-            kwargs[key] = cfg.pop(key)
-    for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm", "channel_variance"):
-        if key in cfg:
-            kwargs[key] = float(cfg.pop(key))
-    if "elevation_mode" in cfg:
-        kwargs["elevation_mode"] = str(cfg.pop("elevation_mode"))
-    if "targets" in cfg:
-        kwargs["targets"] = tuple(
-            Target(float(t["azimuth"]), float(t["elevation"]),
-                   complex(float(t["rcs_real"]), float(t["rcs_imag"])))
-            for t in cfg.pop("targets")
-        )
-    if cfg:
-        raise ValueError(f"unknown scene config keys: {sorted(cfg)}")
-    return sample_scene(seed, **kwargs)
+    if "targets" in kwargs:
+        kwargs["targets"] = tuple(_call(_target, "scene target", t) for t in kwargs["targets"])
+    return _call(sample_scene, "scene config", kwargs)

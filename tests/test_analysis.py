@@ -161,6 +161,11 @@ def test_obs_report_rejects_negative_residuals():
             sense_eigen_residual=0.0,
             sense_rank=0,
         )
+    # a NaN residual used to pass, since min() with NaN is not below 0
+    for name in ("stationarity_residual", "comm_structure_residual", "sense_eigen_residual"):
+        residuals = dict(stationarity_residual=0.0, comm_structure_residual=0.0, sense_eigen_residual=0.0)
+        with pytest.raises(ValueError, match=name):
+            analysis.ObsReport(multiplier=0.0, sense_rank=0, **{**residuals, name: float("nan")})
 
 
 def test_check_record_fields():

@@ -191,12 +191,31 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     nan_power = tmp_path / "nan_power.json"
     nan_power.write_text(json.dumps({**TINY_SCENE, "power_dbm": float("nan")}))
     assert cli.main(["solve", "--config", str(nan_power)]) == cli.EXIT_BAD_CONFIG
-    assert "power budget" in capsys.readouterr().err
+    assert "power_dbm" in capsys.readouterr().err
 
     huge_power = tmp_path / "huge_power.json"
     huge_power.write_text(json.dumps({**TINY_SCENE, "power_dbm": 4000}))
     assert cli.main(["solve", "--config", str(huge_power)]) == cli.EXIT_BAD_CONFIG
     assert "overflows" in capsys.readouterr().err
+
+    # a real value must be a JSON number wherever a config file holds one:
+    # {"power_dbm": true} used to solve and verify a 1 dBm scene
+    target = {"azimuth": 0.2, "elevation": 0.3, "rcs_real": 0.1, "rcs_imag": 0.0}
+    for bad in (True, "1.0", float("nan"), float("inf"), -float("inf")):
+        scenes = [{**TINY_SCENE, key: bad}
+                  for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm", "channel_variance")]
+        scenes += [{**TINY_SCENE, "targets": [{**target, key: bad}]} for key in target]
+        sweeps = [{"comm_weight": bad}, {"sense_weight": bad}, {"solver_config": {"tol_objective": bad}},
+                  {"sweep_axis": "comm_weight", "sweep_values": [bad]},
+                  {"sweep_axis": "power_dbm", "sweep_values": [bad]},
+                  {"scene": {**TINY_SCENE, "power_dbm": bad}}]
+        runs = [(command, scene) for command in ("solve", "verify") for scene in scenes]
+        runs += [("sweep", {"trials": 1, "scene": TINY_SCENE, **sweep}) for sweep in sweeps]
+        for command, config in runs:
+            path = tmp_path / "real.json"
+            path.write_text(json.dumps(config))
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_BAD_CONFIG, (command, config)
+            assert "invalid configuration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])

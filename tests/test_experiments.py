@@ -52,6 +52,24 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(solver=solver, solver_config=per_antenna)
     ExperimentConfig(solver="full", solver_config=per_antenna)
+    # weights and the values of a real axis are checked here, as counts are:
+    # a power_dbm sweep over [false, true] or ["10"] used to be accepted
+    for bad in (np.nan, np.inf, -np.inf, True, "1.0"):
+        with pytest.raises(ValueError, match="comm weight"):
+            ExperimentConfig(comm_weight=bad)
+        with pytest.raises(ValueError, match="sense weight"):
+            ExperimentConfig(sense_weight=bad)
+        for axis in ("comm_weight", "power_dbm"):
+            with pytest.raises(ValueError, match=axis.replace("_", ".")):
+                ExperimentConfig(sweep_axis=axis, sweep_values=(bad,))
+    for values in ((False, True), ("10",), ("10", "20")):
+        with pytest.raises(ValueError, match="power_dbm"):
+            config_from_dict({"sweep_axis": "power_dbm", "sweep_values": list(values)})
+    with pytest.raises(ValueError, match="comm weight"):
+        ExperimentConfig(sweep_axis="comm_weight", sweep_values=(-0.5, 0.5))
+    with pytest.raises(ValueError, match="positive"):
+        ExperimentConfig(sweep_axis="comm_weight", sweep_values=(0, 1), sense_weight=0)
+    assert ExperimentConfig(sweep_axis="power_dbm", sweep_values=(np.int64(-10), 10, 20.5)).sweep_values[0] == -10
 
 
 def test_counts_must_be_integers():
@@ -235,6 +253,14 @@ def test_verify_passes_on_small_scene():
     assert "stationarity_report_error" in names
     failed = [c for c in checks if not c.passed]
     assert not failed, failed
+
+
+def test_verify_has_one_seed():
+    # a seed inside scene_config used to build the main scene while the
+    # argument seeded the oracle scene and the adjoint draws
+    with pytest.raises(ValueError, match="seed"):
+        verify({**TINY_SCENE, "seed": 3}, seed=0)
+    assert verify({**TINY_SCENE, "seed": 3}, seed=3) == verify(TINY_SCENE, seed=3)
 
 
 def test_verify_checks_an_active_sensing_block():

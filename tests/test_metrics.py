@@ -67,9 +67,10 @@ def test_beamformer_validation():
         Beamformer(np.ones((4, 1)), np.ones((3, 1)), 1.0)
     with pytest.raises(ValueError):
         Beamformer(np.full((2, 1), np.nan), np.zeros((2, 0)), 1.0)
-    for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    for bad in (0.0, np.nan, np.inf, -np.inf, True, "1.0"):
+        with pytest.raises(ValueError, match="power budget"):
             Beamformer(np.ones((2, 1)), np.zeros((2, 0)), bad)
+    assert Beamformer(np.ones((2, 1)), np.zeros((2, 0)), np.int64(2)).power_budget == 2
 
 
 def test_beamformer_properties(rng):
@@ -89,11 +90,14 @@ def test_weights_validation():
         Weights(-0.1, 1.0)
     with pytest.raises(ValueError):
         Weights(0.0, 0.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
+    # a bool or a string used to pass as a weight: Weights(True, 1.0) weighed
+    # the sum rate by 1
+    for bad in (np.nan, np.inf, -np.inf, True, "1.0"):
+        with pytest.raises(ValueError, match="comm weight"):
             Weights(bad, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sense weight"):
             Weights(0.25, bad)
+    assert Weights(np.float32(0.5), np.int64(1)) == Weights(0.5, 1.0)
 
 
 def test_fisher_info_validation():

@@ -476,9 +476,12 @@ def test_history_never_sees_antenna_rows(front_end, monkeypatch):
 
 
 def test_solver_config_validation():
-    for tol in (np.nan, np.inf, -1e-4):
-        with pytest.raises(ValueError):
+    # tol_objective=True used to stop at a gain of 1
+    for tol in (np.nan, np.inf, -np.inf, -1e-4, True, "1e-4"):
+        with pytest.raises(ValueError, match="tol_objective"):
             SolverConfig(tol_objective=tol)
+    assert SolverConfig(tol_objective=np.float64(1e-6)).tol_objective == 1e-6
+    assert SolverConfig(tol_objective=0).tol_objective == 0
     # a fractional count used to fail inside `run`, and True passed as 1
     for max_iters in (0, 2.5, 3.0, "5", True):
         with pytest.raises(ValueError, match="max_iters"):

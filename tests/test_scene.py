@@ -100,6 +100,19 @@ def test_angle_validation():
         Target(azimuth=0.0, elevation=1.8, rcs=0.1)
     with pytest.raises(ValueError):
         Target(azimuth=0.0, elevation=0.0, rcs=0.0)
+    # elevation=True used to place a target at 1 rad
+    for bad in (np.nan, np.inf, -np.inf, True, "0.1"):
+        with pytest.raises(ValueError, match="azimuth"):
+            Target(azimuth=bad, elevation=0.0, rcs=0.1)
+        with pytest.raises(ValueError, match="elevation"):
+            Target(azimuth=0.0, elevation=bad, rcs=0.1)
+        with pytest.raises(ValueError, match="reflection coefficient"):
+            Target(azimuth=0.0, elevation=0.0, rcs=bad)
+    for bad in (complex(np.nan, 0.1), complex(0.1, np.inf)):
+        with pytest.raises(ValueError, match="reflection coefficient"):
+            Target(azimuth=0.0, elevation=0.0, rcs=bad)
+    Target(azimuth=np.float32(0.5), elevation=np.int64(0), rcs=np.complex64(0.1j))
+    Target(azimuth=1, elevation=0, rcs=-0.1)
 
 
 def test_geometry_validation():
@@ -154,10 +167,22 @@ def test_invalid_sampling_inputs():
         sample_scene(0, n_slots=0)
     with pytest.raises(ValueError):
         sample_scene(0, elevation_mode="bogus")
-    for bad in (np.nan, np.inf):
+    # a bool or a string used to pass: power_dbm=True built a 1 dBm scene,
+    # and a config's "20" a 20 dBm one
+    scene = sample_scene(0)
+    for bad in (np.nan, np.inf, -np.inf, True, "1.0"):
         for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm", "channel_variance"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=key):
                 sample_scene(0, **{key: bad})
+            with pytest.raises(ValueError, match=key):
+                scene_from_config({"seed": 0, key: bad})
+        for key in ("power_budget", "noise_radar"):
+            with pytest.raises(ValueError, match=key.replace("_", ".")):
+                replace(scene, **{key: bad})
+    # noise_comm takes one entry per user, never a scalar for all of them
+    for noise in (1.0, np.ones(1), np.ones(5)):
+        with pytest.raises(ValueError, match="noise_comm"):
+            replace(scene, noise_comm=noise)
     for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm"):
         with pytest.raises(ValueError):  # 10^400 overflows a float
             sample_scene(0, **{key: 4000.0})
@@ -170,6 +195,9 @@ def test_invalid_sampling_inputs():
             with pytest.raises(ValueError, match=key):
                 sample_scene(0, **{key: bad})
     assert sample_scene(0, n_users=np.int64(2), n_slots=np.int64(8)).slots == 8
+    ints = sample_scene(0, power_dbm=np.int64(10), noise_comm_dbm=0, channel_variance=np.float32(2.0))
+    assert np.array_equal(ints.channels, sample_scene(0).channels)
+    assert ints.power_budget == sample_scene(0).power_budget
 
 
 def test_seed_must_be_a_64_bit_key():
@@ -277,6 +305,16 @@ def test_scene_from_config_round_trip():
 def test_scene_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         scene_from_config({"seed": 0, "bogus": 1})
+    # a missing seed or target field used to raise KeyError
+    with pytest.raises(ValueError, match="seed"):
+        scene_from_config({})
+    target = {"azimuth": 0.2, "elevation": 0.3, "rcs_real": 0.1, "rcs_imag": 0.02}
+    for key in target:
+        partial = {k: v for k, v in target.items() if k != key}
+        with pytest.raises(ValueError, match=key):
+            scene_from_config({"seed": 0, "targets": [partial]})
+    with pytest.raises(ValueError, match="bogus"):
+        scene_from_config({"seed": 0, "targets": [{**target, "bogus": 1}]})
 
 
 @pytest.mark.parametrize(
