@@ -11,8 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -237,17 +241,69 @@ def _bucket(rows: list) -> dict:
     return bucket
 
 
+# This process's pool, (key, executor) or None, kept across sweeps so that a
+# loop of sweeps does not fork and warm its workers each time. The key holds
+# the worker count and the functions a trial looks up, so a rebinding of any
+# of them gets workers that run it. The lock makes the check-then-replace and
+# the map one step for concurrent callers.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: a thread that ends the worker once the process
+    that started the pool is gone. A caller killed by a signal never runs the
+    exit hook that joins its workers, which would otherwise wait on the task
+    queue for good. This waits on multiprocessing's parent sentinel, not on
+    the OS parent, which is a forkserver under that start method."""
+    parent = multiprocessing.parent_process()
+
+    def watch():
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _drop_pool() -> None:
+    """Shut the pool down and join its threads and workers."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
+def _pooled(cfg: ExperimentConfig, args: list) -> list:
+    """The trials' records from the process pool of cfg.workers workers.
+
+    A pool with another key is shut down before this one starts, so no fork
+    happens while its threads run. A worker that dies raises BrokenProcessPool
+    here; the pool is dropped, and the next call starts a fresh one."""
+    global _pool
+    key = (cfg.workers, sca.solve, lowdim.solve_ld, scene_from_config)
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            _drop_pool()
+            _pool = (key, ProcessPoolExecutor(max_workers=cfg.workers, initializer=_exit_with_parent))
+        try:
+            return list(_pool[1].map(_run_trial, *zip(*args)))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (sweep value, seed, solver) trial and aggregate.
 
     Individual trial failures become failed rows; they never abort the sweep.
     Output order is fixed by (sweep value, seed, solver) regardless of
-    worker completion order.
+    worker completion order. With workers > 1 the trials run on a process
+    pool that is kept for later calls with the same workers and solve
+    functions.
     """
     args = list(_trial_args(cfg))
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_trial, *zip(*args)))
+        records = _pooled(cfg, args)
     else:
         records = [_run_trial(*a) for a in args]
     records.sort(key=lambda r: (r.sweep_value, r.seed, r.solver))
@@ -315,8 +371,9 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     weights = Weights(0.25, 1.0)
     checks = []
 
-    small = sample_scene(seed + 1, tx_geometry=ArrayGeometry(3, 2), rx_geometry=ArrayGeometry(2, 2),
-                         n_users=2, n_targets=1, n_slots=8)
+    # the derived keys wrap, so that every seed in [0, 2^64) has them
+    small = sample_scene((int(seed) + 1) % 2**64, tx_geometry=ArrayGeometry(3, 2),
+                         rx_geometry=ArrayGeometry(2, 2), n_users=2, n_targets=1, n_slots=8)
     w_small = sca.start_beamformer(small, 3)
     g_fd = analysis.fd_gradient(small, w_small, weights)
     g_an = sca.analytic_gradient(small, w_small, weights)
@@ -329,7 +386,7 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     checks.append(_check("fim_fd_relative_error",
                          np.linalg.norm(f_an - f_fd) / np.linalg.norm(f_fd), 1e-5))
 
-    rng = philox(seed + 0x5EED)
+    rng = philox((int(seed) + 0x5EED) % 2**64)
     worst = 0.0
     for _ in range(10):
         wmat = rng.standard_normal(w0.matrix.shape) + 1j * rng.standard_normal(w0.matrix.shape)

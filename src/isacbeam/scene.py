@@ -111,6 +111,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _numbers(name: str, value, kinds: str, dtype) -> np.ndarray:
+    """value as an array of dtype; ValueError unless its own dtype is of one
+    of the numpy kinds (so bools, strings and objects are not converted)."""
+    array = np.asarray(value)
+    if array.dtype.kind not in kinds:
+        raise ValueError(f"{name} must hold numbers, got dtype {array.dtype}")
+    return array.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class Scene:
     """One problem instance: geometries, channels, targets, powers.
@@ -131,12 +140,12 @@ class Scene:
     power_budget: float
 
     def __post_init__(self):
-        channels = np.asarray(self.channels, dtype=np.complex128)
+        channels = _numbers("channels", self.channels, "iufc", np.complex128)
         if channels.ndim != 2 or channels.shape[0] != self.tx_geometry.n_elements:
             raise ValueError("channels must have shape (n_tx, n_users)")
         if not np.all(np.isfinite(channels)):
             raise ValueError("channel entries must be finite")
-        noise = np.asarray(self.noise_comm, dtype=float)
+        noise = _numbers("noise_comm", self.noise_comm, "iuf", float)
         if noise.shape != (channels.shape[1],) or not np.all((0 < noise) & (noise < np.inf)):
             raise ValueError("noise_comm needs one finite positive entry per user")
         check_real("noise_radar", self.noise_radar, 0.0, open_low=True)

@@ -251,6 +251,14 @@ def test_verify_exit_codes(scene_config, tmp_path, capsys, monkeypatch):
     assert "FAILED: forced" in capsys.readouterr().err
 
 
+def test_verify_passes_at_the_top_seed(tmp_path):
+    # its oracle scene and adjoint draws are keyed by offsets of the seed,
+    # which used to leave [0, 2^64) here and exit 1
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", str(2**64 - 1), "--out", str(out)]) == cli.EXIT_OK
+    assert all(entry["passed"] for entry in json.loads(out.read_text()))
+
+
 def test_passing_verify_writes_nothing_to_stderr(tmp_path):
     # its deliberately capped solve must not print the solver's max_iters
     # warning; a separate process, because pytest routes logging itself

@@ -1,7 +1,15 @@
 """Sweep harness: config validation, record ordering, CSV determinism, verify."""
 
+import json
 import logging
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +201,112 @@ def test_process_pool_returns_the_same_records():
     assert len(serial.records) == 6
     assert pooled.records == serial.records
     assert pooled.summary == serial.summary
+
+
+
+def test_process_pool_runs_what_is_bound_at_each_call(monkeypatch):
+    # forked workers run the functions of the moment they were forked, so a
+    # rebinding made after a pooled call must get a new pool, and so must
+    # the undoing of it
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers inherit a rebinding")
+    cfg = tiny_config(sweep_values=(1.0,), trials=1, solver="full", workers=2)
+    first = run_experiment(cfg).records
+    assert [r.status for r in first] == ["ok"]
+
+    def rejecting(*args, **kwargs):
+        raise ValueError("rebound")
+
+    monkeypatch.setattr(sca, "solve", rejecting)
+    assert [r.status for r in run_experiment(cfg).records] == ["failed:ValueError"]
+    monkeypatch.undo()
+    assert run_experiment(cfg).records == first
+
+
+POOL_LIFE_CYCLE = """
+import json, multiprocessing, os, signal, sys, time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from isacbeam import ExperimentConfig, SolverConfig, run_experiment
+
+multiprocessing.set_start_method(sys.argv[1])
+cfg = ExperimentConfig(sweep_axis="comm_weight", sweep_values=(0.1, 1.0), trials=2, solver="both",
+                       scene={scene!r}, solver_config=SolverConfig(max_iters=300), measure_time=False)
+
+def pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+def gone(pid):
+    deadline = time.monotonic() + 30
+    while pid in pids() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return pid not in pids()
+
+serial = run_experiment(cfg).records
+out = {{"same_records": []}}
+for workers in (2, 2, 3):
+    out["same_records"].append(run_experiment(replace(cfg, workers=workers)).records == serial)
+    out.setdefault("pids", []).append(pids())
+victim = out["pids"][-1][0]
+os.kill(victim, signal.SIGKILL)
+out["victim_gone"] = gone(victim)
+try:
+    run_experiment(replace(cfg, workers=3))
+    out["broken"] = False
+except BrokenProcessPool:
+    out["broken"] = True
+out["same_records"].append(run_experiment(replace(cfg, workers=3)).records == serial)
+out["pids"].append(pids())
+print(json.dumps(out), flush=True)
+if sys.argv[2] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ending", ["exit", "kill"])
+@pytest.mark.parametrize("start_method", ["fork", "forkserver", "spawn"])
+def test_process_pool_lives_across_calls(start_method, ending, tmp_path):
+    # in a process of its own, so that the pool of this one plays no part:
+    # pooled calls with one worker count share their workers, another count
+    # replaces them, a dead worker breaks one call only, and no worker
+    # outlives the process, whether it exits or is killed, under each start
+    # method (a forkserver's workers are children of the server, not of the
+    # caller, and a spawned one has none of its state). Output goes to
+    # files: a surviving worker would hold a pipe open, and the run with it.
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    stdout, stderr = tmp_path / "stdout", tmp_path / "stderr"
+    with open(stdout, "w") as out_file, open(stderr, "w") as err_file:
+        done = subprocess.run([sys.executable, "-c", POOL_LIFE_CYCLE.format(scene=TINY_SCENE),
+                               start_method, ending],
+                              env=env, stdout=out_file, stderr=err_file, timeout=120)
+    assert done.returncode == (0 if ending == "exit" else -signal.SIGKILL), stderr.read_text()
+    out = json.loads(stdout.read_text())
+    two, again, three, fresh = out["pids"]
+    workers = two + three + fresh
+    try:
+        assert out["same_records"] == [True] * 4
+        assert len(two) == 2 and again == two
+        assert len(three) == 3 and not set(three) & set(two)
+        assert out["victim_gone"] and out["broken"]
+        assert len(fresh) == 3 and not set(fresh) & set(three)
+        # an exiting process joins its workers before it ends; those of a
+        # killed one end once their watcher sees their parent gone
+        deadline = time.monotonic() + (0 if ending == "exit" else 10)
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_n_sense_sweep_front_ends_agree():

@@ -180,9 +180,17 @@ def test_invalid_sampling_inputs():
             with pytest.raises(ValueError, match=key.replace("_", ".")):
                 replace(scene, **{key: bad})
     # noise_comm takes one entry per user, never a scalar for all of them
-    for noise in (1.0, np.ones(1), np.ones(5)):
+    # and its entries, like the channels, are numbers: ["2.0"] * 4 used to
+    # build a scene with noise 2.0, and [True] * 4 one with noise 1.0
+    for noise in (1.0, np.ones(1), np.ones(5), np.array(["2.0"] * 4), [True] * 4,
+                  np.ones(4, dtype=object), np.ones(4, dtype=complex)):
         with pytest.raises(ValueError, match="noise_comm"):
             replace(scene, noise_comm=noise)
+    for channels in (scene.channels.astype(str), scene.channels != 0, scene.channels.astype(object)):
+        with pytest.raises(ValueError, match="channels"):
+            replace(scene, channels=channels)
+    assert replace(scene, noise_comm=[1, 1, 1, 1]).noise_comm.dtype == float
+    assert np.array_equal(replace(scene, channels=scene.channels.real).channels, scene.channels.real)
     for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm"):
         with pytest.raises(ValueError):  # 10^400 overflows a float
             sample_scene(0, **{key: 4000.0})
