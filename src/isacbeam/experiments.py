@@ -58,8 +58,10 @@ class ExperimentConfig:
 
     scene holds scene_from_config keys, but neither seed (trial seeds are
     base_seed + trial index) nor the key the sweep axis sets (tx_geometry
-    under n_tx, n_users, power_dbm): either is a ValueError. measure_time=False
-    zeroes wall_ms so repeated runs emit byte-identical CSV.
+    under n_tx, n_users, power_dbm): either is a ValueError. comm_weight is
+    the weight of sweeps along the other axes (`config_from_dict` rejects it
+    under a comm_weight sweep). measure_time=False zeroes wall_ms so repeated
+    runs emit byte-identical CSV.
     """
 
     sweep_axis: str = "comm_weight"
@@ -123,8 +125,8 @@ class TrialRecord:
     stationarity: float = float("nan")
 
     def __post_init__(self):
-        if self.iterations < 0 or self.wall_ms < 0:
-            raise ValueError("iterations and wall_ms must be nonnegative")
+        check_integer("iterations", self.iterations, 0)
+        check_real("wall_ms", self.wall_ms, 0.0)
 
 
 @dataclass(frozen=True)
@@ -334,8 +336,10 @@ def records_to_csv(records, sweep_axis: str) -> str:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a flat JSON-style dict."""
+    """Build an ExperimentConfig from a flat JSON-style dict; comm_weight under a comm_weight sweep raises."""
     data = dict(raw)
+    if "comm_weight" in data and data.get("sweep_axis", ExperimentConfig.sweep_axis) == "comm_weight":
+        raise ValueError("comm_weight must not be set under a comm_weight sweep, whose values are the weights")
     if "sweep_values" in data:
         data["sweep_values"] = tuple(data["sweep_values"])
     if "solver_config" in data:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, SteeringSet, check_real
+from .scene import Scene, SteeringSet, _numbers, check_real
 
 __all__ = [
     "Beamformer",
@@ -40,15 +40,11 @@ class Beamformer:
     power_budget: float
 
     def __post_init__(self):
-        wc = np.asarray(self.w_comm, dtype=np.complex128)
-        ws = np.asarray(self.w_sense, dtype=np.complex128)
-        if wc.ndim != 2 or ws.ndim != 2 or wc.shape[0] != ws.shape[0]:
+        for name in ("w_comm", "w_sense"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), complex, 2))
+        if self.w_comm.shape[0] != self.w_sense.shape[0]:
             raise ValueError("w_comm and w_sense must share the antenna dimension")
-        if not (np.all(np.isfinite(wc)) and np.all(np.isfinite(ws))):
-            raise ValueError("beamformer entries must be finite")
         check_real("power budget", self.power_budget, 0.0, open_low=True)
-        object.__setattr__(self, "w_comm", wc)
-        object.__setattr__(self, "w_sense", ws)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -182,13 +178,11 @@ def fim(scene: Scene, w: Beamformer) -> np.ndarray:
 def spd_inverse(f: np.ndarray) -> np.ndarray:
     """Symmetric inverse F^-1 = L^-T L^-1 of a Fisher matrix (`fim`,
     `fim_matrix`), from its Cholesky factor F = L L^T. Raises ValueError
-    unless F is square with side 4M and finite, and SingularFisherError when
-    it is not numerically positive definite."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 4:
+    unless F is a finite real square array with side 4M, and
+    SingularFisherError when it is not numerically positive definite."""
+    f = _numbers("Fisher matrix", f, float, 2)
+    if f.shape[0] != f.shape[1] or f.shape[0] % 4:
         raise ValueError("Fisher matrix must be square with side 4M")
-    if not np.isfinite(f).all():
-        raise ValueError("Fisher matrix has non-finite entries")
     try:
         lower = np.linalg.cholesky(f)
     except np.linalg.LinAlgError as exc:

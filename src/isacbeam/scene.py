@@ -111,13 +111,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _numbers(name: str, value, kinds: str, dtype) -> np.ndarray:
-    """value as an array of dtype; ValueError unless its own dtype is of one
-    of the numpy kinds (so bools, strings and objects are not converted)."""
+def _numbers(name: str, value, dtype: type, ndim: int) -> np.ndarray:
+    """value as an ndim-D array of dtype (float or complex); ValueError naming
+    it unless every entry is a finite integer, float or (for complex) complex
+    number: bool, string and object arrays are not converted."""
     array = np.asarray(value)
-    if array.dtype.kind not in kinds:
-        raise ValueError(f"{name} must hold numbers, got dtype {array.dtype}")
-    return array.astype(dtype, copy=False)
+    if array.dtype.kind in ("iufc" if dtype is complex else "iuf") and array.ndim == ndim:
+        array = array.astype(dtype, copy=False)
+        if np.count_nonzero(np.isfinite(array)) == array.size:  # quicker than .all()
+            return array
+    kind = "complex" if dtype is complex else "real"
+    raise ValueError(f"{name} must be a {ndim}-D array of finite {kind} numbers, got {array.dtype} {array.shape}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,9 @@ class Scene:
     """One problem instance: geometries, channels, targets, powers.
 
     channels has shape (n_tx, n_users); noise_comm has one entry per user
-    (linear mW). Immutable after construction; `geometry` and `steering`
-    are read on first use from the memoized `target_geometry`, which every
-    scene with the same tx/rx geometry, targets, slots and radar noise shares.
+    (linear mW). Immutable after construction; `geometry` is read on first
+    use from the memoized `target_geometry`, which every scene with the same
+    tx/rx geometry, targets, slots and radar noise shares.
     """
 
     tx_geometry: ArrayGeometry
@@ -140,14 +144,12 @@ class Scene:
     power_budget: float
 
     def __post_init__(self):
-        channels = _numbers("channels", self.channels, "iufc", np.complex128)
-        if channels.ndim != 2 or channels.shape[0] != self.tx_geometry.n_elements:
+        channels = _numbers("channels", self.channels, complex, 2)
+        if channels.shape[0] != self.tx_geometry.n_elements:
             raise ValueError("channels must have shape (n_tx, n_users)")
-        if not np.all(np.isfinite(channels)):
-            raise ValueError("channel entries must be finite")
-        noise = _numbers("noise_comm", self.noise_comm, "iuf", float)
-        if noise.shape != (channels.shape[1],) or not np.all((0 < noise) & (noise < np.inf)):
-            raise ValueError("noise_comm needs one finite positive entry per user")
+        noise = _numbers("noise_comm", self.noise_comm, float, 1)
+        if noise.size != channels.shape[1] or not np.all(noise > 0):
+            raise ValueError("noise_comm needs one positive entry per user")
         check_real("noise_radar", self.noise_radar, 0.0, open_low=True)
         check_integer("slots", self.slots, 1)
         check_real("power budget", self.power_budget, 0.0, open_low=True)
@@ -179,11 +181,10 @@ class Scene:
             self.tx_geometry, self.rx_geometry, self.targets, self.slots, self.noise_radar
         )
 
-    @functools.cached_property
+    @property
     def steering(self) -> "SteeringSet":
-        """Sbar, Bbar and the reflection coefficients (`build_steering_set`):
-        shared with every scene of the same target geometry, so read-only."""
-        return build_steering_set(self)
+        """Sbar, Bbar and the reflection coefficients of `geometry` (read-only)."""
+        return self.geometry.steering
 
 
 @dataclass(frozen=True)
@@ -202,8 +203,8 @@ class SteeringSet:
     rcs: np.ndarray
 
     def __post_init__(self):
-        for name in ("tx", "rx", "rcs"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.complex128)))
+        for name, ndim in (("tx", 2), ("rx", 2), ("rcs", 1)):
+            object.__setattr__(self, name, _freeze(_numbers(name, getattr(self, name), complex, ndim)))
 
     @property
     def n_targets(self) -> int:
@@ -244,9 +245,8 @@ def steering_derivatives(geom: ArrayGeometry, azimuth: float, elevation: float):
 
 
 def build_steering_set(scene: Scene) -> SteeringSet:
-    """Sbar, Bbar and the reflection coefficients of every target, from the
-    scene's memoized `target_geometry` (read-only, shared across scenes)."""
-    return scene.geometry.steering
+    """The scene's steering set, `scene.steering` (read-only, shared across scenes)."""
+    return scene.steering
 
 
 # Distinct target geometries whose steering set and Fisher operator each

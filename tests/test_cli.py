@@ -198,6 +198,12 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(huge_power)]) == cli.EXIT_BAD_CONFIG
     assert "overflows" in capsys.readouterr().err
 
+    ignored_weight = tmp_path / "ignored_weight.json"
+    ignored_weight.write_text(json.dumps({"sweep_axis": "comm_weight", "sweep_values": [0.1, 0.5],
+                                          "comm_weight": 0.9, "trials": 1, "scene": TINY_SCENE}))
+    assert cli.main(["sweep", "--config", str(ignored_weight)]) == cli.EXIT_BAD_CONFIG
+    assert "comm_weight" in capsys.readouterr().err
+
     # a real value must be a JSON number wherever a config file holds one:
     # {"power_dbm": true} used to solve and verify a 1 dBm scene
     target = {"azimuth": 0.2, "elevation": 0.3, "rcs_real": 0.1, "rcs_imag": 0.0}

@@ -78,6 +78,26 @@ def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(sweep_axis="comm_weight", sweep_values=(0, 1), sense_weight=0)
     assert ExperimentConfig(sweep_axis="power_dbm", sweep_values=(np.int64(-10), 10, 20.5)).sweep_values[0] == -10
+    # a comm_weight sweep sets the weight of each trial: a comm_weight key
+    # there used to be accepted and used by no trial
+    for raw in ({"sweep_axis": "comm_weight", "sweep_values": [0.1, 0.5], "comm_weight": 0.9},
+                {"comm_weight": 0.9}):
+        with pytest.raises(ValueError, match="comm_weight"):
+            config_from_dict(raw)
+    assert config_from_dict({"sweep_axis": "power_dbm", "sweep_values": [10], "comm_weight": 0.9}).comm_weight == 0.9
+
+
+def test_trial_record_validation():
+    # iterations=True or 2.5 and a NaN or infinite wall_ms used to pass
+    row = ("full", "ok", 1.0, 1.0, -1.0)
+    for bad in (-1, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="iterations"):
+            experiments.TrialRecord(0.25, 0, *row, bad, 1.0)
+    for bad in (-1.0, np.nan, np.inf, -np.inf, True, "1"):
+        with pytest.raises(ValueError, match="wall_ms"):
+            experiments.TrialRecord(0.25, 0, *row, 3, bad)
+    failed = experiments.TrialRecord(0.25, 0, "full", "failed:ValueError", np.nan, np.nan, np.nan, 0, 0.0)
+    assert np.isnan(failed.sum_rate) and np.isnan(failed.stationarity)
 
 
 def test_counts_must_be_integers():

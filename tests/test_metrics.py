@@ -71,6 +71,17 @@ def test_beamformer_validation():
         with pytest.raises(ValueError, match="power budget"):
             Beamformer(np.ones((2, 1)), np.zeros((2, 0)), bad)
     assert Beamformer(np.ones((2, 1)), np.zeros((2, 0)), np.int64(2)).power_budget == 2
+    # both blocks follow the array rule: [[True], [False]] and [["1"], ["2"]]
+    # used to build beamformers, and a non-finite entry did not name its block
+    columns = np.array([[1.0], [2.0]])
+    for bad in ([[True], [False]], [["1"], ["2"]], columns.astype(object),
+                np.where([[True], [False]], np.nan, columns), np.where([[False], [True]], np.inf, columns),
+                np.where([[True], [True]], -np.inf, columns)):
+        with pytest.raises(ValueError, match="w_comm"):
+            Beamformer(bad, np.zeros((2, 0)), 1.0)
+        with pytest.raises(ValueError, match="w_sense"):
+            Beamformer(columns, bad, 1.0)
+    assert Beamformer([[1], [2]], np.zeros((2, 0), dtype=int), 1.0).w_comm.dtype == complex
 
 
 def test_beamformer_properties(rng):
@@ -167,8 +178,14 @@ def test_spd_inverse_contract(rng):
         for pos in ((0, 0), (1, 6), (6, 1)):
             f = np.eye(8)
             f[pos] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="Fisher matrix"):
                 metrics.spd_inverse(f)
+    # a Fisher matrix is real numbers: np.eye(4, dtype=bool), its string and
+    # object forms used to be inverted, and a complex one lost its imaginary part
+    for f in (np.eye(4, dtype=bool), np.eye(4).astype(str), np.eye(4).astype(object), np.eye(4) + 0j):
+        with pytest.raises(ValueError, match="Fisher matrix"):
+            metrics.spd_inverse(f)
+    assert np.allclose(metrics.spd_inverse(np.eye(4, dtype=int) * 2), np.eye(4) / 2)
     for n in (4, 8, 12):
         for _ in range(10):
             a = rng.standard_normal((n, n))

@@ -501,18 +501,23 @@ def test_sensing_weight_without_targets_raises(front_end):
 
 
 def test_front_ends_build_steering_set_once(monkeypatch):
+    # the steering set is built with the scene's target geometry, one call
+    # for the transmit and one for the receive columns, and both front ends
+    # read it from there
     calls = []
-    build = scene_module.build_steering_set
+    columns = scene_module._steering_columns
 
-    def counted(scene):
-        calls.append(scene)
-        return build(scene)
+    def counted(geom, azimuth, elevation):
+        calls.append(geom)
+        return columns(geom, azimuth, elevation)
 
-    monkeypatch.setattr(scene_module, "build_steering_set", counted)
+    monkeypatch.setattr(scene_module, "_steering_columns", counted)
+    scene_module.target_geometry.cache_clear()
     scene = sample_scene(2, n_targets=1)
     solve(scene, WTS)
     solve_ld(scene, WTS)
-    assert len(calls) == 1 and calls[0] is scene
+    assert calls == [scene.tx_geometry, scene.rx_geometry]
+    assert scene.steering is scene.geometry.steering is scene_module.build_steering_set(scene)
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])

@@ -186,9 +186,27 @@ def test_invalid_sampling_inputs():
                   np.ones(4, dtype=object), np.ones(4, dtype=complex)):
         with pytest.raises(ValueError, match="noise_comm"):
             replace(scene, noise_comm=noise)
-    for channels in (scene.channels.astype(str), scene.channels != 0, scene.channels.astype(object)):
+
+    def poisoned(a, value):
+        a = a.copy()
+        a.flat[-1] = value
+        return a
+
+    for channels in (scene.channels.astype(str), scene.channels != 0, scene.channels.astype(object),
+                     poisoned(scene.channels, np.nan), poisoned(scene.channels, np.inf),
+                     poisoned(scene.channels, -np.inf)):
         with pytest.raises(ValueError, match="channels"):
             replace(scene, channels=channels)
+    # a steering set follows the same rule: it used to take NaN, bool,
+    # string and object arrays
+    steering = scene.steering
+    for name in ("tx", "rx", "rcs"):
+        a = getattr(steering, name)
+        for bad in (np.full_like(a, np.nan), poisoned(a, np.inf), poisoned(a, -np.inf), a != 0,
+                    a.astype(str), a.astype(object)):
+            with pytest.raises(ValueError, match=name):
+                replace(steering, **{name: bad})
+    assert replace(steering, rcs=steering.rcs.real).rcs.dtype == complex
     assert replace(scene, noise_comm=[1, 1, 1, 1]).noise_comm.dtype == float
     assert np.array_equal(replace(scene, channels=scene.channels.real).channels, scene.channels.real)
     for key in ("power_dbm", "noise_radar_dbm", "noise_comm_dbm"):
