@@ -33,6 +33,8 @@ class Beamformer:
     """Transmit beamformer: communication columns, sensing columns, power budget.
 
     w_comm is (n_tx, K); w_sense is (n_tx, n_sense) and may have zero columns.
+    Both are the beamformer's own read-only copies; `replace_matrix` makes a
+    new beamformer.
     """
 
     w_comm: np.ndarray

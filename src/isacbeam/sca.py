@@ -120,7 +120,8 @@ class SolveResult:
     least-squares power multiplier under the total-power constraint (the
     figure `analysis.obs_residuals` reports as stationarity_residual), one per
     row, mu_i = Re<w_i, grad_i> / (2|w_i|^2), under the per-antenna one. It
-    comes after timings so that positional construction keeps working."""
+    comes after timings so that positional construction keeps working.
+    `run` returns objective_trace read-only, like the beamformer's arrays."""
 
     beamformer: Beamformer
     objective_trace: np.ndarray
@@ -518,9 +519,11 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         "metrics_s": time.perf_counter() - t2,
         "per_iteration_s": t_iter / (iterations + stalled),  # a stalled pass appends nothing
     }
+    objective_trace = np.array(trace)
+    objective_trace.setflags(write=False)
     return SolveResult(
         beamformer=w,
-        objective_trace=np.array(trace),
+        objective_trace=objective_trace,
         sum_rate=final_rate,
         crlb_trace=final_crlb,
         iterations=iterations,

@@ -3,7 +3,8 @@
 All randomness in the package flows through :func:`philox`, a counter-based
 Philox stream keyed by an integer in [0, 2^64), so :func:`sample_scene` is a
 pure function of its seed. Scenes are frozen after construction and safe to
-share across workers.
+share across workers: every array a value holds is its own read-only copy
+(`_numbers`), so neither the caller nor another value can change it.
 """
 
 from __future__ import annotations
@@ -105,20 +106,16 @@ def _check_angles(azimuth: float, elevation: float) -> None:
     check_real("elevation", elevation, -np.pi / 2, np.pi / 2)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 def _numbers(name: str, value, dtype: type, ndim: int) -> np.ndarray:
-    """value as an ndim-D array of dtype (float or complex); ValueError naming
-    it unless every entry is a finite integer, float or (for complex) complex
-    number: bool, string and object arrays are not converted."""
+    """A read-only, C-contiguous ndim-D copy of value as dtype (float or
+    complex), which no other array shares; ValueError naming it unless every
+    entry is a finite integer, float or (for complex) complex number: bool,
+    string and object arrays are not converted."""
     array = np.asarray(value)
     if array.dtype.kind in ("iufc" if dtype is complex else "iuf") and array.ndim == ndim:
-        array = array.astype(dtype, copy=False)
+        array = array.astype(dtype, order="C")
         if np.count_nonzero(np.isfinite(array)) == array.size:  # quicker than .all()
+            array.setflags(write=False)
             return array
     kind = "complex" if dtype is complex else "real"
     raise ValueError(f"{name} must be a {ndim}-D array of finite {kind} numbers, got {array.dtype} {array.shape}")
@@ -144,6 +141,11 @@ class Scene:
     power_budget: float
 
     def __post_init__(self):
+        for name in ("tx_geometry", "rx_geometry"):
+            if not isinstance(getattr(self, name), ArrayGeometry):
+                raise ValueError(f"{name} must be an ArrayGeometry, got {getattr(self, name)!r}")
+        if not isinstance(self.targets, (tuple, list)) or not all(isinstance(t, Target) for t in self.targets):
+            raise ValueError(f"targets must be a tuple or list of Target, got {self.targets!r}")
         channels = _numbers("channels", self.channels, complex, 2)
         if channels.shape[0] != self.tx_geometry.n_elements:
             raise ValueError("channels must have shape (n_tx, n_users)")
@@ -153,8 +155,8 @@ class Scene:
         check_real("noise_radar", self.noise_radar, 0.0, open_low=True)
         check_integer("slots", self.slots, 1)
         check_real("power budget", self.power_budget, 0.0, open_low=True)
-        object.__setattr__(self, "channels", _freeze(channels))
-        object.__setattr__(self, "noise_comm", _freeze(noise))
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "noise_comm", noise)
         object.__setattr__(self, "targets", tuple(self.targets))
 
     @property
@@ -204,7 +206,7 @@ class SteeringSet:
 
     def __post_init__(self):
         for name, ndim in (("tx", 2), ("rx", 2), ("rcs", 1)):
-            object.__setattr__(self, name, _freeze(_numbers(name, getattr(self, name), complex, ndim)))
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), complex, ndim))
 
     @property
     def n_targets(self) -> int:
@@ -282,7 +284,7 @@ def target_geometry(
         rx=_steering_columns(rx_geometry, az, el),
         rcs=np.array([t.rcs for t in targets]),
     )
-    operator = _freeze(metrics._fisher_operator(steering, slots, noise_radar))
+    operator = _numbers("Fisher operator", metrics._fisher_operator(steering, slots, noise_radar), complex, 2)
     widest = metrics.fim_matrix(operator, steering.tx.conj().T @ steering.tx)
     identifiable = np.linalg.matrix_rank(widest, hermitian=True) == widest.shape[0]
     return TargetGeometry(steering, operator, bool(identifiable))
@@ -309,7 +311,6 @@ def sample_scene(
     power_dbm: float = 10.0,
     noise_radar_dbm: float = 0.0,
     noise_comm_dbm: float = 0.0,
-    elevation_mode: str = "domain",
     channel_variance: float = 2.0,
     targets: Optional[Sequence[Target]] = None,
 ) -> Scene:
@@ -319,12 +320,9 @@ def sample_scene(
     per-entry variance ``channel_variance``; the default of 2 (unit variance
     per real component) reproduces the published benchmark sum rates, while
     1.0 gives the textbook unit-variance model. Azimuths are uniform on
-    (-2pi/3, 2pi/3); reflection coefficients follow
-    0.1 (1 + 0.2 nu) exp(2j pi nu) with nu uniform on (0, 1).
-
-    elevation_mode selects how elevations are drawn:
-      * "domain": uniform on (-pi/2, pi/2), the full declared domain;
-      * "wide-clipped": uniform on (-2pi/3, 2pi/3) then clipped to the domain.
+    (-2pi/3, 2pi/3) and elevations on (-pi/2, pi/2), the full declared
+    domain; reflection coefficients follow 0.1 (1 + 0.2 nu) exp(2j pi nu)
+    with nu uniform on (0, 1).
 
     n_targets defaults to 2 random targets, or to the number of explicit
     ``targets``, which override the random draw (the target stream is still
@@ -339,8 +337,6 @@ def sample_scene(
     if targets is not None and n_targets != len(targets):
         raise ValueError(f"n_targets={n_targets!r} but {len(targets)} explicit targets given")
     check_integer("n_slots", n_slots, 1)
-    if elevation_mode not in ("domain", "wide-clipped"):
-        raise ValueError(f"unknown elevation_mode {elevation_mode!r}")
     check_real("channel_variance", channel_variance, 0.0, open_low=True)
     rng = philox(seed)
     n_tx = tx_geometry.n_elements
@@ -348,12 +344,7 @@ def sample_scene(
         rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users))
     )
     azimuth = rng.uniform(-_AZIMUTH_SPAN, _AZIMUTH_SPAN, size=n_targets)
-    if elevation_mode == "domain":
-        elevation = rng.uniform(-np.pi / 2, np.pi / 2, size=n_targets)
-    else:
-        elevation = np.clip(
-            rng.uniform(-_AZIMUTH_SPAN, _AZIMUTH_SPAN, size=n_targets), -np.pi / 2, np.pi / 2
-        )
+    elevation = rng.uniform(-np.pi / 2, np.pi / 2, size=n_targets)
     nu = rng.uniform(0.0, 1.0, size=n_targets)
     rcs = 0.1 * (1.0 + 0.2 * nu) * np.exp(2j * np.pi * nu)
     if targets is None:

@@ -82,6 +82,16 @@ def test_beamformer_validation():
         with pytest.raises(ValueError, match="w_sense"):
             Beamformer(columns, bad, 1.0)
     assert Beamformer([[1], [2]], np.zeros((2, 0), dtype=int), 1.0).w_comm.dtype == complex
+    # a beamformer keeps its own read-only copy: changing the caller's array
+    # used to change w.w_comm, which was writeable
+    a = np.ones((2, 1), dtype=complex)
+    w = Beamformer(a, np.zeros((2, 0), dtype=complex), 1.0)
+    a[0, 0] = 99
+    assert np.array_equal(w.w_comm, np.ones((2, 1))) and a.flags.writeable
+    for block in (w.w_comm, w.w_sense, w.replace_matrix(2.0 * w.matrix).w_comm):
+        assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        w.w_comm[0, 0] = 0.0
 
 
 def test_beamformer_properties(rng):

@@ -220,6 +220,12 @@ def test_solve_monotone_and_on_sphere(default_scene):
     assert result.beamformer.total_power == pytest.approx(default_scene.power_budget, rel=1e-9)
     assert result.iterations >= 1
     assert set(result.timings) == {"setup_s", "iterations_s", "metrics_s", "per_iteration_s"}
+    # a result cannot be changed under its reported metrics: zeroing w_comm
+    # in place used to make total_power read 0 beside the sum rate
+    for array in (result.beamformer.w_comm, result.beamformer.w_sense, result.objective_trace):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        result.beamformer.w_comm[:] = 0.0
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
@@ -554,6 +560,8 @@ def test_run_from_any_start(small_scene, power_constraint):
 def test_solve_per_antenna_constraint(small_scene):
     cfg = replace(SolverConfig(), power_constraint="per-antenna")
     result = solve(small_scene, WTS, cfg)
+    for array in (result.beamformer.w_comm, result.beamformer.w_sense, result.objective_trace):
+        assert not array.flags.writeable
     rows = np.sum(np.abs(result.beamformer.matrix) ** 2, axis=1)
     assert np.allclose(rows, small_scene.power_budget / small_scene.n_tx, rtol=1e-9)
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 from isacbeam import (
     ArrayGeometry,
+    SteeringSet,
     Target,
     Weights,
     benchmark_targets,
@@ -156,17 +157,14 @@ def test_rcs_magnitude_range():
 
 def test_angle_sampling_ranges():
     for seed in range(20):
-        for mode in ("domain", "wide-clipped"):
-            for t in sample_scene(seed, n_targets=4, elevation_mode=mode).targets:
-                assert -2 * np.pi / 3 <= t.azimuth <= 2 * np.pi / 3
-                assert -np.pi / 2 <= t.elevation <= np.pi / 2
+        for t in sample_scene(seed, n_targets=4).targets:
+            assert -2 * np.pi / 3 <= t.azimuth <= 2 * np.pi / 3
+            assert -np.pi / 2 <= t.elevation <= np.pi / 2
 
 
 def test_invalid_sampling_inputs():
     with pytest.raises(ValueError):
         sample_scene(0, n_slots=0)
-    with pytest.raises(ValueError):
-        sample_scene(0, elevation_mode="bogus")
     # a bool or a string used to pass: power_dbm=True built a 1 dBm scene,
     # and a config's "20" a 20 dBm one
     scene = sample_scene(0)
@@ -179,6 +177,15 @@ def test_invalid_sampling_inputs():
         for key in ("power_budget", "noise_radar"):
             with pytest.raises(ValueError, match=key.replace("_", ".")):
                 replace(scene, **{key: bad})
+    # fields of a type the scene cannot use: targets="ab" built a 2-target
+    # scene and rx_geometry=(5, 4) a scene, each failing later inside a solve
+    # with AttributeError, and tx_geometry=(4, 4) raised AttributeError
+    for key, bad in (("targets", "ab"), ("targets", (benchmark_targets()[0], (0.1, 0.2, 0.1))),
+                     ("targets", 2), ("rx_geometry", (5, 4)), ("tx_geometry", (4, 4))):
+        with pytest.raises(ValueError, match=key):
+            replace(scene, **{key: bad})
+    with pytest.raises(ValueError, match="targets"):
+        sample_scene(0, targets="ab")
     # noise_comm takes one entry per user, never a scalar for all of them
     # and its entries, like the channels, are numbers: ["2.0"] * 4 used to
     # build a scene with noise 2.0, and [True] * 4 one with noise 1.0
@@ -264,6 +271,20 @@ def test_scene_arrays_are_write_protected():
     scene = sample_scene(0)
     with pytest.raises(ValueError):
         scene.channels[0, 0] = 0.0
+    # a value copies what it keeps: replace(scene, channels=h) used to turn
+    # the caller's own h read-only, and a SteeringSet its arrays likewise
+    h, noise = scene.channels.copy(), scene.noise_comm.copy()
+    kept = replace(scene, channels=h, noise_comm=noise)
+    steering = scene.steering
+    tx, rx, rcs = steering.tx.copy(), steering.rx.copy(), steering.rcs.copy()
+    held = SteeringSet(tx, rx, rcs)
+    for mine, theirs in ((h, kept.channels), (noise, kept.noise_comm), (tx, held.tx),
+                         (rx, held.rx), (rcs, held.rcs)):
+        assert mine.flags.writeable and not theirs.flags.writeable
+        assert not np.shares_memory(mine, theirs)
+        assert theirs.flags.c_contiguous
+    h[0, 0] = 99.0
+    assert kept.channels[0, 0] == scene.channels[0, 0]
 
 
 def test_channel_draws_share_one_read_only_target_geometry():
@@ -331,6 +352,8 @@ def test_scene_from_config_round_trip():
 def test_scene_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         scene_from_config({"seed": 0, "bogus": 1})
+    with pytest.raises(ValueError, match="elevation_mode"):  # a deleted key
+        scene_from_config({"seed": 0, "elevation_mode": "domain"})
     # a missing seed or target field used to raise KeyError
     with pytest.raises(ValueError, match="seed"):
         scene_from_config({})
