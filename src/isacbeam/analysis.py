@@ -27,6 +27,16 @@ __all__ = [
     "fd_fim",
 ]
 
+# Sensing columns with a norm below this share of sqrt(power budget) count as
+# zero in `obs_residuals`' eigen residual.
+ZERO_COLUMN_TOL = 1e-2
+# `rank_check` counts singular values above this share of the largest.
+RANK_RATIO = 1e-6
+# Central-difference steps of `fd_gradient` (beamformer entries) and `fd_fim`
+# (target parameters).
+GRADIENT_STEP = 1e-5
+FIM_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class ObsReport:
@@ -63,13 +73,12 @@ def obs_residuals(
     steering: SteeringSet,
     w: Beamformer,
     weights: Weights,
-    zero_column_tol: float = 1e-2,
 ) -> ObsReport:
     """Evaluate how closely a beamformer matches the stationary-point structure.
 
     The communication block is compared against the regularized-inverse form;
     the sensing block against the eigenvector condition. Sensing columns whose
-    norm is below zero_column_tol times the power scale satisfy the structure
+    norm is below ZERO_COLUMN_TOL times the power scale satisfy the structure
     through its zero-vector branch and are excluded from the eigen residual
     (at moderate tradeoff weights the sensing block typically vanishes).
     Residuals are relative; an empty sensing block reports residual 0. The
@@ -107,39 +116,26 @@ def obs_residuals(
     else:
         comm_residual = 0.0
 
-    if w.n_sense:
-        active = np.linalg.norm(w.w_sense, axis=0) > zero_column_tol * np.sqrt(w.power_budget)
-        if np.any(active):
-            ws = w.w_sense[:, active]
-            sense_residual = float(
-                np.linalg.norm(curv @ ws + mu * ws) / np.linalg.norm(ws)
-            )
-        else:
-            sense_residual = 0.0
-        rank = rank_check(w.w_sense)
-    else:
-        sense_residual = 0.0
-        rank = 0
+    active = np.linalg.norm(w.w_sense, axis=0) > ZERO_COLUMN_TOL * np.sqrt(w.power_budget)
+    ws = w.w_sense[:, active]
+    sense_residual = float(np.linalg.norm(curv @ ws + mu * ws) / np.linalg.norm(ws)) if ws.size else 0.0
     return ObsReport(
         multiplier=mu,
         stationarity_residual=stationarity,
         comm_structure_residual=comm_residual,
         sense_eigen_residual=sense_residual,
-        sense_rank=rank,
+        sense_rank=rank_check(w.w_sense),
     )
 
 
-def rank_check(w_sense: np.ndarray, threshold_ratio: float = 1e-6) -> int:
-    """Numerical rank: singular values above threshold_ratio times the largest."""
-    if w_sense.size == 0:
-        return 0
+def rank_check(w_sense: np.ndarray) -> int:
+    """Numerical rank: singular values above RANK_RATIO times the largest
+    (0 for an empty or zero matrix)."""
     s = np.linalg.svd(w_sense, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > threshold_ratio * s[0]))
+    return int(np.count_nonzero(s > RANK_RATIO * s.max(initial=0.0)))
 
 
-def fd_gradient(scene: Scene, w: Beamformer, weights: Weights, step: float = 1e-5) -> np.ndarray:
+def fd_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
     """Central-difference gradient of the tradeoff objective over every real and
     imaginary coordinate of the beamformer, packed as d/dRe + 1j d/dIm.
 
@@ -155,10 +151,10 @@ def fd_gradient(scene: Scene, w: Beamformer, weights: Weights, step: float = 1e-
 
     for i in range(base.shape[0]):
         for j in range(base.shape[1]):
-            for part, delta in ((1.0, step), (1j, step)):
+            for part in (1.0, 1j):
                 bump = np.zeros_like(base)
-                bump[i, j] = part * delta
-                d = (value(base + bump) - value(base - bump)) / (2.0 * delta)
+                bump[i, j] = part * GRADIENT_STEP
+                d = (value(base + bump) - value(base - bump)) / (2.0 * GRADIENT_STEP)
                 grad[i, j] += d if part == 1.0 else 1j * d
     return grad
 
@@ -178,7 +174,6 @@ def _rebuild_forward(scene: Scene, params: np.ndarray) -> np.ndarray:
 def fd_fim(
     scene: Scene,
     w: Beamformer,
-    step: float = 1e-6,
     signal_draws: Optional[int] = None,
     seed: int = 0,
 ) -> np.ndarray:
@@ -200,8 +195,8 @@ def fd_fim(
     jac = []
     for i in range(4 * m):
         bump = np.zeros_like(params)
-        bump[i] = step
-        jac.append((_rebuild_forward(scene, params + bump) - _rebuild_forward(scene, params - bump)) / (2.0 * step))
+        bump[i] = FIM_STEP
+        jac.append((_rebuild_forward(scene, params + bump) - _rebuild_forward(scene, params - bump)) / (2.0 * FIM_STEP))
 
     if signal_draws is None:
         r_x = w.covariance

@@ -384,7 +384,7 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     checks.append(_check("gradient_fd_relative_error",
                          np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd), 1e-5))
 
-    w0 = sca.start_beamformer(scene, 3 * scene.n_targets)
+    w0 = sca.start_beamformer(scene, 3 * scene.n_targets)  # a stream on every column of Sbar
     f_fd = analysis.fd_fim(scene, w0)
     f_an = metrics.fim(scene, w0)
     checks.append(_check("fim_fd_relative_error",
@@ -425,7 +425,7 @@ def verify(scene_config: Optional[dict] = None, seed: int = 0) -> list:
     checks.append(_check("obs_comm_structure_residual", report.comm_structure_residual, 1e-2))
     # with users the sensing block vanishes at these weights, which leaves the
     # eigenvector condition nothing to check; without users the default keeps
-    # M sensing streams, and the optimum uses them
+    # M sensing streams, and the solve keeps power on them
     radar = scene_from_config({**scene_cfg, "n_users": 0})
     sensing = sca.solve(radar, weights, tight_cfg)
     report = analysis.obs_residuals(radar, radar.steering, sensing.beamformer, weights)

@@ -339,7 +339,9 @@ def sample_scene(
     check_integer("n_slots", n_slots, 1)
     check_real("channel_variance", channel_variance, 0.0, open_low=True)
     rng = philox(seed)
-    n_tx = tx_geometry.n_elements
+    # a tx_geometry that is not an ArrayGeometry draws no channel rows and
+    # reaches Scene, whose check names it
+    n_tx = tx_geometry.n_elements if isinstance(tx_geometry, ArrayGeometry) else 0
     h = np.sqrt(channel_variance / 2.0) * (
         rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users))
     )

@@ -130,9 +130,9 @@ def test_obs_residuals_sensing_only(default_scene):
 
 
 def _active_sense_columns(w: Beamformer) -> int:
-    """Sensing columns above obs_residuals' default zero-column tolerance."""
+    """Sensing columns above obs_residuals' zero-column tolerance."""
     norms = np.linalg.norm(w.w_sense, axis=0)
-    return int(np.count_nonzero(norms > 1e-2 * np.sqrt(w.power_budget)))
+    return int(np.count_nonzero(norms > analysis.ZERO_COLUMN_TOL * np.sqrt(w.power_budget)))
 
 
 def test_obs_residuals_no_sensing_block(default_scene):

@@ -331,14 +331,16 @@ def test_process_pool_lives_across_calls(start_method, ending, tmp_path):
 
 def test_n_sense_sweep_front_ends_agree():
     cfg = ExperimentConfig(
-        sweep_axis="n_sense", sweep_values=(0, 6), trials=1, solver="both", measure_time=False
+        sweep_axis="n_sense", sweep_values=(0, 6, 7), trials=1, solver="both", measure_time=False
     )
     records = run_experiment(cfg).records
-    for value in cfg.sweep_values:
+    for value in (0, 6):
         full, ld = (r for r in records if r.sweep_value == value)
         assert (full.solver, ld.solver) == ("full", "lowdim")
         assert ld.iterations == full.iterations
         assert ld.objective == pytest.approx(full.objective, rel=1e-6)
+    # 7 streams exceed 3M = 6 start columns: both rows fail with the ValueError
+    assert [r.status for r in records if r.sweep_value == 7] == ["failed:ValueError"] * 2
 
 
 def test_failed_trials_become_rows():

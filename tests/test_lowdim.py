@@ -81,17 +81,17 @@ def test_parity_with_full_solver(seed):
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
-def test_target_free_sensing_columns_stay_zero(front_end):
-    # without targets the start's sensing columns are zero and no step moves
-    # them, so sensing streams change neither the path nor the answer
+def test_target_free_sensing_streams_raise(front_end):
+    # without targets Sbar has no column to start a sensing stream on (3M = 0),
+    # so a sensing stream there is a ValueError, not a zero column that never
+    # moves; without sensing streams the scene still solves
     weights = Weights(1.0, 0.0)
-    for seed in range(3):
-        scene = sample_scene(seed, n_targets=0)
-        idle = front_end(scene, weights, n_sense=2)
-        none = front_end(scene, weights, n_sense=0)
-        assert idle.beamformer.n_sense == 2 and not idle.beamformer.w_sense.any()
-        assert idle.iterations == none.iterations
-        assert idle.objective == pytest.approx(none.objective, rel=1e-12, abs=0.0)
+    scene = sample_scene(0, n_targets=0)
+    assert front_end(scene, weights, n_sense=0).converged
+    with pytest.raises(ValueError, match="n_sense"):
+        front_end(scene, weights, n_sense=1)
+    with pytest.raises(ValueError, match="n_sense"):
+        sca.start_beamformer(scene, 1)
 
 
 def test_duplicated_targets_report_nan_crlb():

@@ -148,16 +148,22 @@ def test_start_is_regularized_zero_forcing(make_scene):
 
 
 def test_start_gives_every_column_the_same_power(default_scene):
-    # each sensing column carries the RMS power of the RZF columns, so with
-    # K = 4 users and 6 sensing streams the sensing share of the start's power
-    # is 6/10; a coefficient of 1 on the unit-norm steering vectors put about
-    # 97% of it there
-    w = sca.start_beamformer(default_scene, 6)
+    # sensing column j starts on column j of Sbar = [A, A_dtheta, A_dphi] with
+    # the RMS coefficient of the RZF columns; up to M streams those are the
+    # unit-norm steering vectors, so with K = 4 users and M = 2 sensing streams
+    # the sensing share of the start's power is 2/6
+    w = sca.start_beamformer(default_scene, 2)
     share = np.linalg.norm(w.w_sense) ** 2 / w.total_power
-    assert share == pytest.approx(6 / 10, rel=1e-12)
+    assert share == pytest.approx(2 / 6, rel=1e-12)
+    # beyond M the derivative columns, longer than unit vectors, get the same
+    # coefficient, one on each column of Sbar
+    k = default_scene.n_users
+    p0 = sca.start_coefficients(default_scene, 6)
+    rms = np.linalg.norm(default_scene.channels @ p0[:k, :k]) / np.sqrt(k)
+    assert np.array_equal(p0[k:, k:], rms * np.eye(6))
     # without users the sensing columns keep coefficient 1
     p0 = sca.start_coefficients(sample_scene(0, n_users=0, targets=benchmark_targets()), 3)
-    assert np.array_equal(np.abs(p0).sum(axis=0), np.ones(3))
+    assert np.array_equal(p0, np.eye(6, 3))
 
 
 def test_high_power_solves_never_stop_on_the_first_pass():
@@ -257,7 +263,7 @@ def test_mm_candidate_only_when_quasi_newton_stalls(default_scene, front_end, mo
 
     for name in ("shift_parameter", "evaluate"):
         monkeypatch.setattr(sca, name, counted(name, getattr(sca, name)))
-    # calibrated on 3M sensing streams: 10 MM candidates in 45 iterations
+    # calibrated on 3M sensing streams: 12 MM candidates in 45 iterations
     # there, 4 in 20 at the default stream count
     result = front_end(default_scene, WTS, n_sense=3 * default_scene.n_targets)
     assert result.converged
@@ -534,6 +540,23 @@ def test_negative_n_sense_raises(front_end, small_scene):
         front_end(small_scene, WTS, n_sense=2.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda scene, n: solve(scene, WTS, n_sense=n).beamformer,
+        lambda scene, n: solve_ld(scene, WTS, n_sense=n).beamformer,
+        sca.start_beamformer,
+    ],
+    ids=["solve", "solve_ld", "start_beamformer"],
+)
+def test_n_sense_beyond_3m_raises(build):
+    # each sensing stream starts on its own column of Sbar, which has 3M
+    scene = sample_scene(0, n_targets=1)
+    assert build(scene, 3).n_sense == 3
+    with pytest.raises(ValueError, match="n_sense"):
+        build(scene, 4)
+
+
 @pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
 def test_run_from_any_start(small_scene, power_constraint):
     # a start is its basis coefficients alone: `run` takes any P0 of the
@@ -596,8 +619,8 @@ def test_default_stream_count(n_users, n_targets, n_sense):
 def test_default_streams_lose_nothing_against_3m():
     # tight solves over users K = 0..4 with M = 2 targets, a sensing-led and a
     # rate-led weight: on every scene the default stream count reaches the
-    # objective of 3M = 6 streams (worst relative shortfall 2.9e-5, at K = 3;
-    # 5.9e-7 where 0 < K <= M)
+    # objective of 3M = 6 streams, one on each column of Sbar (worst relative
+    # shortfall 2.9e-5, at K = 3; 2.3e-8 where 0 < K <= M)
     cfg = SolverConfig(tol_objective=1e-9)
     for n_users in range(5):
         expected = 2 if n_users == 0 else max(0, 3 - n_users)
@@ -608,6 +631,35 @@ def test_default_streams_lose_nothing_against_3m():
                 assert result.beamformer.n_sense == expected
                 wide = solve(scene, weights, cfg, n_sense=6).objective
                 assert result.objective >= wide - 1e-4 * abs(wide), (n_users, weights, seed)
+
+
+def _sensing_gap(scene, w):
+    """Relative duality gap of a sensing-only total-power beamformer:
+    (P lambda_max(G) - <G, R>) / tr(F^-1) with G = Sbar K Sbar^H the gradient
+    of -tr(F^-1) in R = W W^H and K the adjoint of F^-2."""
+    f_inv = metrics.spd_inverse(metrics.fim(scene, w))
+    s_bar = scene.steering.tx
+    g = s_bar @ metrics.table_adjoint(scene.geometry.operator, f_inv @ f_inv) @ s_bar.conj().T
+    inner = np.real(np.vdot(g, w.matrix @ w.matrix.conj().T))
+    return (scene.power_budget * np.linalg.eigvalsh(g)[-1] - inner) / np.trace(f_inv)
+
+
+@pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
+def test_extra_sensing_streams_reach_the_global_optimum(front_end):
+    # without users -tr(F^-1) is concave in R, so a zero duality gap certifies
+    # the global optimum. Every update multiplies the sensing block on the
+    # left, so its rank never exceeds the start's: M = 2 streams stop at a
+    # rank-2 point with gaps 0.17 / 0.10 on these scenes, while 3 and 6
+    # streams, started on distinct columns of Sbar, reach the rank-3 optimum
+    cfg = SolverConfig(tol_objective=1e-12, max_iters=5000)
+    for seed, stuck, optimum in ((3, 5.918619, 5.893061), (9, 3.041492, 3.027182)):
+        scene = sample_scene(seed, n_users=0)
+        reduced = front_end(scene, Weights(0.0, 1.0), cfg, n_sense=2)
+        assert reduced.crlb_trace == pytest.approx(stuck, abs=1e-6)
+        for n_sense in (3, 6):
+            result = front_end(scene, Weights(0.0, 1.0), cfg, n_sense=n_sense)
+            assert result.crlb_trace == pytest.approx(optimum, abs=1e-6), (seed, n_sense)
+            assert _sensing_gap(scene, result.beamformer) <= 1e-5, (seed, n_sense)
 
 
 def test_solve_without_sensing_streams(default_scene):

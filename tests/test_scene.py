@@ -186,6 +186,11 @@ def test_invalid_sampling_inputs():
             replace(scene, **{key: bad})
     with pytest.raises(ValueError, match="targets"):
         sample_scene(0, targets="ab")
+    # sample_scene read tx_geometry.n_elements first, so a tuple raised
+    # AttributeError before Scene could name the field
+    for key, bad in (("tx_geometry", (4, 4)), ("rx_geometry", (5, 4))):
+        with pytest.raises(ValueError, match=key):
+            sample_scene(0, **{key: bad})
     # noise_comm takes one entry per user, never a scalar for all of them
     # and its entries, like the channels, are numbers: ["2.0"] * 4 used to
     # build a scene with noise 2.0, and [True] * 4 one with noise 1.0
