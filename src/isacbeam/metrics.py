@@ -101,15 +101,18 @@ def _check_dims(scene: Scene, w: Beamformer) -> None:
 
 
 def sinr(gains: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user SINR and total received power from the gains H^H W (K x
-    streams, the first K columns the communication streams; every other
-    stream counts as interference). Users with no desired signal get SINR 0;
-    the interference-plus-noise power total - signal is positive because the
-    noise powers are."""
+    """Per-user SINR and interference-plus-noise floor from the gains H^H W
+    (K x streams, the first K columns the communication streams; every other
+    stream counts as interference). The floor is
+    f_k = (sum_j |h_k^H w_j|^2 - |h_k^H w_k|^2) + sigma2_k, the noise added
+    after the subtraction: rounding is monotone, so a row's power sum is at
+    least its desired term, the difference is >= 0 and f_k >= sigma2_k > 0 at
+    any finite power. Adding the noise first cancels it away once the
+    transmit SNR nears 1/eps. Users with no desired signal get SINR 0."""
     power = np.abs(gains) ** 2
-    total = power.sum(axis=1) + noise
     signal = power.diagonal()
-    return signal / (total - signal), total
+    floor = (power.sum(axis=1) - signal) + noise
+    return signal / floor, floor
 
 
 def sum_rate(scene: Scene, w: Beamformer) -> float:

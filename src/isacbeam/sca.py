@@ -161,8 +161,9 @@ class SolverCore:
 @dataclass(frozen=True)
 class Point:
     """An iterate's coordinates Z and what the surrogate there needs: the
-    objective, the rate signal coefficients sinr_k / (h_k^H w_k) (0 for a
-    user with no desired signal), the curvature
+    objective, the rate signal coefficients conj(h_k^H w_k) / (I_k + sigma2_k)
+    with I_k = sum_{j != k} |h_k^H w_j|^2 (0 for a user with no desired
+    signal), the curvature
     D = blockdiag(delta_c diag(sigma2), -delta_s K), Hermitian, so that the
     antenna-domain surrogate curvature delta_c H Sigma2 H^H - delta_s Q is
     V D V^H, the half gradient g = E - D Z, E holding delta_c Sigma1^H in the
@@ -200,17 +201,18 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
 
 def evaluate(core: SolverCore, z: np.ndarray) -> Point:
     """The point with coordinates Z: one SINR evaluation on the gains Z[:K]
-    = H^H W, one Fisher matrix and one SPD factorization. The rate terms of
-    a user with a vanishing desired signal are 0, which drops the linear term
-    from its surrogate."""
+    = H^H W, one Fisher matrix and one SPD factorization. Every rate term is
+    built on the interference-plus-noise floor f_k of `metrics.sinr`: the
+    signal coefficient conj(h_k^H w_k) / f_k and the curvature
+    sinr_k / (f_k (1 + sinr_k)), so the rate terms of a user with a vanishing
+    desired signal are 0, which drops the linear term from its surrogate."""
     k = core.scene.n_users
     gains = z[:k]
-    sinr, total = metrics.sinr(gains, core.scene.noise_comm)
-    desired = gains.diagonal()
-    signal_coeff = sinr / np.where(desired == 0, 1.0, desired)
+    sinr, floor = metrics.sinr(gains, core.scene.noise_comm)
+    signal_coeff = gains.diagonal().conj() / floor
     value = core.weights.comm * float(np.log1p(sinr).sum())
     d = np.zeros((core.basis.shape[1],) * 2, dtype=complex)
-    _add_to_diagonal(d, core.weights.comm * (sinr / total))
+    _add_to_diagonal(d, core.weights.comm * (sinr / (floor * (1.0 + sinr))))
     crlb = math.nan
     if core.weights.sense > 0:
         zs = z[k:]

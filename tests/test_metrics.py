@@ -62,6 +62,15 @@ def test_sensing_beams_count_as_interference():
     assert metrics.sum_rate(scene, w) == pytest.approx(np.log(1 + 5.0 / 6.0), abs=1e-12)
 
 
+def test_sinr_floor_keeps_the_noise_at_high_snr():
+    # desired power 1e20 over unit noise and no interference: a noise added
+    # before the desired power is subtracted rounds away, leaving a floor of 0
+    gains = np.array([[1e10, 0.0], [0.0, 1e10]], complex)
+    sinr, floor = metrics.sinr(gains, np.ones(2))
+    assert np.array_equal(sinr, [1e20, 1e20])
+    assert np.array_equal(floor, [1.0, 1.0])
+
+
 def test_beamformer_validation():
     with pytest.raises(ValueError):
         Beamformer(np.ones((4, 1)), np.ones((3, 1)), 1.0)

@@ -44,13 +44,18 @@ def test_project_per_antenna_rows(rng):
 def test_comm_aux_matches_direct_computation(rng):
     # at weights 1/0 the point's objective is the sum rate, the user block of
     # its curvature is diag(sinr_k / total_k) and its signal coefficients
-    # times the desired gains are the SINRs
+    # times the desired gains are the SINRs; user 1's beam column is zero,
+    # so its signal coefficient, SINR and curvature entry are exactly 0
     scene = sample_scene(0)
     shape = (scene.n_tx, scene.n_users + 2)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w = sca.project_total_power(w, scene.power_budget)
+    w[:, 1] = 0.0
     core = sca.solver_core(scene, Weights(1.0, 0.0))
-    point = sca.evaluate(core, core.basis.conj().T @ w)
+    z = core.basis.conj().T @ w
+    point = sca.evaluate(core, z)
+    assert point.signal_coeff[1] == 0.0 and point.curvature[1, 1] == 0.0
+    assert metrics.sinr(z[: scene.n_users], scene.noise_comm)[0][1] == 0.0
     rate = 0.0
     for k in range(scene.n_users):
         h = scene.channels[:, k]
@@ -578,6 +583,37 @@ def test_run_from_any_start(small_scene, power_constraint):
         assert result.objective > start
         w = result.beamformer.matrix
         assert np.allclose(project(w, budget), w, rtol=1e-9)  # on the constraint set
+
+
+HIGH_SNR_SCENES = [(seed, 40, -120) for seed in range(3)] + [(0, 200, 0)]
+
+
+@pytest.mark.parametrize(
+    "front_end, cfg",
+    [
+        pytest.param(solve, SolverConfig(), id="full"),
+        pytest.param(solve, SolverConfig(power_constraint="per-antenna"), id="full-per-antenna"),
+        pytest.param(solve_ld, SolverConfig(), id="lowdim"),
+    ],
+)
+@pytest.mark.parametrize(
+    "seed, power_dbm, noise_comm_dbm",
+    HIGH_SNR_SCENES,
+    ids=[f"P{p}dBm-noise{n}dBm-seed{s}" for s, p, n in HIGH_SNR_SCENES],
+)
+def test_high_transmit_snr_solves_stay_finite(front_end, cfg, seed, power_dbm, noise_comm_dbm):
+    # 160 and 200 dB transmit SNR: zero-forcing beams leave a user almost no
+    # interference, so its SINR floor is the noise, which rounds away inside
+    # a total received power more than 1e16 times larger
+    scene = sample_scene(
+        seed, power_dbm=power_dbm, noise_comm_dbm=noise_comm_dbm, targets=benchmark_targets()
+    )
+    result = front_end(scene, WTS, cfg)
+    assert np.isfinite([result.objective, result.sum_rate, result.crlb_trace]).all()
+    assert np.all(np.diff(result.objective_trace) >= 0.0)
+    project = sca.project_total_power if cfg.power_constraint == "total" else sca.project_per_antenna
+    w = result.beamformer.matrix
+    assert np.allclose(project(w, scene.power_budget), w, rtol=1e-9, atol=0.0)
 
 
 def test_solve_per_antenna_constraint(small_scene):
