@@ -36,18 +36,21 @@ Huang, Gallivan & Absil, SIAM J. Optim. 2015) in the compact representation
 trust radius (Absil, Mahony & Sepulchre, 2008, ch. 7). It runs on the sphere
 |Q|^2 = budget (total power; both front ends in the same arithmetic) or on the
 row spheres |w_i|^2 = budget/n_tx (per-antenna: the oblique manifold, Absil &
-Gallivan, ICASSP 2006); only the tangent projection differs. A candidate that
-climbs by more than tol_objective is taken without forming the MM candidate,
-as in the guarded quasi-Newton acceleration of MM (Zhou, Alexander & Lange,
-Stat. Comput. 2011); otherwise the iteration keeps the better of the two. The
-linearized sensing term bounds -tr(F^-1) from above, not below, so even the
-MM candidate can descend: then the ascent check doubles the shift and
-retries it. A candidate that falls by no more than tol_objective counts as
-no change (the iterate stays and the solve has converged, except on the
-first pass, which cannot end a solve), so every objective trace is
-monotone. The result reports the stationarity residual, the relative norm
-of the gradient's tangent component at the returned iterate. First
-iterations, which have no quasi-Newton direction, take the MM candidate alone.
+Gallivan, ICASSP 2006); only the tangent projection differs. Each pass
+measures objective changes against tau = max(tol_objective, ROUNDOFF |f|),
+f the iterate's objective, so that a change within the objective's own
+rounding never counts. A candidate that climbs by more than tau is taken
+without forming the MM candidate, as in the guarded quasi-Newton
+acceleration of MM (Zhou, Alexander & Lange, Stat. Comput. 2011); otherwise
+the iteration keeps the better of the two. The linearized sensing term
+bounds -tr(F^-1) from above, not below, so even the MM candidate can
+descend: then the ascent check doubles the shift and retries it. A
+candidate that falls by no more than tau counts as no change (the iterate
+stays and the solve has converged, except on the first pass, which cannot
+end a solve), so every objective trace is monotone. The result reports the
+stationarity residual, the relative norm of the gradient's tangent
+component at the returned iterate. First iterations, which have no
+quasi-Newton direction, take the MM candidate alone.
 """
 
 from __future__ import annotations
@@ -98,10 +101,18 @@ GROW = 4.0
 SHRINK = 0.25
 # Shift doublings the ascent check tries before it stops the solve.
 MAX_RETRIES = 30
+# A change of at most this share of |f| is within the objective's rounding
+# and counts as no change, however small tol_objective is.
+ROUNDOFF = 1000 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """max_iters caps the passes of `run`. tol_objective is the absolute
+    objective change below which a pass counts as no change and the solve
+    stops; `run` raises it to ROUNDOFF |f| where the objective's rounding is
+    larger, so tol_objective=0 means: stop once every change is roundoff."""
+
     max_iters: int = 5000
     tol_objective: float = 1e-4
     power_constraint: str = "total"  # or "per-antenna"
@@ -422,13 +433,18 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     quasi-Newton candidate project(X + r), r capped at the trust radius; the
     radius becomes at least GROW times the step when the candidate climbs,
     and SHRINK times the step when it does not or its Fisher matrix is
-    singular. The candidate is taken when it gains more than tol_objective;
-    otherwise (no direction yet, a singular Fisher matrix there, or a smaller
-    gain) the iteration forms the MM candidate project(lambda X + h), lambda
-    from `shift_parameter`, and keeps the better of the two. If neither
-    ascends, the shift doubles (at most MAX_RETRIES times) until the MM
-    candidate does. converged=True means that on a pass after the first the
-    better of both candidates gained at most tol_objective. The first pass
+    singular. Every test of a change on a pass uses one threshold,
+    tau = max(tol_objective, ROUNDOFF |f|) with f the objective at X: from
+    |f| = tol_objective / ROUNDOFF (about 4.5e8 at the default) the second
+    term takes over, so a change within the objective's rounding never
+    counts as an ascent or a fall. The candidate is taken when it gains more
+    than tau; otherwise (no direction yet, a singular Fisher matrix there, or
+    a smaller gain) the iteration forms the MM candidate
+    project(lambda X + h), lambda from `shift_parameter`, and keeps the
+    better of the two. If neither ascends (both fall by more than tau), the
+    shift doubles (at most MAX_RETRIES times) until the MM candidate does.
+    converged=True means that on a pass after the first the better of both
+    candidates gained at most tau. The first pass
     cannot end the solve: it has only the MM candidate, whose step length
     comes from the global curvature bound alone, so a small gain there says
     little about stationarity (from the RZF start at 30 dBm it would end most
@@ -467,6 +483,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
 
     radius = np.inf  # the trust radius
     for _ in range(cfg.max_iters):
+        tol = max(cfg.tol_objective, ROUNDOFF * abs(point.objective))
         qn = None
         history.observe(x, h)
         proposal = history.direction(radius)
@@ -478,7 +495,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
                 pass
             climbed = qn is not None and qn[-1].objective > point.objective
             radius = max(radius, GROW * length) if climbed else SHRINK * length
-        if qn is not None and qn[-1].objective - point.objective > cfg.tol_objective:
+        if qn is not None and qn[-1].objective - point.objective > tol:
             best = qn  # a climb that cannot end the solve: no MM candidate
         else:
             shift = shift_parameter(core, point)
@@ -486,19 +503,19 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
             if qn is not None and qn[-1].objective > best[-1].objective:
                 best = qn
             for _ in range(MAX_RETRIES):
-                if best[-1].objective >= point.objective - cfg.tol_objective:
+                if best[-1].objective >= point.objective - tol:
                     break
                 shift *= 2.0
                 best = candidate(project(shift * x + h))
         delta = best[-1].objective - point.objective
-        if not delta >= -cfg.tol_objective:
+        if not delta >= -tol:
             stalled = True
             break
         if delta >= 0.0:  # after a fall within the tolerance the iterate stays
             x, point = best
             h = a_h @ point.gradient
         trace.append(point.objective)
-        if delta <= cfg.tol_objective and len(trace) > 2:
+        if delta <= tol and len(trace) > 2:
             converged = True
             break
     t_iter = time.perf_counter() - t1
@@ -508,7 +525,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         logger.warning(
             "solver hit max_iters=%d with last objective change above tol=%g",
             cfg.max_iters,
-            cfg.tol_objective,
+            tol,
         )
     t2 = time.perf_counter()
     scene = core.scene

@@ -180,7 +180,8 @@ def test_solve_result_stationarity_matches_obs_residuals(front_end):
         result = front_end(scene, WTS)
         report = analysis.obs_residuals(scene, scene.steering, result.beamformer, WTS)
         assert result.stationarity == pytest.approx(report.stationarity_residual, rel=1e-6), seed
-    # a tight solve whose residual lies far below 1e-8
+    # a tight solve: tol_objective=0 stops once every change is within the
+    # objective's rounding, here after 286 iterations at residual 1.7e-7
     scene = sample_scene(0, targets=benchmark_targets(), power_dbm=-10)
     result = front_end(scene, WTS, sca.SolverConfig(tol_objective=0.0, max_iters=3000))
     report = analysis.obs_residuals(scene, scene.steering, result.beamformer, WTS)

@@ -585,7 +585,7 @@ def test_run_from_any_start(small_scene, power_constraint):
         assert np.allclose(project(w, budget), w, rtol=1e-9)  # on the constraint set
 
 
-HIGH_SNR_SCENES = [(seed, 40, -120) for seed in range(3)] + [(0, 200, 0)]
+HIGH_SNR_SCENES = [(seed, 40, -120) for seed in range(3)] + [(0, p, 0) for p in (200, -200, -300)]
 
 
 @pytest.mark.parametrize(
@@ -604,11 +604,14 @@ HIGH_SNR_SCENES = [(seed, 40, -120) for seed in range(3)] + [(0, 200, 0)]
 def test_high_transmit_snr_solves_stay_finite(front_end, cfg, seed, power_dbm, noise_comm_dbm):
     # 160 and 200 dB transmit SNR: zero-forcing beams leave a user almost no
     # interference, so its SINR floor is the noise, which rounds away inside
-    # a total received power more than 1e16 times larger
+    # a total received power more than 1e16 times larger. At -200 and
+    # -300 dBm the objective reaches about -7e20 and -7e30, whose rounding
+    # dwarfs tol_objective, so the solve stops on changes within roundoff
     scene = sample_scene(
         seed, power_dbm=power_dbm, noise_comm_dbm=noise_comm_dbm, targets=benchmark_targets()
     )
     result = front_end(scene, WTS, cfg)
+    assert result.converged
     assert np.isfinite([result.objective, result.sum_rate, result.crlb_trace]).all()
     assert np.all(np.diff(result.objective_trace) >= 0.0)
     project = sca.project_total_power if cfg.power_constraint == "total" else sca.project_per_antenna
@@ -656,17 +659,21 @@ def test_default_streams_lose_nothing_against_3m():
     # tight solves over users K = 0..4 with M = 2 targets, a sensing-led and a
     # rate-led weight: on every scene the default stream count reaches the
     # objective of 3M = 6 streams, one on each column of Sbar (worst relative
-    # shortfall 2.9e-5, at K = 3; 2.3e-8 where 0 < K <= M)
+    # shortfall 2.9e-5, at K = 3; 1.4e-8 where 0 < K <= M), and both solves
+    # stop converged (at K = 2, seed 1, sensing-led, the objective is -1.4e5
+    # and evaluates with noise near 4e-7, far above the tolerance 1e-9)
     cfg = SolverConfig(tol_objective=1e-9)
     for n_users in range(5):
         expected = 2 if n_users == 0 else max(0, 3 - n_users)
         for weights in (Weights(0.25, 1.0), Weights(1.0, 0.01)):
             for seed in range(3):
                 scene = sample_scene(seed, n_users=n_users, n_targets=2)
+                case = (n_users, weights, seed)
                 result = solve(scene, weights, cfg)
                 assert result.beamformer.n_sense == expected
-                wide = solve(scene, weights, cfg, n_sense=6).objective
-                assert result.objective >= wide - 1e-4 * abs(wide), (n_users, weights, seed)
+                wide = solve(scene, weights, cfg, n_sense=6)
+                assert result.converged and wide.converged, case
+                assert result.objective >= wide.objective - 1e-4 * abs(wide.objective), case
 
 
 def _sensing_gap(scene, w):
