@@ -1,9 +1,11 @@
 """End-to-end acceptance suite.
 
-Statistical benchmark reproduction, monotone convergence, full-power and
-oracle checks, surrogate tangency, reduced/full parity and timing, sensing
-stream threshold, stationary-structure residuals, and the tradeoff frontier.
-The expensive 50-seed benchmark batch comes from the session fixture.
+Statistical benchmark reproduction, full-power and oracle checks, surrogate
+tangency, convergence speed and per-antenna quality, the sensing stream
+threshold, stationary-structure residuals, and the tradeoff frontier. The
+expensive 50-seed benchmark batch comes from the session fixture. What every
+single solve must satisfy (monotone traces, reproducible reports, front-end
+parity) is checked over a grid of scenes in `test_solve_contract.py`.
 """
 
 from dataclasses import replace
@@ -37,7 +39,7 @@ def random_on_sphere(rng, shape, budget):
     return sca.project_total_power(w, budget)
 
 
-# --- 1. statistical benchmark reproduction ---------------------------------
+# --- 1. statistical benchmark reproduction ----------------------------------
 
 
 def test_benchmark_means_full(benchmark_batch):
@@ -58,32 +60,7 @@ def test_benchmark_means_lowdim(benchmark_batch):
     assert LD_BAND_CRLB[0] <= crlb <= LD_BAND_CRLB[1], crlb
 
 
-# --- 2. monotone convergence across weight extremes ------------------------
-
-WEIGHT_EXTREMES = (Weights(1.0, 0.25), Weights(1.0, 1e-7), Weights(1e-7, 1.0))
-
-
-def test_monotone_traces_100_instances():
-    cfg = replace(SolverConfig(), max_iters=400)
-    n_traces = 0
-    for seed in range(34):
-        scene = sample_scene(
-            seed,
-            tx_geometry=ArrayGeometry(4, 2),
-            rx_geometry=ArrayGeometry(3, 2),
-            n_users=3,
-            n_slots=16,
-            targets=benchmark_targets(),
-        )
-        for weights in WEIGHT_EXTREMES:
-            trace = solve(scene, weights, cfg).objective_trace
-            slack = 1e-9 * max(1.0, float(np.max(np.abs(trace))))
-            assert float(np.min(np.diff(trace))) >= -slack, (seed, weights)
-            n_traces += 1
-    assert n_traces >= 100
-
-
-# --- 3. full power and inward scaling --------------------------------------
+# --- 2. full power and inward scaling ---------------------------------------
 
 
 def test_full_power_and_inward_scaling(benchmark_batch):
@@ -97,7 +74,7 @@ def test_full_power_and_inward_scaling(benchmark_batch):
             assert inner < result.objective_trace[-1], (solver, seed)
 
 
-# --- 4. gradient oracle on small instances ---------------------------------
+# --- 3. gradient oracle on small instances ----------------------------------
 
 
 def test_gradient_oracle_20_small_instances(rng):
@@ -119,7 +96,7 @@ def test_gradient_oracle_20_small_instances(rng):
         assert rel <= 1e-5, (seed, rel)
 
 
-# --- 5. Fisher information oracle ------------------------------------------
+# --- 4. Fisher information oracle -------------------------------------------
 
 
 def test_fim_oracle_20_instances(rng):
@@ -134,7 +111,7 @@ def test_fim_oracle_20_instances(rng):
         assert rel <= 1e-5, (seed, rel)
 
 
-# --- 6. adjoint identity -----------------------------------------------------
+# --- 5. adjoint identity ----------------------------------------------------
 
 
 def test_adjoint_identity_100_pairs(default_scene, rng):
@@ -153,7 +130,7 @@ def test_adjoint_identity_100_pairs(default_scene, rng):
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs), trial
 
 
-# --- 7. surrogate tangency and bounds ---------------------------------------
+# --- 6. surrogate tangency and bounds ---------------------------------------
 
 
 def _fp_rate_surrogate(scene, sinr, point, w_matrix, k):
@@ -239,26 +216,7 @@ def test_trace_quadratic_surrogate_tangent_and_bound(default_scene, rng):
         assert lhs >= linearized(w) - 1e-9 * max(1.0, abs(lhs))
 
 
-# --- 8. reduced/full parity ---------------------------------------------------
-
-
-def test_ld_full_parity_50_seeds(benchmark_batch):
-    for full, ld in zip(benchmark_batch["full"], benchmark_batch["lowdim"]):
-        ref = abs(full.objective_trace[-1])
-        assert abs(ld.objective_trace[-1] - full.objective_trace[-1]) <= 0.01 * ref
-
-
-def test_front_ends_identical_at_1024_antennas():
-    # under the total-power constraint both front ends iterate on the frame
-    # coordinates Q and lift once at the end, so no iteration of either pays
-    # for the 1024 antennas and their results are equal bit for bit
-    scene = sample_scene(0, tx_geometry=ArrayGeometry(32, 32), targets=benchmark_targets())
-    full = solve(scene, DEFAULT_WEIGHTS)
-    ld = solve_ld(scene, DEFAULT_WEIGHTS)
-    assert full.converged and full.iterations == ld.iterations
-    assert np.array_equal(full.objective_trace, ld.objective_trace)
-    assert np.array_equal(full.beamformer.matrix, ld.beamformer.matrix)
-    assert full.beamformer.n_tx == 1024
+# --- 7. convergence speed and per-antenna quality ---------------------------
 
 
 def test_quasi_newton_candidate_accelerates_20_dbm():
@@ -295,7 +253,7 @@ def test_per_antenna_quality_18_solves():
         assert np.mean(objectives) >= floor, power_dbm
 
 
-# --- 9. sensing stream threshold --------------------------------------------
+# --- 8. sensing stream threshold --------------------------------------------
 
 THREE_TARGETS = (
     Target(azimuth=0.30, elevation=0.35, rcs=0.1 * np.exp(0.6j * np.pi)),
@@ -327,7 +285,7 @@ def test_isac_no_gain_from_sensing_streams():
             assert abs(obj - base) <= 0.01 * abs(base), (seed, n_sense)
 
 
-# --- 10. stationary-structure residuals -------------------------------------
+# --- 9. stationary-structure residuals --------------------------------------
 
 
 def test_obs_residuals_20_instances_with_separation(rng):
@@ -353,7 +311,7 @@ def test_obs_residuals_20_instances_with_separation(rng):
         assert random_report.stationarity_residual > 1e-2, seed
 
 
-# --- 11. tradeoff frontier ---------------------------------------------------
+# --- 10. tradeoff frontier --------------------------------------------------
 
 
 def test_tradeoff_frontier_shape():

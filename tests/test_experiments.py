@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isacbeam import ExperimentConfig, run_experiment
+from isacbeam import ArrayGeometry, ExperimentConfig, run_experiment
 from isacbeam import experiments, sca
 from isacbeam.experiments import CSV_HEADER, config_from_dict, records_to_csv, verify
 from isacbeam.sca import SolverConfig
@@ -160,6 +160,26 @@ def test_near_square_factorization():
     assert (experiments._near_square(16).n_horizontal, experiments._near_square(16).n_vertical) == (4, 4)
     assert (experiments._near_square(12).n_horizontal, experiments._near_square(12).n_vertical) == (4, 3)
     assert (experiments._near_square(7).n_horizontal, experiments._near_square(7).n_vertical) == (7, 1)
+
+
+@pytest.mark.parametrize("axis, value, tx, n_users", [("n_tx", 12, (4, 3), 4), ("n_users", 3, (4, 4), 3)])
+def test_count_sweeps_build_their_scenes(axis, value, tx, n_users, monkeypatch):
+    # a trial along n_tx lays its antennas out by `_near_square`, one along
+    # n_users draws that many users; the other count keeps its default
+    scenes = []
+    solve = sca.solve
+
+    def recorded(scene, *args, **kwargs):
+        scenes.append(scene)
+        return solve(scene, *args, **kwargs)
+
+    monkeypatch.setattr(sca, "solve", recorded)
+    cfg = ExperimentConfig(sweep_axis=axis, sweep_values=(value,), trials=1, measure_time=False)
+    [record] = run_experiment(cfg).records
+    [scene] = scenes
+    assert record.sweep_value == value and record.status in ("ok", "nonconverged")
+    assert scene.tx_geometry == ArrayGeometry(*tx)
+    assert scene.n_users == n_users
 
 
 def test_run_experiment_counts_and_order():

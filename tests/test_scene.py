@@ -204,9 +204,10 @@ def test_invalid_sampling_inputs():
         a.flat[-1] = value
         return a
 
+    # channels are finite numbers, with one row per transmit antenna
     for channels in (scene.channels.astype(str), scene.channels != 0, scene.channels.astype(object),
                      poisoned(scene.channels, np.nan), poisoned(scene.channels, np.inf),
-                     poisoned(scene.channels, -np.inf)):
+                     poisoned(scene.channels, -np.inf), scene.channels[:-1], scene.channels.T):
         with pytest.raises(ValueError, match="channels"):
             replace(scene, channels=channels)
     # a steering set follows the same rule: it used to take NaN, bool,
