@@ -9,13 +9,12 @@ coefficients from one `sca.evaluate` at the beamformer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import metrics, sca
 from .metrics import Beamformer, Weights
-from .scene import Scene, SteeringSet, check_real, philox, steering_vector
+from .scene import Scene, SteeringSet, check_real, steering_vector
 
 __all__ = [
     "ObsReport",
@@ -171,18 +170,9 @@ def _rebuild_forward(scene: Scene, params: np.ndarray) -> np.ndarray:
     return (b * rcs[None, :]) @ a.conj().T
 
 
-def fd_fim(
-    scene: Scene,
-    w: Beamformer,
-    signal_draws: Optional[int] = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Fisher matrix oracle from numerical Jacobians of the noise-free echo.
-
-    Exact mode (signal_draws=None) contracts the Jacobians with the analytic
-    signal second moment; otherwise the covariance is estimated from that many
-    random unit-power symbol draws.
-    """
+def fd_fim(scene: Scene, w: Beamformer) -> np.ndarray:
+    """Fisher matrix oracle: numerical Jacobians of the noise-free echo,
+    contracted with the analytic signal second moment R_x = W W^H."""
     m = scene.n_targets
     params = np.concatenate(
         [
@@ -198,20 +188,9 @@ def fd_fim(
         bump[i] = FIM_STEP
         jac.append((_rebuild_forward(scene, params + bump) - _rebuild_forward(scene, params - bump)) / (2.0 * FIM_STEP))
 
-    if signal_draws is None:
-        r_x = w.covariance
-        f = np.empty((4 * m, 4 * m))
-        for i in range(4 * m):
-            for j in range(4 * m):
-                f[i, j] = np.real(np.trace(jac[i].conj().T @ jac[j] @ r_x))
-        return 2.0 * scene.slots / scene.noise_radar * f
-
-    rng = philox(seed)
-    n_streams = w.n_users + w.n_sense
-    f = np.zeros((4 * m, 4 * m))
-    for _ in range(signal_draws):
-        s = (rng.standard_normal(n_streams) + 1j * rng.standard_normal(n_streams)) / np.sqrt(2)
-        x = w.matrix @ s
-        jx = np.column_stack([g @ x for g in jac])
-        f += np.real(jx.conj().T @ jx)
-    return 2.0 * scene.slots / scene.noise_radar * f / signal_draws
+    r_x = w.covariance
+    f = np.empty((4 * m, 4 * m))
+    for i in range(4 * m):
+        for j in range(4 * m):
+            f[i, j] = np.real(np.trace(jac[i].conj().T @ jac[j] @ r_x))
+    return 2.0 * scene.slots / scene.noise_radar * f

@@ -137,8 +137,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scene_cfg = _scene_config(args)
-    checks = experiments.verify(scene_cfg, seed=scene_cfg["seed"])
+    checks = experiments.verify(_scene_config(args))
     report = [dataclasses.asdict(c) for c in checks]
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

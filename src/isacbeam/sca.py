@@ -157,8 +157,8 @@ class SolverCore:
     numpy's `matrix_rank` cut on the eigenvalues of G = V^H V (G may be
     singular, for example with repeated targets or fewer antennas than basis
     columns); frame is B = V^H V~, so Z = B Q for W = V~ Q, and B B^H = G.
-    operator is the scene's Fisher operator (`scene.geometry.operator`), None
-    when the scene has no targets.
+    operator is the scene's Fisher operator (`scene.geometry.operator`), a
+    (0, 0) array when the scene has no targets.
     """
 
     scene: Scene
@@ -166,7 +166,7 @@ class SolverCore:
     basis: np.ndarray
     frame: np.ndarray
     orthonormal: np.ndarray
-    operator: Optional[np.ndarray]
+    operator: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,7 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
         raise ValueError("a positive sensing weight needs at least one target")
     if weights.sense > 0 and not scene.geometry.identifiable:
         raise ValueError("target parameters are unidentifiable: singular Fisher matrix")
-    operator = scene.geometry.operator if scene.n_targets else None
-    return SolverCore(scene, weights, basis, frame, orthonormal, operator)
+    return SolverCore(scene, weights, basis, frame, orthonormal, scene.geometry.operator)
 
 
 def evaluate(core: SolverCore, z: np.ndarray) -> Point:
@@ -533,7 +532,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     w = Beamformer(wmat[:, : scene.n_users], wmat[:, scene.n_users :], scene.power_budget)
     final_rate = metrics.sum_rate(scene, w)
     final_crlb = point.crlb  # NaN without targets, or at a singular or non-finite Fisher matrix
-    if core.weights.sense == 0 and core.operator is not None:
+    if core.weights.sense == 0 and scene.n_targets:
         zs = point.z[scene.n_users :]
         try:
             final_crlb = metrics.crlb_trace(metrics.fim_matrix(core.operator, zs @ zs.conj().T))

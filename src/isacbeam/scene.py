@@ -24,7 +24,6 @@ __all__ = [
     "TargetGeometry",
     "target_geometry",
     "steering_vector",
-    "steering_derivatives",
     "build_steering_set",
     "philox",
     "check_integer",
@@ -237,13 +236,6 @@ def steering_vector(geom: ArrayGeometry, azimuth: float, elevation: float) -> np
     """Unit-norm UPA steering vector a_h(az, el) kron a_v(el)."""
     _check_angles(azimuth, elevation)
     return _steering_columns(geom, [azimuth], [elevation])[:, 0]
-
-
-def steering_derivatives(geom: ArrayGeometry, azimuth: float, elevation: float):
-    """Partial derivatives of the steering vector w.r.t. azimuth and elevation."""
-    _check_angles(azimuth, elevation)
-    cols = _steering_columns(geom, [azimuth], [elevation])
-    return cols[:, 1], cols[:, 2]
 
 
 def build_steering_set(scene: Scene) -> SteeringSet:

@@ -78,15 +78,6 @@ def test_fd_fim_scales_with_slots(rng):
     assert np.allclose(f2, 2.0 * f1, rtol=1e-10)
 
 
-def test_fd_fim_draws_mode_approximates_exact(rng):
-    scene = sample_scene(2, n_targets=1)
-    w = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
-    bf = Beamformer(w[:, :2], w[:, 2:], 10.0)
-    exact = analysis.fd_fim(scene, bf)
-    approx = analysis.fd_fim(scene, bf, signal_draws=4000, seed=3)
-    assert np.linalg.norm(approx - exact) / np.linalg.norm(exact) < 0.1
-
-
 def test_obs_residuals_converged_versus_random(default_scene, rng):
     from dataclasses import replace
 

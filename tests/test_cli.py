@@ -146,18 +146,17 @@ def test_solve_seed_flag_overrides_the_config_file(tmp_path, capsys):
 def test_verify_seed_flag_overrides_the_config_file(scene_config, tmp_path, monkeypatch):
     from isacbeam.analysis import CheckRecord
 
-    def seeds(scene_config, seed):
-        return [CheckRecord(name=name, value=value, threshold=2.0**64, passed=True)
-                for name, value in (("scene_seed", scene_config["seed"]), ("seed", seed))]
+    def seeds(scene_config):
+        return [CheckRecord(name="seed", value=scene_config["seed"], threshold=2.0**64, passed=True)]
 
     monkeypatch.setattr(cli.experiments, "verify", seeds)
     scene_config.write_text(json.dumps({**TINY_SCENE, "seed": 5}))
     out = tmp_path / "report.json"
-    # the file's seed used to build the scene while the flag's (or 0) seeded the rest
+    # the scene config's seed seeds everything verify draws
     for flags, expected in ((["--seed", "7"], 7), ([], 5)):
         argv = ["verify", "--config", str(scene_config), *flags, "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
-        assert [entry["value"] for entry in json.loads(out.read_text())] == [expected, expected]
+        assert [entry["value"] for entry in json.loads(out.read_text())] == [expected]
 
 
 @pytest.mark.parametrize(

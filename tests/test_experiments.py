@@ -401,7 +401,7 @@ def test_config_from_dict_round_trip():
 
 
 def test_verify_passes_on_small_scene():
-    checks = verify(scene_config=TINY_SCENE, seed=0)
+    checks = verify(scene_config=TINY_SCENE)
     names = {c.name for c in checks}
     assert "gradient_fd_relative_error" in names
     assert "adjoint_identity_relative_error" in names
@@ -412,18 +412,24 @@ def test_verify_passes_on_small_scene():
 
 
 def test_verify_has_one_seed():
-    # a seed inside scene_config used to build the main scene while the
-    # argument seeded the oracle scene and the adjoint draws
-    with pytest.raises(ValueError, match="seed"):
-        verify({**TINY_SCENE, "seed": 3}, seed=0)
-    assert verify({**TINY_SCENE, "seed": 3}, seed=3) == verify(TINY_SCENE, seed=3)
+    # the scene config's seed builds the main scene and seeds the oracle
+    # scene and the adjoint draws; there is no second seed argument
+    with pytest.raises(TypeError):
+        verify(TINY_SCENE, seed=3)
+    seeded = verify({**TINY_SCENE, "seed": 3})
+    assert seeded == verify({**TINY_SCENE, "seed": 3})
+    oracles = ("gradient_fd_relative_error", "fim_fd_relative_error", "adjoint_identity_relative_error")
+    values = {c.name: c.value for c in verify(TINY_SCENE)}
+    for c in seeded:
+        if c.name in oracles:
+            assert c.value != values[c.name], c.name
 
 
 def test_verify_checks_an_active_sensing_block():
     # the sensing eigen residual is taken where the sensing streams carry
     # power; on the scene with users every sensing column falls below the
     # zero-column tolerance and the residual reads exactly 0
-    [check] = [c for c in verify(seed=0) if c.name == "obs_sense_eigen_residual"]
+    [check] = [c for c in verify({"seed": 0}) if c.name == "obs_sense_eigen_residual"]
     assert check.passed and check.threshold == 1e-2
     assert check.value > 0.0
 
@@ -441,7 +447,7 @@ def test_verify_drops_only_its_cap_warning(caplog, monkeypatch):
 
     monkeypatch.setattr(sca, "solve", noisy)
     with caplog.at_level(logging.WARNING, logger=sca.logger.name):
-        verify(seed=0)
+        verify({"seed": 0})
     messages = [r.getMessage() for r in caplog.records]
     assert "solver stopped: no ascent after 30 shift doublings" in messages
     assert not [m for m in messages if m.startswith("solver hit max_iters")]

@@ -20,7 +20,6 @@ from isacbeam import (
 from isacbeam.scene import (
     dbm_to_linear,
     scene_from_config,
-    steering_derivatives,
     steering_vector,
     target_geometry,
 )
@@ -45,27 +44,30 @@ def test_steering_unit_norm(rng):
         assert abs(np.linalg.norm(steering_vector(geom, az, el)) - 1.0) < 1e-12
 
 
+def _derivative_error(geom, az, el, d_az, d_el, step=1e-6):
+    """Largest error of the columns d_az, d_el against central differences of
+    `steering_vector`, relative to the larger difference (at least 1)."""
+    fd_az = (steering_vector(geom, az + step, el) - steering_vector(geom, az - step, el)) / (2 * step)
+    fd_el = (steering_vector(geom, az, el + step) - steering_vector(geom, az, el - step)) / (2 * step)
+    scale = max(np.linalg.norm(fd_az), np.linalg.norm(fd_el), 1.0)
+    return max(np.linalg.norm(d_az - fd_az), np.linalg.norm(d_el - fd_el)) / scale
+
+
 def test_steering_derivatives_match_finite_differences(rng):
+    # the derivative columns of the steering set the solver reads (its basis
+    # is [H, scene.steering.tx])
     geom = ArrayGeometry(4, 4)
-    step = 1e-6
     for _ in range(100):
         az = rng.uniform(-np.pi + 0.01, np.pi - 0.01)
         el = rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01)
-        d_az, d_el = steering_derivatives(geom, az, el)
-        fd_az = (steering_vector(geom, az + step, el) - steering_vector(geom, az - step, el)) / (
-            2 * step
-        )
-        fd_el = (steering_vector(geom, az, el + step) - steering_vector(geom, az, el - step)) / (
-            2 * step
-        )
-        scale = max(np.linalg.norm(fd_az), np.linalg.norm(fd_el), 1.0)
-        assert np.linalg.norm(d_az - fd_az) / scale < 1e-6
-        assert np.linalg.norm(d_el - fd_el) / scale < 1e-6
+        scene = sample_scene(0, tx_geometry=geom, targets=(Target(az, el, 0.1),))
+        for g, stack in ((geom, scene.steering.tx), (scene.rx_geometry, scene.steering.rx)):
+            assert _derivative_error(g, az, el, stack[:, 1], stack[:, 2]) < 1e-6
 
 
 def test_azimuth_derivative_vanishes_at_zero_elevation():
-    d_az, _ = steering_derivatives(ArrayGeometry(4, 4), 0.7, 0.0)
-    assert np.allclose(d_az, 0.0)
+    scene = sample_scene(0, tx_geometry=ArrayGeometry(4, 4), targets=(Target(0.7, 0.0, 0.1),))
+    assert np.allclose(scene.steering.tx[:, 1], 0.0)
 
 
 @pytest.mark.parametrize("n_targets", [0, 1, 3])
@@ -81,10 +83,9 @@ def test_steering_set_column_layout(n_targets):
     for i, t in enumerate(scene.targets):
         assert steering.rcs[i] == t.rcs
         for geom, stack in ((scene.tx_geometry, steering.tx), (scene.rx_geometry, steering.rx)):
-            d_az, d_el = steering_derivatives(geom, t.azimuth, t.elevation)
             assert np.array_equal(stack[:, i], steering_vector(geom, t.azimuth, t.elevation))
-            assert np.array_equal(stack[:, m + i], d_az)
-            assert np.array_equal(stack[:, 2 * m + i], d_el)
+            d_az, d_el = stack[:, m + i], stack[:, 2 * m + i]
+            assert _derivative_error(geom, t.azimuth, t.elevation, d_az, d_el) < 1e-6
     # the scene carries the same set, built once
     assert scene.steering is scene.steering
     for name in ("tx", "rx", "rcs"):
