@@ -2,8 +2,8 @@
 
 Everything here is read-only over solver outputs; the finite-difference
 routines are deliberately independent of the closed-form code paths they check.
-`obs_residuals` reads the closed-form gradient, curvature and signal
-coefficients from one `sca.evaluate` at the beamformer.
+`obs_residuals` reads the closed-form gradient (`sca.analytic_gradient`) at
+the beamformer and measures one residual on column blocks.
 """
 
 from __future__ import annotations
@@ -75,54 +75,42 @@ def obs_residuals(
 ) -> ObsReport:
     """Evaluate how closely a beamformer matches the stationary-point structure.
 
-    The communication block is compared against the regularized-inverse form;
-    the sensing block against the eigenvector condition. Sensing columns whose
-    norm is below ZERO_COLUMN_TOL times the power scale satisfy the structure
-    through its zero-vector branch and are excluded from the eigen residual
-    (at moderate tradeoff weights the sensing block typically vanishes).
-    Residuals are relative; an empty sensing block reports residual 0. The
-    gradient 2 V g and the antenna-domain curvature V D V^H come from the
-    `sca.Point` at w. The one multiplier (`recover_multiplier`) certifies
-    total-power beamformers only: per-antenna ones have one per row
-    (`SolveResult.stationarity`).
+    One residual r = grad - 2 mu W, grad the closed-form objective gradient
+    (`sca.analytic_gradient`) and mu its multiplier (`recover_multiplier`),
+    is measured on three column sets, each relative to the gradient on the
+    same columns (0 where that is 0), so every figure is scale-free in the
+    weights. With grad / 2 = V E - V D V^H W:
+    - stationarity_residual: all columns;
+    - comm_structure_residual: the K user columns, where r is
+      -2 [(mu I + V D V^H) W_c - V E_c], the residual of the
+      regularized-inverse form;
+    - sense_eigen_residual: the active sensing columns, where r is
+      -2 (V D V^H + mu) W_s, so the figure is the relative eigen-residual
+      |(V D V^H + mu) W_s| / |V D V^H W_s|. Sensing columns whose norm is
+      below ZERO_COLUMN_TOL times the power scale satisfy the structure
+      through its zero-vector branch and are left out (at moderate tradeoff
+      weights the sensing block typically vanishes); an empty set reads 0.
+    The one multiplier certifies total-power beamformers only: per-antenna
+    ones have one per row (`SolveResult.stationarity`).
     steering must equal scene.steering exactly (ValueError otherwise).
     """
     own = scene.steering
     if not all(np.array_equal(getattr(steering, k), getattr(own, k)) for k in ("tx", "rx", "rcs")):
         raise ValueError("steering set does not belong to the scene")
-    core = sca.solver_core(scene, weights)
-    point = sca.evaluate(core, core.basis.conj().T @ w.matrix)
-    grad = 2.0 * (core.basis @ point.gradient)
+    grad = sca.analytic_gradient(scene, w, weights)
     mu = recover_multiplier(w, grad)
-    grad_norm = np.linalg.norm(grad)
-    stationarity = (
-        float(np.linalg.norm(grad - 2.0 * mu * w.matrix) / grad_norm) if grad_norm > 0 else 0.0
-    )
-    # V D V^H = delta_c H Sigma2 H^H - delta_s Q, the antenna-domain curvature
-    curv = core.basis @ point.curvature @ core.basis.conj().T
+    r = grad - 2.0 * mu * w.matrix
 
-    if scene.n_users and weights.comm > 0:
-        rhs = weights.comm * (scene.channels * point.signal_coeff.conj()[None, :])
-        system = mu * np.eye(scene.n_tx) + curv
-        try:
-            wc_hat = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("singular stationarity system") from exc
-        wc_norm = np.linalg.norm(w.w_comm)
-        comm_residual = (
-            float(np.linalg.norm(w.w_comm - wc_hat) / wc_norm) if wc_norm > 0 else 0.0
-        )
-    else:
-        comm_residual = 0.0
+    def relative(cols) -> float:
+        scale = np.linalg.norm(grad[:, cols])
+        return float(np.linalg.norm(r[:, cols]) / scale) if scale > 0 else 0.0
 
     active = np.linalg.norm(w.w_sense, axis=0) > ZERO_COLUMN_TOL * np.sqrt(w.power_budget)
-    ws = w.w_sense[:, active]
-    sense_residual = float(np.linalg.norm(curv @ ws + mu * ws) / np.linalg.norm(ws)) if ws.size else 0.0
     return ObsReport(
         multiplier=mu,
-        stationarity_residual=stationarity,
-        comm_structure_residual=comm_residual,
-        sense_eigen_residual=sense_residual,
+        stationarity_residual=relative(slice(None)),
+        comm_structure_residual=relative(slice(scene.n_users)),
+        sense_eigen_residual=relative(scene.n_users + np.flatnonzero(active)),
         sense_rank=rank_check(w.w_sense),
     )
 

@@ -434,6 +434,21 @@ def test_verify_checks_an_active_sensing_block():
     assert check.value > 0.0
 
 
+@pytest.mark.parametrize("power_dbm", [-100, -20, 30])
+def test_verify_passes_across_powers(power_dbm):
+    # every residual is relative to the gradient, so a stationary solve
+    # passes whatever the power: at -100 dBm the multiplier is ~1e21
+    failed = [c for c in verify({"power_dbm": power_dbm}) if not c.passed]
+    assert not failed, failed
+
+
+def test_verify_capped_solve_is_nonconverged_at_high_power():
+    # at 200 dBm the solve converges after two passes, so only a one-pass
+    # cap is sure to leave it nonconverged
+    [check] = [c for c in verify({"power_dbm": 200}) if c.name == "nonconvergence_reported"]
+    assert check.passed
+
+
 def test_verify_drops_only_its_cap_warning(caplog, monkeypatch):
     # the capped solve's max_iters warning is expected and dropped; any other
     # warning of that solve, such as a failed ascent, still comes through
@@ -441,7 +456,7 @@ def test_verify_drops_only_its_cap_warning(caplog, monkeypatch):
 
     def noisy(scene, weights, cfg=SolverConfig(), **kw):
         result = solve(scene, weights, cfg, **kw)
-        if cfg.max_iters == 5:
+        if cfg.max_iters == 1:
             sca.logger.warning("solver stopped: no ascent after %d shift doublings", 30)
         return result
 
