@@ -430,8 +430,8 @@ def verify(scene_config: Optional[dict] = None) -> list:
 
     # one pass: the first pass can never end a solve (`sca.run`), so the
     # solve is nonconverged on every scene. The cap is deliberate, so the
-    # solver's warning about it is dropped; every other record, a failed
-    # ascent among them, still comes through
+    # solver's warning about it is dropped; every other record still comes
+    # through
     sca.logger.addFilter(_drop_cap_warning)
     try:
         capped = sca.solve(scene, weights, SolverConfig(max_iters=1))

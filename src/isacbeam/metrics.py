@@ -104,14 +104,14 @@ def sinr(gains: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-user SINR and interference-plus-noise floor from the gains H^H W
     (K x streams, the first K columns the communication streams; every other
     stream counts as interference). The floor is
-    f_k = (sum_j |h_k^H w_j|^2 - |h_k^H w_k|^2) + sigma2_k, the noise added
-    after the subtraction: rounding is monotone, so a row's power sum is at
-    least its desired term, the difference is >= 0 and f_k >= sigma2_k > 0 at
-    any finite power. Adding the noise first cancels it away once the
-    transmit SNR nears 1/eps. Users with no desired signal get SINR 0."""
+    f_k = sum_{j != k} |h_k^H w_j|^2 + sigma2_k, a direct sum, so however far
+    the interference lies below the desired power it is not rounded away.
+    Users with no desired signal get SINR 0."""
     power = np.abs(gains) ** 2
-    signal = power.diagonal()
-    floor = (power.sum(axis=1) - signal) + noise
+    diagonal = power.reshape(-1)[:: power.shape[1] + 1]  # power[k, k] as a view (streams >= users)
+    signal = diagonal.copy()
+    diagonal[:] = 0.0
+    floor = power.sum(axis=1) + noise
     return signal / floor, floor
 
 

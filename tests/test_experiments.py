@@ -451,18 +451,18 @@ def test_verify_capped_solve_is_nonconverged_at_high_power():
 
 def test_verify_drops_only_its_cap_warning(caplog, monkeypatch):
     # the capped solve's max_iters warning is expected and dropped; any other
-    # warning of that solve, such as a failed ascent, still comes through
+    # warning logged during that solve still comes through
     solve = sca.solve
 
     def noisy(scene, weights, cfg=SolverConfig(), **kw):
         result = solve(scene, weights, cfg, **kw)
         if cfg.max_iters == 1:
-            sca.logger.warning("solver stopped: no ascent after %d shift doublings", 30)
+            sca.logger.warning("another warning of the capped solve")
         return result
 
     monkeypatch.setattr(sca, "solve", noisy)
     with caplog.at_level(logging.WARNING, logger=sca.logger.name):
         verify({"seed": 0})
     messages = [r.getMessage() for r in caplog.records]
-    assert "solver stopped: no ascent after 30 shift doublings" in messages
+    assert "another warning of the capped solve" in messages
     assert not [m for m in messages if m.startswith("solver hit max_iters")]

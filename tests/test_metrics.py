@@ -71,6 +71,14 @@ def test_sinr_floor_keeps_the_noise_at_high_snr():
     assert np.array_equal(floor, [1.0, 1.0])
 
 
+def test_sinr_floor_keeps_interference_far_below_the_signal():
+    # a sensing stream leaves 1e-26 of the desired power as interference,
+    # which a row power sum rounds away
+    sinr, floor = metrics.sinr(np.array([[1e10, 1e-3]], complex), np.array([1e-12]))
+    assert floor == pytest.approx([1e-6 + 1e-12], rel=1e-15)
+    assert sinr == pytest.approx([1e20 / (1e-6 + 1e-12)], rel=1e-15)
+
+
 def test_beamformer_validation():
     with pytest.raises(ValueError):
         Beamformer(np.ones((4, 1)), np.ones((3, 1)), 1.0)

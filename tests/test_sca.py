@@ -549,10 +549,10 @@ HIGH_SNR_SCENES = [(seed, 40, -120) for seed in range(3)] + [(0, p, 0) for p in 
 )
 def test_high_transmit_snr_solves_stay_finite(front_end, cfg, seed, power_dbm, noise_comm_dbm):
     # 160 and 200 dB transmit SNR: zero-forcing beams leave a user almost no
-    # interference, so its SINR floor is the noise, which rounds away inside
-    # a total received power more than 1e16 times larger. At -200 and
-    # -300 dBm the objective reaches about -7e20 and -7e30, whose rounding
-    # dwarfs tol_objective, so the solve stops on changes within roundoff
+    # interference, so its SINR floor is the noise, more than 1e16 times
+    # below its received power. At -200 and -300 dBm the objective reaches
+    # about -7e20 and -7e30, whose rounding dwarfs tol_objective, so the
+    # solve stops on changes within roundoff
     scene = sample_scene(
         seed, power_dbm=power_dbm, noise_comm_dbm=noise_comm_dbm, targets=benchmark_targets()
     )
@@ -563,6 +563,29 @@ def test_high_transmit_snr_solves_stay_finite(front_end, cfg, seed, power_dbm, n
     project = sca.project_total_power if cfg.power_constraint == "total" else sca.project_per_antenna
     w = result.beamformer.matrix
     assert np.allclose(project(w, scene.power_budget), w, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("power_dbm, noise_comm_dbm", [(60, 0), (-10, -120)])
+def test_gradient_is_the_objectives_near_zero_forcing(seed, power_dbm, noise_comm_dbm):
+    # at 60 and 110 dB transmit SNR the returned beams leave each user
+    # interference far below its desired power; the objective must still see
+    # it, since the gradient reads the interference gains themselves. The
+    # step is this small because the objective curves on the scale of the
+    # noise amplitude
+    scene = sample_scene(
+        seed, power_dbm=power_dbm, noise_comm_dbm=noise_comm_dbm, targets=benchmark_targets()
+    )
+    w = solve(scene, WTS).beamformer
+    g = sca.analytic_gradient(scene, w, WTS)
+    slope = np.linalg.norm(g)
+    h = 1e-10 * np.linalg.norm(w.matrix)
+
+    def value(m):
+        return metrics.objective(scene, w.replace_matrix(m), WTS)
+
+    quotient = (value(w.matrix + h * g / slope) - value(w.matrix - h * g / slope)) / (2.0 * h)
+    assert quotient == pytest.approx(slope, rel=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -669,22 +692,20 @@ def test_ascent_check_keeps_traces_monotone(front_end):
 
 
 @pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
-def test_ascent_check_stops_when_retries_run_out(monkeypatch, caplog, power_constraint):
+def test_ascent_check_that_runs_out_is_no_change(monkeypatch, caplog, power_constraint):
     # with no shift doublings allowed, the first step that finds no ascent
-    # ends the solve instead of appending a lower objective; the per-antenna
-    # solve stalls after 21 iterations, its last gain 7e-2, far above the
-    # evaluation-noise floor (seed 12's objective sits on it, so whether it
-    # stalls there depends on roundoff)
+    # keeps the iterate and records its objective again, which ends the
+    # solve converged like any other pass without change
     monkeypatch.setattr(sca, "MAX_RETRIES", 0)
     seed, n_users = (223, 3) if power_constraint == "total" else (47, 2)
     cfg = SolverConfig(power_constraint=power_constraint)
     with caplog.at_level(logging.WARNING, logger="isacbeam.sca"):
         result = solve(_ill_conditioned(seed, n_users), WTS, cfg)
-    assert not result.converged
-    assert result.iterations < cfg.max_iters
-    assert np.all(np.diff(result.objective_trace) >= 0.0)
-    assert [r.name for r in caplog.records] == ["isacbeam.sca"]
-    assert "no ascent" in caplog.records[0].getMessage()
-    # the pass that found no ascent appends nothing but counts in the timing
+    assert result.converged
+    assert not caplog.records
+    trace = result.objective_trace
+    assert np.all(np.diff(trace) >= 0.0)
+    assert trace[-1] == trace[-2]
+    # every pass appends one objective, so it counts once in the timing
     timings = result.timings
-    assert timings["per_iteration_s"] * (result.iterations + 1) == pytest.approx(timings["iterations_s"])
+    assert timings["per_iteration_s"] * result.iterations == pytest.approx(timings["iterations_s"])
