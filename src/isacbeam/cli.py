@@ -127,7 +127,8 @@ def _cmd_sweep(args) -> int:
     summary_text = json.dumps(result.summary, indent=2, sort_keys=True)
     if args.out:
         args.out.write_text(csv_text)
-        args.out.with_suffix(".summary.json").write_text(summary_text + "\n")
+        if args.out.is_file():  # not beside a device such as /dev/null, or a pipe
+            args.out.with_suffix(".summary.json").write_text(summary_text + "\n")
     else:
         sys.stdout.write(csv_text)
         print(summary_text)

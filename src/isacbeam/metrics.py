@@ -188,6 +188,17 @@ def spd_inverse(f: np.ndarray) -> np.ndarray:
     f = _numbers("Fisher matrix", f, float, 2)
     if f.shape[0] != f.shape[1] or f.shape[0] % 4:
         raise ValueError("Fisher matrix must be square with side 4M")
+    return _cholesky_inverse(f)
+
+
+def _cholesky_inverse(f: np.ndarray) -> np.ndarray:
+    """`spd_inverse` without its checks on caller input: one Cholesky
+    factorization and one triangular inverse of a real square float array,
+    which it neither copies nor reshapes, for a Fisher matrix the solver has
+    just formed. ValueError on a non-finite entry, SingularFisherError when
+    F is not numerically positive definite."""
+    if not np.isfinite(f).all():
+        raise ValueError("Fisher matrix has a non-finite entry")
     try:
         lower = np.linalg.cholesky(f)
     except np.linalg.LinAlgError as exc:

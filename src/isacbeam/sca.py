@@ -213,35 +213,32 @@ def solver_core(scene: Scene, weights: Weights) -> SolverCore:
 
 def evaluate(core: SolverCore, z: np.ndarray) -> Point:
     """The point with coordinates Z: one SINR evaluation on the gains Z[:K]
-    = H^H W, one Fisher matrix and one SPD factorization. Every rate term is
-    built on the interference-plus-noise floor f_k of `metrics.sinr`: the
-    signal coefficient conj(h_k^H w_k) / f_k and the curvature
-    sinr_k / (f_k (1 + sinr_k)), so the rate terms of a user with a vanishing
-    desired signal are 0, which drops the linear term from its surrogate."""
+    = H^H W, one Fisher matrix and one SPD inverse (the core of
+    `metrics.spd_inverse`, which skips the checks on caller input). Every
+    rate term is built on the interference-plus-noise floor f_k of
+    `metrics.sinr`: the signal coefficient conj(h_k^H w_k) / f_k and the
+    curvature sinr_k / (f_k (1 + sinr_k)), so the rate terms of a user with a
+    vanishing desired signal are 0, which drops the linear term from its
+    surrogate."""
     k = core.scene.n_users
     gains = z[:k]
     sinr, floor = metrics.sinr(gains, core.scene.noise_comm)
-    signal_coeff = gains.diagonal().conj() / floor
+    desired = gains.diagonal() / floor  # the conjugate signal coefficients
     value = core.weights.comm * float(np.log1p(sinr).sum())
-    d = np.zeros((core.basis.shape[1],) * 2, dtype=complex)
-    _add_to_diagonal(d, core.weights.comm * (sinr / (floor * (1.0 + sinr))))
+    n = core.basis.shape[1]
+    d = np.zeros((n, n), dtype=complex)
+    d.reshape(-1)[: k * (n + 1) : n + 1] = core.weights.comm * (sinr / (floor * (1.0 + sinr)))  # d[i, i], i < K
     crlb = math.nan
     if core.weights.sense > 0:
         zs = z[k:]
-        inv = metrics.spd_inverse(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
+        inv = metrics._cholesky_inverse(metrics.fim_matrix(core.operator, zs @ zs.conj().T))
         crlb = float(inv.trace())
         value -= core.weights.sense * crlb
         d[k:, k:] = -core.weights.sense * metrics.table_adjoint(core.operator, inv @ inv)
     g = -(d @ z)
-    _add_to_diagonal(g, core.weights.comm * signal_coeff.conj())
-    return Point(z, value, signal_coeff, d, g, crlb)
-
-
-def _add_to_diagonal(a: np.ndarray, values: np.ndarray) -> None:
-    """a[i, i] += values[i] for i < len(values), in place on a fresh
-    (C-contiguous) matrix a."""
-    step = a.shape[1] + 1
-    a.reshape(-1)[: values.size * step : step] += values
+    step = g.shape[1] + 1
+    g.reshape(-1)[: k * step : step] += core.weights.comm * desired  # g[i, i], i < K
+    return Point(z, value, desired.conj(), d, g, crlb)
 
 
 def shift_parameter(core: SolverCore, point: Point) -> float:
@@ -337,9 +334,6 @@ def start_beamformer(scene: Scene, n_sense: Optional[int]) -> Beamformer:
     return Beamformer(w[:, : scene.n_users], w[:, scene.n_users :], scene.power_budget)
 
 
-_UPPER = np.triu(np.ones((MEMORY, MEMORY)))  # masks S^T Y to its upper triangle R
-
-
 class _History:
     """Limited-memory quasi-Newton model of the objective on the power sphere
     (frame coordinates) or the row spheres (antenna coordinates) with the
@@ -351,12 +345,19 @@ class _History:
     two-loop recursion's step in a few whole-array products. The pairs are
     rows of a real buffer, the float views of the complex matrices (whose dot
     product is <a, b>), oldest first; the slot after them stages the next pair.
+    The inverse of R = triu(S^T Y) is kept up to date as pairs come and go,
+    so a step inverts nothing: a new pair (s, y) appends the column
+    -R^-1 S^T y / rho and the diagonal entry 1 / rho, rho = <s, y>, and
+    dropping the oldest pair keeps the trailing block, which for a
+    triangular matrix is exactly the inverse of R's trailing block, so a
+    drop adds no rounding error.
     """
 
     def __init__(self, tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         self.tangent = tangent
         self.rows: Optional[np.ndarray] = None  # (MEMORY + 1, 2, n): (s, y) per pair
         self.count = 0  # pairs in memory
+        self.inverse = np.zeros((MEMORY, MEMORY))  # R^-1 in its leading count x count block
         self.last: Optional[tuple] = None  # the newest iterate, its Riemannian gradient, its shape
         self.scale = 1.0  # <s, y> / <y, y> of the newest pair: the initial inverse Hessian
 
@@ -376,18 +377,23 @@ class _History:
             sy, yy = s.dot(y), y.dot(y)
             if sy > CURVATURE_FLOOR * math.sqrt(s.dot(s) * yy):
                 self.scale = sy / yy
+                inverse = self.inverse
                 if self.count < MEMORY:
                     self.count += 1
                 else:
                     self.rows[:MEMORY] = self.rows[1:]
+                    inverse[:-1, :-1] = inverse[1:, 1:]
+                j = self.count - 1  # the new pair's index; rows[:j] hold the older ones
+                inverse[:j, j] = inverse[:j, :j] @ (self.rows[:j, 0] @ y) / -sy
+                inverse[j, j] = 1.0 / sy
         self.last = (point, grad, x.shape)
 
     def direction(self, radius: float) -> Optional[tuple]:
         """The L-BFGS ascent step H v (v the newest Riemannian gradient)
         projected onto the tangent space at the iterate and capped at the
         radius, with its length; None while the memory is empty. With S and Y
-        the pairs as columns, R the upper triangle of S^T Y, D its diagonal
-        and c = R^-1 S^T v,
+        the pairs as columns, R the upper triangle of S^T Y (whose inverse
+        `observe` keeps), D its diagonal and c = R^-1 S^T v,
 
             H v = gamma v + S R^-T ((D + gamma Y^T Y) c - gamma Y^T v) - gamma Y c.
         """
@@ -397,13 +403,12 @@ class _History:
         point, v, shape = self.last
         pairs = self.rows[:m].reshape(2 * m, -1)  # s_0, y_0, s_1, y_1, ...
         gram = pairs @ self.rows[:m, 1].T  # rows <s_i, y_j> and <y_i, y_j> in turn
-        sy = gram[::2]
-        inverse = np.linalg.inv(sy * _UPPER[:m, :m])
+        inverse = self.inverse[:m, :m]
         products = pairs.dot(v)
         c = inverse @ products[::2]
         coefficients = np.empty(2 * m)
         coefficients[::2] = inverse.T @ (
-            sy.diagonal() * c + self.scale * (gram[1::2] @ c - products[1::2])
+            gram[::2].diagonal() * c + self.scale * (gram[1::2] @ c - products[1::2])
         )
         coefficients[1::2] = -self.scale * c
         r = self.tangent(point, self.scale * v + coefficients @ pairs)
@@ -457,12 +462,12 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     budget = core.scene.power_budget
     if cfg.power_constraint == "total":
         a = core.frame
-        project = lambda q: project_total_power(q, budget)
+        project = project_total_power
         antenna = lambda q: core.orthonormal @ q
         tangent = lambda x, g: g - (x.dot(g) / budget) * x
     else:
         a = core.basis.conj().T
-        project = lambda w: project_per_antenna(w, budget)
+        project = project_per_antenna
         antenna = lambda w: w
 
         def tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -472,10 +477,11 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
 
     a_h = a.conj().T
 
-    def candidate(nxt: np.ndarray) -> tuple:
+    def candidate(y: np.ndarray) -> tuple:
+        nxt = project(y, budget)
         return nxt, evaluate(core, a @ nxt)
 
-    x, point = candidate(project(a_h @ p0))
+    x, point = candidate(a_h @ p0)
     h = a_h @ point.gradient
     history = _History(tangent)
     trace = [point.objective]
@@ -492,7 +498,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
         if proposal is not None:
             r, length = proposal
             try:
-                qn = candidate(project(x + r))
+                qn = candidate(x + r)
             except SingularFisherError:  # the model stepped to an unidentifiable point
                 pass
             climbed = qn is not None and qn[-1].objective > point.objective
@@ -501,14 +507,14 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
             best = qn  # a climb that cannot end the solve: no MM candidate
         else:
             shift = shift_parameter(core, point)
-            best = candidate(project(shift * x + h))
+            best = candidate(shift * x + h)
             if qn is not None and qn[-1].objective > best[-1].objective:
                 best = qn
             for _ in range(MAX_RETRIES):
                 if best[-1].objective >= point.objective - tol:
                     break
                 shift *= 2.0
-                best = candidate(project(shift * x + h))
+                best = candidate(shift * x + h)
         delta = best[-1].objective - point.objective
         if delta >= 0.0:  # after any fall the iterate stays: no change
             x, point = best

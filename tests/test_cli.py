@@ -72,6 +72,26 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     assert "full" in summary
 
 
+def test_sweep_to_the_null_device_writes_no_summary_beside_it(tmp_path):
+    # `--out /dev/null` discards the CSV; its summary used to land in a new
+    # regular file /dev/null.summary.json beside the device
+    companion = Path(os.devnull).with_suffix(".summary.json")
+    existed = companion.exists()
+    stamp = companion.stat().st_mtime_ns if existed else None
+    cfg = {"sweep_axis": "comm_weight", "sweep_values": [1.0], "trials": 1, "scene": TINY_SCENE, "measure_time": False}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    try:
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out", os.devnull])
+    finally:
+        created = not existed and companion.exists()
+        if created:
+            companion.unlink()
+    assert code == cli.EXIT_OK
+    assert not created
+    assert not existed or companion.stat().st_mtime_ns == stamp
+
+
 def test_sweep_strict_flags_nonconvergence(tmp_path):
     cfg = {
         "sweep_axis": "comm_weight",

@@ -1,5 +1,6 @@
 """Solver core and front ends: projections, auxiliaries, shift, step, convergence."""
 
+import itertools
 import logging
 import warnings
 from dataclasses import replace
@@ -356,15 +357,20 @@ def _row_tangent(point, g):
 
 
 def test_history_step_matches_two_loop_recursion():
-    # an independent oracle for the compact representation, on random pairs:
-    # more than the memory holds, and some with negative curvature, which the
-    # memory skips; on the power sphere and on the row spheres, with the
-    # oracle's final projection onto the tangent space done in complex
-    # arithmetic, over the whole matrix or row by row
+    # an independent oracle for the compact representation and the inverse
+    # of R = triu(S^T Y) that the history keeps up to date: ten times as many
+    # observations as the memory holds, so the oldest pair drops out many
+    # times, under a well-conditioned Hessian and one whose eigenvalues span
+    # 1e-5 to 1e5; at random points, some with negative curvature, which the
+    # memory skips, and along an ascent trajectory, whose nearly parallel
+    # steps make R far from diagonal; on the power sphere and on the row
+    # spheres, with the oracle's final projection onto the tangent space done
+    # in complex arithmetic, over the whole matrix or row by row
     rng = np.random.default_rng(5)
     budget, shape = 10.0, (6, 4)
     a = rng.standard_normal((6, 6))
-    hessian = a @ a.T + np.eye(6)
+    rotation = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    hessians = (a @ a.T + np.eye(6), (rotation * np.logspace(-5, 5, 6)) @ rotation.T)
     cases = (
         (
             lambda x, g: g - (x.dot(g) / budget) * x,
@@ -377,36 +383,81 @@ def test_history_step_matches_two_loop_recursion():
             _row_tangent,
         ),
     )
-    for tangent, retract, oracle_tangent in cases:
-        history = sca._History(tangent)
-        assert history.direction(np.inf) is None
-        pairs, previous, accepted, rejected = [], None, 0, 0
-        for _ in range(5 * sca.MEMORY):
-            q = retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            h = -hessian @ q
-            history.observe(q, h)
-            grad = oracle_tangent(q, h)
-            if previous is not None:
-                s, y = q - previous[0], previous[1] - grad
-                if np.vdot(s, y).real > sca.CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
-                    pairs = (pairs + [(s, y)])[-sca.MEMORY:]
-                    accepted += 1
+    for hessian in hessians:
+        rate = 0.5 / np.linalg.norm(hessian, 2)
+        for (tangent, retract, oracle_tangent), ascent in itertools.product(cases, (False, True)):
+            history = sca._History(tangent)
+            assert history.direction(np.inf) is None
+            pairs, previous, accepted, rejected, parallel = [], None, 0, 0, 0.0
+            for _ in range(10 * sca.MEMORY):
+                if ascent and previous is not None:
+                    q = retract(previous[0] + rate * previous[1])
                 else:
-                    rejected += 1
-            previous = q, grad
-            step = history.direction(np.inf)
-            if not pairs:
-                assert step is None
-                continue
-            r, length = step
-            expect = oracle_tangent(q, _two_loop_step(pairs, grad))
-            assert np.linalg.norm(r - expect) <= 1e-12 * np.linalg.norm(expect)
-            assert length == pytest.approx(np.linalg.norm(r), rel=1e-12)
-            assert np.linalg.norm(oracle_tangent(q, r) - r) <= 1e-12 * np.linalg.norm(r)
-            capped, capped_length = history.direction(0.5 * length)
-            assert capped_length <= 0.5 * length
-            assert np.linalg.norm(capped) <= 0.5 * length * (1.0 + 1e-12)
-        assert accepted > sca.MEMORY and rejected > 0
+                    q = retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                h = -hessian @ q
+                history.observe(q, h)
+                grad = oracle_tangent(q, h)
+                if previous is not None:
+                    s, y = q - previous[0], previous[1] - grad
+                    if np.vdot(s, y).real > sca.CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
+                        pairs = (pairs + [(s, y)])[-sca.MEMORY:]
+                        accepted += 1
+                    else:
+                        rejected += 1
+                previous = q, grad
+                step = history.direction(np.inf)
+                if not pairs:
+                    assert step is None
+                    continue
+                r, length = step
+                expect = oracle_tangent(q, _two_loop_step(pairs, grad))
+                assert np.linalg.norm(r - expect) <= 1e-12 * np.linalg.norm(expect)
+                assert length == pytest.approx(np.linalg.norm(r), rel=1e-12)
+                assert np.linalg.norm(oracle_tangent(q, r) - r) <= 1e-12 * np.linalg.norm(r)
+                capped, capped_length = history.direction(0.5 * length)
+                assert capped_length <= 0.5 * length
+                assert np.linalg.norm(capped) <= 0.5 * length * (1.0 + 1e-12)
+                if len(pairs) > 1:  # the cosine of the two newest steps
+                    (s0, _), (s1, _) = pairs[-2:]
+                    parallel = max(parallel, np.vdot(s0, s1).real / (np.linalg.norm(s0) * np.linalg.norm(s1)))
+            assert accepted > 2 * sca.MEMORY
+            assert rejected > 0 or ascent
+            assert parallel > 0.99 or not ascent
+
+
+@pytest.mark.parametrize("constraint", ["total", "per-antenna"])
+def test_a_pass_inverts_only_the_fisher_matrix(default_scene, constraint, monkeypatch):
+    # the history keeps R^-1 up to date, so an L-BFGS step calls no
+    # numpy.linalg function, and an evaluation with a sensing term factors
+    # and inverts its Fisher matrix once each: a count that no host changes
+    calls, windows = [], {"direction": [], "evaluate": []}
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def window(fn, name):
+        def wrapper(*args):
+            start = len(calls)
+            out = fn(*args)
+            windows[name].append(calls[start:])
+            return out
+
+        return wrapper
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # every function but LinAlgError
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), name))
+    monkeypatch.setattr(sca._History, "direction", window(sca._History.direction, "direction"))
+    monkeypatch.setattr(sca, "evaluate", window(sca.evaluate, "evaluate"))
+    result = solve(default_scene, WTS, SolverConfig(power_constraint=constraint))
+    assert result.converged and result.iterations > sca.MEMORY
+    assert len(windows["direction"]) == result.iterations
+    assert all(made == [] for made in windows["direction"])
+    assert windows["evaluate"] and all(made == ["cholesky", "inv"] for made in windows["evaluate"])
 
 
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
