@@ -1,7 +1,10 @@
 """Structural verification: stationarity residuals, rank bounds, brute-force oracles.
 
 Everything here is read-only over solver outputs; the finite-difference
-routines are deliberately independent of the closed-form code paths they check.
+routines are deliberately independent of the closed-form code paths they check:
+`fd_fim` differentiates the echo built from the steering vectors alone (the
+steering block of `scene._steering_columns`), never the derivative columns
+or the Fisher operator.
 `obs_residuals` reads the closed-form gradient (`sca.analytic_gradient`) at
 the beamformer and measures one residual on column blocks.
 """
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import metrics, sca
 from .metrics import Beamformer, Weights
-from .scene import Scene, SteeringSet, check_real, steering_vector
+from .scene import Scene, SteeringSet, _steering_columns, check_real
 
 __all__ = [
     "ObsReport",
@@ -148,13 +151,15 @@ def fd_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
 
 def _rebuild_forward(scene: Scene, params: np.ndarray) -> np.ndarray:
     """Noise-free echo map G = B U A^H assembled from a flat parameter vector
-    (azimuths, elevations, Re rcs, Im rcs); uses only the closed-form steering
-    vectors, never the derivative code."""
+    (azimuths, elevations, Re rcs, Im rcs). A and B are the steering block of
+    `scene._steering_columns`, one call per array; its derivative columns are
+    never read. No angle is range-checked, so `fd_fim` may bump a target
+    within FIM_STEP of an angle bound past it."""
     m = scene.n_targets
     az, el = params[:m], params[m : 2 * m]
     rcs = params[2 * m : 3 * m] + 1j * params[3 * m :]
-    a = np.column_stack([steering_vector(scene.tx_geometry, az[i], el[i]) for i in range(m)])
-    b = np.column_stack([steering_vector(scene.rx_geometry, az[i], el[i]) for i in range(m)])
+    a = _steering_columns(scene.tx_geometry, az, el)[:, :m]
+    b = _steering_columns(scene.rx_geometry, az, el)[:, :m]
     return (b * rcs[None, :]) @ a.conj().T
 
 
@@ -162,14 +167,8 @@ def fd_fim(scene: Scene, w: Beamformer) -> np.ndarray:
     """Fisher matrix oracle: numerical Jacobians of the noise-free echo,
     contracted with the analytic signal second moment R_x = W W^H."""
     m = scene.n_targets
-    params = np.concatenate(
-        [
-            [t.azimuth for t in scene.targets],
-            [t.elevation for t in scene.targets],
-            [t.rcs.real for t in scene.targets],
-            [t.rcs.imag for t in scene.targets],
-        ]
-    )
+    # azimuths, then elevations, Re rcs and Im rcs, the order of _rebuild_forward
+    params = np.array([[t.azimuth, t.elevation, t.rcs.real, t.rcs.imag] for t in scene.targets]).T.ravel()
     jac = []
     for i in range(4 * m):
         bump = np.zeros_like(params)

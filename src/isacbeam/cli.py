@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -84,6 +85,19 @@ def _load_json(path: Optional[Path]) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
+def _check_out(path: Optional[Path]) -> None:
+    """ValueError unless path is None, a file this process may write, or a
+    new name in a directory it may write: checked before any solve runs."""
+    if path is None:
+        return
+    if path.exists():
+        writable = not path.is_dir() and os.access(path, os.W_OK)
+    else:
+        writable = path.parent.is_dir() and os.access(path.parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise ValueError(f"cannot write {path}")
+
+
 def _given(config: dict, **flags) -> dict:
     """config with each flag given on the command line (not None) written
     over it: the one precedence of every setting the CLI merges."""
@@ -122,6 +136,8 @@ def _cmd_sweep(args) -> int:
     raw = _given(_load_json(args.config), base_seed=args.seed, solver=args.solver, trials=args.trials)
     raw["solver_config"] = _given(raw.get("solver_config", {}), power_constraint=args.power_constraint)
     cfg = experiments.config_from_dict(raw)
+    if args.out and (args.out.is_file() or not args.out.exists()):  # the summary goes beside it
+        _check_out(args.out.with_suffix(".summary.json"))
     result = experiments.run_experiment(cfg)
     csv_text = experiments.records_to_csv(result.records, cfg.sweep_axis)
     summary_text = json.dumps(result.summary, indent=2, sort_keys=True)
@@ -154,6 +170,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "sweep":

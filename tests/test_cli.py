@@ -243,6 +243,42 @@ def test_invalid_config_exits_one(tmp_path, capsys):
             assert "invalid configuration" in capsys.readouterr().err
 
 
+def _fail_if_called(*args, **kwargs):
+    pytest.fail("a solve ran")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_one_before_any_solve(command, where, tmp_path, capsys, monkeypatch):
+    # an --out that cannot be written used to end in a traceback, and for
+    # sweep only after every trial had been solved
+    out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+    monkeypatch.setattr(cli.experiments.sca, "solve", _fail_if_called)
+    monkeypatch.setattr(cli.experiments.lowdim, "solve_ld", _fail_if_called)
+    monkeypatch.setattr(cli.experiments, "verify", _fail_if_called)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "scene": TINY_SCENE} if command == "sweep" else TINY_SCENE))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid configuration: cannot write")
+
+
+def test_sweep_with_an_unwritable_summary_exits_one_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the summary JSON is written beside a CSV that is a regular file
+    (tmp_path / "records.summary.json").mkdir()
+    monkeypatch.setattr(cli.experiments.sca, "solve", _fail_if_called)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "scene": TINY_SCENE}))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "records.csv")]
+    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_solve_to_the_null_device(scene_config, capsys):
+    assert cli.main(["solve", "--config", str(scene_config), "--out", os.devnull]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
 def test_negative_seed_exits_one(command, capsys):
     assert cli.main([command, "--seed", "-1"]) == cli.EXIT_BAD_CONFIG
@@ -285,8 +321,8 @@ def test_verify_passes_at_the_top_seed(tmp_path):
 
 
 def test_passing_verify_writes_nothing_to_stderr(tmp_path):
-    # its deliberately capped solve must not print the solver's max_iters
-    # warning; a separate process, because pytest routes logging itself
+    # no solve of the suite may log a warning, such as the solver's
+    # max_iters one; a separate process, because pytest routes logging itself
     src = str(Path(isacbeam.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
