@@ -19,7 +19,9 @@ candidate (Sun, Babu & Palomar, IEEE TSP 2017) is
 
     X+ = Pi(lambda X + A^H g),
 
-with lambda = 1.1 max|eig(B^H D B)| the exact spectral shift. A start is its
+with lambda = 1.1 max|eig(B^H D B)| the exact spectral shift: unfloored, so
+scaling the objective (weights, radar noise) leaves every iterate as it was.
+Zero curvature brings g = 0, and X is its own MM candidate. A start is its
 basis coefficients P0 alone, and the iteration starts at Pi(A^H P0): since
 V~ B^H = V, under both constraints that is V P0 projected onto the
 constraint set. The default P0 is regularized zero-forcing
@@ -87,10 +89,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# The shift is this factor times the exact curvature radius, floored so that a
-# vanishing curvature still leaves a well-defined step.
+# The shift is this factor times the exact curvature radius, with no floor.
 LAMBDA_SAFETY = 1.1
-LAMBDA_FLOOR = 1e-8
 # Curvature pairs the quasi-Newton candidate remembers.
 MEMORY = 8
 # A pair (s, y) enters the memory only when <s, y> exceeds this share of
@@ -174,18 +174,16 @@ class SolverCore:
 @dataclass(frozen=True)
 class Point:
     """An iterate's coordinates Z and what the surrogate there needs: the
-    objective, the rate signal coefficients conj(h_k^H w_k) / (I_k + sigma2_k)
-    with I_k = sum_{j != k} |h_k^H w_j|^2 (0 for a user with no desired
-    signal), the curvature
-    D = blockdiag(delta_c diag(sigma2), -delta_s K), Hermitian, so that the
-    antenna-domain surrogate curvature delta_c H Sigma2 H^H - delta_s Q is
-    V D V^H, the half gradient g = E - D Z, E holding delta_c Sigma1^H in the
-    user rows and columns, so that the objective's gradient is 2 V g, and the
-    CRLB trace tr(F^-1) (NaN without a sensing term)."""
+    objective, the curvature D = blockdiag(delta_c diag(sigma2), -delta_s K),
+    Hermitian, so that the antenna-domain surrogate curvature
+    delta_c H Sigma2 H^H - delta_s Q is V D V^H, the half gradient
+    g = E - D Z, E holding delta_c (h_k^H w_k) / (I_k + sigma2_k) on the user
+    diagonal (0 for a user with no desired signal), I_k = sum_{j != k}
+    |h_k^H w_j|^2, so that the objective's gradient is 2 V g, and the CRLB trace
+    tr(F^-1) (NaN without a sensing term)."""
 
     z: np.ndarray
     objective: float
-    signal_coeff: np.ndarray
     curvature: np.ndarray
     gradient: np.ndarray
     crlb: float = math.nan
@@ -238,16 +236,18 @@ def evaluate(core: SolverCore, z: np.ndarray) -> Point:
     g = -(d @ z)
     step = g.shape[1] + 1
     g.reshape(-1)[: k * step : step] += core.weights.comm * desired  # g[i, i], i < K
-    return Point(z, value, desired.conj(), d, g, crlb)
+    return Point(z, value, d, g, crlb)
 
 
 def shift_parameter(core: SolverCore, point: Point) -> float:
     """Safety factor times max|eig(B^H D B)|, D the point's curvature, which
-    equals the spectral radius of the antenna-domain curvature V D V^H;
-    floored away from zero."""
+    equals the spectral radius of the antenna-domain curvature V D V^H. No
+    floor: scaling the objective scales the shift and leaves the MM candidate
+    as it was. The shift is 0 only at zero curvature, which needs every
+    desired gain 0 and no sensing term, so the half gradient is 0 too."""
     d = point.curvature
     radius = float(np.max(np.abs(np.linalg.eigvalsh(core.frame.conj().T @ d @ core.frame))))
-    return max(LAMBDA_FLOOR, LAMBDA_SAFETY * radius)
+    return LAMBDA_SAFETY * radius
 
 
 def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
@@ -507,7 +507,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
             best = qn  # a climb that cannot end the solve: no MM candidate
         else:
             shift = shift_parameter(core, point)
-            best = candidate(shift * x + h)
+            best = candidate(shift * x + h) if shift else (x, point)  # zero shift: h = 0, X is stationary
             if qn is not None and qn[-1].objective > best[-1].objective:
                 best = qn
             for _ in range(MAX_RETRIES):

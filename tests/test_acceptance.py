@@ -141,10 +141,11 @@ def _fp_rate_surrogate(scene, sinr, point, w_matrix, k):
     gains = h.conj() @ w_matrix
     total = float(np.sum(np.abs(gains) ** 2) + scene.noise_comm[k])
     xi = sinr[k]
+    signal = (point.gradient + point.curvature @ point.z)[k, k]  # E = g + D Z at user k
     return (
         np.log1p(xi)
         - xi
-        + 2.0 * np.real(point.signal_coeff[k] * gains[k])
+        + 2.0 * np.real(signal.conj() * gains[k])
         - point.curvature[k, k].real * total
     )
 

@@ -454,9 +454,21 @@ def test_verify_checks_an_active_sensing_block():
     assert check.value > 0.0
 
 
-@pytest.mark.parametrize("power_dbm", [-100, -20, 30])
+@pytest.mark.parametrize("power_dbm", [-100, -20, 30, 40])
 def test_verify_passes_across_powers(power_dbm):
     # every residual is relative to the gradient, so a stationary solve
     # passes whatever the power: at -100 dBm the multiplier is ~1e21
     failed = [c for c in verify({"power_dbm": power_dbm}) if not c.passed]
+    assert not failed, failed
+
+
+@pytest.mark.parametrize(
+    "scene_config",
+    [{"noise_radar_dbm": -100}, {"noise_radar_dbm": -250}, {"noise_comm_dbm": -60}],
+    ids=["radar-100", "radar-250", "comm-60"],
+)
+def test_verify_passes_across_noise_powers(scene_config):
+    # neither the solver's shift nor the tight solves' stop has an absolute
+    # scale, so a stationary solve passes however the noise scales the objective
+    failed = [c for c in verify(scene_config) if not c.passed]
     assert not failed, failed

@@ -47,9 +47,9 @@ def test_project_per_antenna_rows(rng):
 
 def test_comm_aux_matches_direct_computation(rng):
     # at weights 1/0 the point's objective is the sum rate, the user block of
-    # its curvature is diag(sinr_k / total_k) and its signal coefficients
-    # times the desired gains are the SINRs; user 1's beam column is zero,
-    # so its signal coefficient, SINR and curvature entry are exactly 0
+    # its curvature is diag(sinr_k / total_k) and the user diagonal of
+    # E = g + D Z times the conjugate desired gains is the SINRs; user 1's
+    # beam column is zero, so its entry of E, SINR and curvature are exactly 0
     scene = sample_scene(0)
     shape = (scene.n_tx, scene.n_users + 2)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -58,7 +58,8 @@ def test_comm_aux_matches_direct_computation(rng):
     core = sca.solver_core(scene, Weights(1.0, 0.0))
     z = core.basis.conj().T @ w
     point = sca.evaluate(core, z)
-    assert point.signal_coeff[1] == 0.0 and point.curvature[1, 1] == 0.0
+    linear = (point.gradient + point.curvature @ z).diagonal()
+    assert linear[1] == 0.0 and point.curvature[1, 1] == 0.0
     assert metrics.sinr(z[: scene.n_users], scene.noise_comm)[0][1] == 0.0
     rate = 0.0
     for k in range(scene.n_users):
@@ -69,7 +70,7 @@ def test_comm_aux_matches_direct_computation(rng):
         sinr = signal / (total - signal)
         rate += np.log1p(sinr)
         assert point.curvature[k, k] == pytest.approx(sinr / total, rel=1e-12)
-        assert point.signal_coeff[k] * (h.conj() @ w[:, k]) == pytest.approx(sinr, rel=1e-12)
+        assert linear[k] * (h.conj() @ w[:, k]).conj() == pytest.approx(sinr, rel=1e-12)
     assert point.objective == pytest.approx(rate, rel=1e-12)
 
 
@@ -712,6 +713,45 @@ def test_solve_sensing_only(default_scene):
             ),
         )
     )
+
+
+@pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
+def test_weight_scale_changes_no_step(default_scene, power_constraint):
+    # the shift scales with the weights, so scaling both by a scales every
+    # objective by a and changes no step: a floor of 1e-8 under the shift
+    # ended the a = 1e-12 solves after 89 passes, not 103 and 106
+    cfg = SolverConfig(tol_objective=0.0, power_constraint=power_constraint)
+    scales = (1e-12, 1.0, 1e12)
+    results = [solve(default_scene, Weights(0.25 * a, a), cfg) for a in scales]
+    for a, result in zip(scales, results):
+        assert result.iterations == results[1].iterations, a
+        assert result.objective / a == pytest.approx(results[1].objective, rel=1e-9), a
+
+
+def test_radar_noise_scale_changes_no_step():
+    # the CRLB, and with it the sensing-only objective and its curvature,
+    # scales with the radar noise: at -250 dBm the curvature radius is about
+    # 5e-25, and a floor of 1e-8 under the shift kept the MM candidate at the
+    # iterate, which ended the solve after 2 passes, not 13
+    results = []
+    for noise_radar_dbm in (0.0, -100.0, -250.0):
+        scene = sample_scene(0, n_users=0, noise_radar_dbm=noise_radar_dbm, targets=benchmark_targets())
+        result = solve(scene, WTS, SolverConfig(tol_objective=0.0))
+        results.append((result.iterations, result.objective / scene.noise_radar))
+    for iterations, objective in results:
+        assert iterations == results[0][0] == 13
+        assert objective == pytest.approx(results[0][1], rel=1e-9)
+
+
+@pytest.mark.parametrize("power_constraint", ["total", "per-antenna"])
+def test_zero_curvature_keeps_the_iterate(power_constraint):
+    # all-zero channels and no sensing term: the curvature, the shift and the
+    # half gradient are all 0, so the iterate is its own MM candidate
+    scene = sample_scene(0, n_users=1, targets=benchmark_targets())
+    scene = replace(scene, channels=np.zeros_like(scene.channels))
+    result = solve(scene, Weights(1.0, 0.0), SolverConfig(power_constraint=power_constraint))
+    assert result.converged and result.iterations == 2
+    assert np.array_equal(result.objective_trace, np.zeros(3))
 
 
 def _ill_conditioned(seed, n_users):
