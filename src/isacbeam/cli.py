@@ -98,6 +98,13 @@ def _check_out(path: Optional[Path]) -> None:
         raise ValueError(f"cannot write {path}")
 
 
+def _json_text(data) -> str:
+    """data as standard JSON, indented with sorted keys: a non-finite float
+    becomes null, since strict parsers reject NaN and Infinity."""
+    plain = json.loads(json.dumps(data), parse_constant=lambda token: None)
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _given(config: dict, **flags) -> dict:
     """config with each flag given on the command line (not None) written
     over it: the one precedence of every setting the CLI merges."""
@@ -124,7 +131,7 @@ def _cmd_solve(args) -> int:
             "stationarity": result.stationarity,
             "total_power": result.beamformer.total_power,
         }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _json_text(report)
     if args.out:
         args.out.write_text(text + "\n")
     else:
@@ -140,7 +147,7 @@ def _cmd_sweep(args) -> int:
         _check_out(args.out.with_suffix(".summary.json"))
     result = experiments.run_experiment(cfg)
     csv_text = experiments.records_to_csv(result.records, cfg.sweep_axis)
-    summary_text = json.dumps(result.summary, indent=2, sort_keys=True)
+    summary_text = _json_text(result.summary)
     if args.out:
         args.out.write_text(csv_text)
         if args.out.is_file():  # not beside a device such as /dev/null, or a pipe
@@ -155,8 +162,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = experiments.verify(_scene_config(args))
-    report = [dataclasses.asdict(c) for c in checks]
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _json_text([dataclasses.asdict(c) for c in checks])
     if args.out:
         args.out.write_text(text + "\n")
     else:

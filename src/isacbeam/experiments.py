@@ -97,6 +97,8 @@ class ExperimentConfig:
                 check_real(self.sweep_axis, value)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep_values must be strictly ascending")
+        if not isinstance(self.solver_config, SolverConfig):
+            raise ValueError("solver_config must be a SolverConfig")
         if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
             raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
         for key in ("seed", _SCENE_KEYS.get(self.sweep_axis)):
@@ -390,7 +392,7 @@ def verify(scene_config: Optional[dict] = None) -> list:
     worst = 0.0
     for _ in range(10):
         wmat = rng.standard_normal(w0.matrix.shape) + 1j * rng.standard_normal(w0.matrix.shape)
-        wr = w0.replace_matrix(sca.project_total_power(wmat, scene.power_budget))
+        wr = w0.replace_matrix(sca.project_power(wmat, scene.power_budget, 1))
         phi = rng.standard_normal((4 * scene.n_targets,) * 2)
         phi = 0.5 * (phi + phi.T)
         zs = scene.steering.tx.conj().T @ wr.matrix

@@ -10,9 +10,9 @@ projection of B^H P0 with P0 from `sca.start_coefficients` (regularized
 zero-forcing, with the structural stream count there), the projection onto
 the sphere |Q|^2 = power budget is also the retraction of the quasi-Newton
 candidate, and W = V~ Q is formed once, at the end. Total-power `sca.solve`
-makes the same call, so both return the same result bit for bit. The
-returned beamformer stays in span(V), so the per-antenna constraint cannot
-be honoured here.
+makes the same call, so both return the same result bit for bit. Only the
+one-group constraint of `sca.project_power` keeps span(V), so the
+per-antenna constraint cannot be honoured here.
 """
 from __future__ import annotations
 

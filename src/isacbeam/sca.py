@@ -35,10 +35,12 @@ Each iteration first forms a quasi-Newton candidate: an L-BFGS step over the
 last MEMORY pairs of Riemannian gradients (Liu & Nocedal, Math. Prog. 1989;
 Huang, Gallivan & Absil, SIAM J. Optim. 2015) in the compact representation
 (Byrd, Nocedal & Schnabel, Math. Prog. 1994), retracted by Pi and capped at a
-trust radius (Absil, Mahony & Sepulchre, 2008, ch. 7). It runs on the sphere
-|Q|^2 = budget (total power; both front ends in the same arithmetic) or on the
-row spheres |w_i|^2 = budget/n_tx (per-antenna: the oblique manifold, Absil &
-Gallivan, ICASSP 2006); only the tangent projection differs. Each pass
+trust radius (Absil, Mahony & Sepulchre, 2008, ch. 7). Both constraints are
+one rule, Pi = `project_power`, the budget split equally over row groups of
+X, so it runs on their spheres |x_i|^2 = budget/groups: |Q|^2 = budget for
+total power (both front ends in the same arithmetic), the n_tx row spheres
+per antenna (the oblique manifold, Absil & Gallivan, ICASSP 2006), with one
+tangent: each group's gradient minus its component along the group. Each pass
 measures objective changes against tau = max(tol_objective, ROUNDOFF |f|),
 f the iterate's objective, so that a change within the objective's own
 rounding never counts. A candidate that climbs by more than tau is taken
@@ -78,8 +80,7 @@ __all__ = [
     "solver_core",
     "evaluate",
     "shift_parameter",
-    "project_total_power",
-    "project_per_antenna",
+    "project_power",
     "run",
     "solve",
     "analytic_gradient",
@@ -129,12 +130,12 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """What a solve returns. stationarity is the relative residual
-    |grad - 2 diag(mu) W| / |grad| at the returned beamformer: one
-    least-squares power multiplier under the total-power constraint (the
-    figure `analysis.obs_residuals` reports as stationarity_residual), one per
-    row, mu_i = Re<w_i, grad_i> / (2|w_i|^2), under the per-antenna one. It
-    comes after timings so that positional construction keeps working.
-    `run` returns objective_trace read-only, like the beamformer's arrays."""
+    |grad - 2 diag(mu) W| / |grad| at the returned beamformer, one multiplier
+    per group of `project_power` from its budget share, mu_i = Re<w_i, grad_i>
+    / (2 budget / groups): one under the total-power constraint (the figure
+    `analysis.obs_residuals` reports as stationarity_residual), one per row
+    under the per-antenna one. It comes after timings so that positional
+    construction keeps working. `run` returns objective_trace read-only."""
 
     beamformer: Beamformer
     objective_trace: np.ndarray
@@ -250,21 +251,18 @@ def shift_parameter(core: SolverCore, point: Point) -> float:
     return LAMBDA_SAFETY * radius
 
 
-def project_total_power(x: np.ndarray, power_budget: float) -> np.ndarray:
-    """Scale onto the total-power sphere tr(X X^H) = power_budget."""
-    nrm = math.sqrt(np.vdot(x, x).real)
-    if nrm == 0.0:
-        raise ValueError("cannot project the zero matrix onto the power sphere")
-    return np.sqrt(power_budget) / nrm * x
-
-
-def project_per_antenna(x: np.ndarray, power_budget: float) -> np.ndarray:
-    """Scale each of the n_tx rows onto power budget/n_tx squared norm (inverse
-    square root of the per-row power, so the row-power constraint holds exactly)."""
-    row_power = np.sum(np.abs(x) ** 2, axis=1)
-    if np.any(row_power == 0.0):
-        raise ValueError("cannot project a matrix with a zero row onto per-antenna powers")
-    return x * np.sqrt(power_budget / x.shape[0] / row_power)[:, None]
+def project_power(x: np.ndarray, power_budget: float, groups: int) -> np.ndarray:
+    """Scale X onto the budget split equally over its groups: groups = 1 is
+    the total-power sphere tr(X X^H) = power_budget, and groups = X's row
+    count puts each row on a sphere of squared norm power_budget / groups
+    (per antenna, for X = W). np.vecdot, here and in `run`'s tangent, rounds
+    as np.vdot and ndarray.dot do (np.einsum does not), so one group is the
+    whole-array arithmetic bit for bit."""
+    rows = x.reshape(groups, -1)
+    norms = np.sqrt(np.vecdot(rows, rows, keepdims=True).real)
+    if np.count_nonzero(norms) < groups:
+        raise ValueError("cannot project a zero group onto its power sphere")
+    return math.sqrt(power_budget / groups) / norms * x
 
 
 def analytic_gradient(scene: Scene, w: Beamformer, weights: Weights) -> np.ndarray:
@@ -330,15 +328,14 @@ def start_coefficients(scene: Scene, n_sense: Optional[int]) -> np.ndarray:
 def start_beamformer(scene: Scene, n_sense: Optional[int]) -> Beamformer:
     """The start in the antenna domain: V P0 scaled onto the total-power
     sphere, P0 from `start_coefficients`."""
-    w = project_total_power(_basis(scene) @ start_coefficients(scene, n_sense), scene.power_budget)
+    w = project_power(_basis(scene) @ start_coefficients(scene, n_sense), scene.power_budget, 1)
     return Beamformer(w[:, : scene.n_users], w[:, scene.n_users :], scene.power_budget)
 
 
 class _History:
-    """Limited-memory quasi-Newton model of the objective on the power sphere
-    (frame coordinates) or the row spheres (antenna coordinates) with the
-    plain inner product <a, b> = Re tr(a^H b); tangent(x, g) projects g onto
-    the tangent space at x, both as float views.
+    """Limited-memory quasi-Newton model of the objective on the spheres of
+    `project_power` with the plain inner product <a, b> = Re tr(a^H b);
+    tangent(x, g) projects g onto the tangent space at x, both as float views.
 
     The inverse Hessian is the compact L-BFGS representation (Byrd, Nocedal &
     Schnabel, Math. Prog. 1994; Nocedal & Wright eq. 7.24), which gives the
@@ -420,23 +417,23 @@ class _History:
 
 
 def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> SolveResult:
-    """The iteration of both front ends, from the start project(A^H P0) to
-    tolerance or iteration budget.
+    """The iteration of both front ends, from the start Pi(A^H P0) to
+    tolerance or iteration budget, Pi the `project_power` of the constraint.
 
     p0 holds the start's basis coefficients, (K + 3M) x (K + n_sense), from
     `start_coefficients` or any other start, and t0 is the front end's start
-    time. The iterate X enters every quantity through Z = A X, one matrix per
-    constraint: under the total-power constraint X = Q and A = B, tangent
-    removes the component along Q, and W = V~ Q is formed once, at the end;
-    under the per-antenna constraint, whose projection leaves span(V), X = W,
-    A = V^H and tangent removes each row's component along w_i. Since
+    time. The constraint sets the matrix A through which the iterate X enters
+    every quantity, Z = A X, the lift of X to the antenna domain and the group
+    count of Pi: X = Q, A = B and one group under the total-power constraint,
+    with W = V~ Q formed once, at the end; X = W, A = V^H and one group per
+    row under the per-antenna one, whose projection leaves span(V). Since
     V~ B^H = V, both start from V P0 projected onto the constraint set. The
     loop carries the iterate as a pair (X, point), point = evaluate(A X), and
-    h = A^H point.gradient, the half gradient in X's coordinates, which the
-    history observes with X; project applies the power constraint, tangent
-    projects a gradient (as float views) onto the tangent space at X, and
-    antenna returns the beamformer. Each iteration first evaluates the
-    quasi-Newton candidate project(X + r), r capped at the trust radius; the
+    h = A^H point.gradient, the half gradient in X's coordinates. One tangent
+    (history, step, stationarity) removes from each group of a gradient (float
+    views) its component along that group of X, the multiplier from the budget
+    share budget / groups. Each iteration first evaluates the quasi-Newton
+    candidate Pi(X + r), r capped at the trust radius; the
     radius becomes at least GROW times the step when the candidate climbs,
     and SHRINK times the step when it does not or its Fisher matrix is
     singular. Every test of a change on a pass uses one threshold,
@@ -446,7 +443,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     counts as an ascent or a fall. The candidate is taken when it gains more
     than tau; otherwise (no direction yet, a singular Fisher matrix there, or
     a smaller gain) the iteration forms the MM candidate
-    project(lambda X + h), lambda from `shift_parameter`, and keeps the
+    Pi(lambda X + h), lambda from `shift_parameter`, and keeps the
     better of the two. If neither ascends (both fall by more than tau), the
     shift doubles (at most MAX_RETRIES times) until the MM candidate does.
     A pass whose best candidate still falls keeps the iterate, so every pass
@@ -461,24 +458,18 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     """
     budget = core.scene.power_budget
     if cfg.power_constraint == "total":
-        a = core.frame
-        project = project_total_power
-        antenna = lambda q: core.orthonormal @ q
-        tangent = lambda x, g: g - (x.dot(g) / budget) * x
+        a, antenna, groups = core.frame, lambda q: core.orthonormal @ q, 1
     else:
-        a = core.basis.conj().T
-        project = project_per_antenna
-        antenna = lambda w: w
-
-        def tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-            rows, grads = x.reshape(core.scene.n_tx, -1), g.reshape(core.scene.n_tx, -1)
-            mu = np.einsum("ij,ij->i", rows, grads) / np.einsum("ij,ij->i", rows, rows)
-            return (grads - mu[:, None] * rows).reshape(-1)
-
+        a, antenna, groups = core.basis.conj().T, lambda w: w, core.scene.n_tx
     a_h = a.conj().T
+    share = budget / groups
+
+    def tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        rows, grads = x.reshape(groups, -1), g.reshape(groups, -1)
+        return (grads - np.vecdot(rows, grads, keepdims=True) / share * rows).reshape(-1)
 
     def candidate(y: np.ndarray) -> tuple:
-        nxt = project(y, budget)
+        nxt = project_power(y, budget, groups)
         return nxt, evaluate(core, a @ nxt)
 
     x, point = candidate(a_h @ p0)

@@ -36,7 +36,7 @@ LD_BAND_CRLB = (1.14 * 0.9, 1.14 * 1.1)
 
 def random_on_sphere(rng, shape, budget):
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return sca.project_total_power(w, budget)
+    return sca.project_power(w, budget, 1)
 
 
 # --- 1. statistical benchmark reproduction ----------------------------------

@@ -19,7 +19,7 @@ WTS = Weights(0.25, 1.0)
 
 def test_recover_multiplier_trivial_cases(rng):
     w = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    w = sca.project_total_power(w, 5.0)
+    w = sca.project_power(w, 5.0, 1)
     bf = Beamformer(w[:, :2], w[:, 2:], 5.0)
     # gradient exactly 2 W -> mu = 1
     assert analysis.recover_multiplier(bf, 2.0 * w) == pytest.approx(1.0, abs=1e-12)
@@ -95,7 +95,7 @@ def test_obs_residuals_converged_versus_random(default_scene, rng):
 
     shape = result.beamformer.matrix.shape
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w = sca.project_total_power(w, default_scene.power_budget)
+    w = sca.project_power(w, default_scene.power_budget, 1)
     random_bf = Beamformer(w[:, :4], w[:, 4:], default_scene.power_budget)
     random_report = analysis.obs_residuals(default_scene, default_scene.steering, random_bf, WTS)
     assert random_report.stationarity_residual > 10 * max(report.stationarity_residual, 1e-4)

@@ -72,6 +72,54 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     assert "full" in summary
 
 
+def _strict_json(text):
+    """text parsed by a JSON parser that rejects NaN and Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# a sensing stream count above 3M fails its one trial, whose NaN metrics
+# reach the summary
+FAILED_SWEEP = {"sweep_axis": "n_sense", "sweep_values": [7], "trials": 1, "scene": TINY_SCENE}
+
+
+def test_json_reports_are_standard_json(tmp_path, monkeypatch):
+    # a solve without targets has no CRLB trace, a failed sweep trial no
+    # metrics, a check no value: each is null, not a NaN token
+    out = tmp_path / "metrics.json"
+    no_targets = {**TINY_SCENE, "n_targets": 0}
+    (tmp_path / "scene.json").write_text(json.dumps(no_targets))
+    argv = ["solve", "--config", str(tmp_path / "scene.json"), "--comm-weight", "1", "--sense-weight", "0"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert _strict_json(out.read_text())["full"]["crlb_trace"] is None
+
+    (tmp_path / "sweep.json").write_text(json.dumps(FAILED_SWEEP))
+    argv = ["sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "records.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    [bucket] = _strict_json((tmp_path / "records.summary.json").read_text())["full"].values()
+    assert bucket["n_failed"] == 1 and bucket["objective"]["mean"] is None
+
+    from isacbeam.analysis import CheckRecord
+
+    nan = CheckRecord(name="undefined", value=float("nan"), threshold=0.0, passed=False)
+    monkeypatch.setattr(cli.experiments, "verify", lambda *a, **k: [nan])
+    assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_VERIFY_FAILED
+    assert _strict_json(out.read_text())[0]["value"] is None
+
+
+def test_sweep_without_out_prints_csv_then_summary(tmp_path, capsys):
+    (tmp_path / "sweep.json").write_text(json.dumps(FAILED_SWEEP))
+    assert cli.main(["sweep", "--config", str(tmp_path / "sweep.json")]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    header, row, rest = text.split("\n", 2)
+    assert header == CSV_HEADER and row.startswith("n_sense,7.0,0,full,failed:ValueError,")
+    assert _strict_json(rest)["full"]["7.0"]["n"] == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_sweep_to_the_null_device_writes_no_summary_beside_it(tmp_path):
     # `--out /dev/null` discards the CSV; its summary used to land in a new
     # regular file /dev/null.summary.json beside the device

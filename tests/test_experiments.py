@@ -395,6 +395,14 @@ def test_failed_trials_become_rows():
     assert np.isnan(bucket["stationarity"]["median"]) and np.isnan(bucket["stationarity"]["max"])
 
 
+@pytest.mark.parametrize("solver", ["full", "lowdim"])
+def test_solver_config_must_be_a_solver_config(solver):
+    # a dict used to pass here under the full solver and fail every trial
+    # with AttributeError; config_from_dict converts the JSON form
+    with pytest.raises(ValueError, match="solver_config"):
+        ExperimentConfig(solver=solver, solver_config={"max_iters": 5})
+
+
 def test_config_from_dict_round_trip():
     cfg = config_from_dict(
         {

@@ -25,24 +25,19 @@ from isacbeam.scene import Scene, philox
 WTS = Weights(0.25, 1.0)
 
 
-def test_project_total_power_known_case():
-    out = sca.project_total_power(np.ones((2, 2)), 8.0)
-    assert np.allclose(out, np.sqrt(2.0))
-    assert np.allclose(sca.project_total_power(out, 8.0), out)  # idempotent
-
-
-def test_project_total_power_rejects_zero():
-    with pytest.raises(ValueError):
-        sca.project_total_power(np.zeros((2, 2)), 1.0)
-
-
-def test_project_per_antenna_rows(rng):
+@pytest.mark.parametrize("groups", [1, 4], ids=["total", "rows"])
+def test_project_power(rng, groups):
+    # one group is the total-power sphere, one per row the per-antenna
+    # spheres: each group is scaled, not turned, onto its budget share
     x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    out = sca.project_per_antenna(x, 8.0)
-    assert np.allclose(np.sum(np.abs(out) ** 2, axis=1), 2.0)
-    x[2] = 0.0  # a zero row has no direction to scale
-    with pytest.raises(ValueError, match="zero row"):
-        sca.project_per_antenna(x, 8.0)
+    out = sca.project_power(x, 8.0, groups)
+    assert np.allclose(np.sum(np.abs(out.reshape(groups, -1)) ** 2, axis=1), 8.0 / groups)
+    ratio = (out / x).reshape(groups, -1)
+    assert np.allclose(ratio, ratio[:, :1].real)
+    assert np.allclose(sca.project_power(out, 8.0, groups), out)  # idempotent
+    x.reshape(groups, -1)[-1] = 0.0  # a zero group has no direction to scale
+    with pytest.raises(ValueError, match="zero group"):
+        sca.project_power(x, 8.0, groups)
 
 
 def test_comm_aux_matches_direct_computation(rng):
@@ -53,7 +48,7 @@ def test_comm_aux_matches_direct_computation(rng):
     scene = sample_scene(0)
     shape = (scene.n_tx, scene.n_users + 2)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w = sca.project_total_power(w, scene.power_budget)
+    w = sca.project_power(w, scene.power_budget, 1)
     w[:, 1] = 0.0
     core = sca.solver_core(scene, Weights(1.0, 0.0))
     z = core.basis.conj().T @ w
@@ -181,9 +176,9 @@ def test_step_equals_projected_gradient_ascent(default_scene):
     core, point = _point_at(scene, w)
     shift = sca.shift_parameter(core, point)
     # the MM candidate in antenna coordinates: Pi(lambda W + V g)
-    nxt = sca.project_total_power(shift * w.matrix + core.basis @ point.gradient, scene.power_budget)
+    nxt = sca.project_power(shift * w.matrix + core.basis @ point.gradient, scene.power_budget, 1)
     grad = sca.analytic_gradient(scene, w, WTS)
-    pga = sca.project_total_power(w.matrix + grad / (2.0 * shift), scene.power_budget)
+    pga = sca.project_power(w.matrix + grad / (2.0 * shift), scene.power_budget, 1)
     assert np.linalg.norm(nxt - pga) <= 1e-10 * np.linalg.norm(pga)
 
 
@@ -380,7 +375,7 @@ def test_history_step_matches_two_loop_recursion():
         ),
         (
             lambda x, g: _row_tangent(x.reshape(shape[0], -1), g.reshape(shape[0], -1)).reshape(-1),
-            lambda q: sca.project_per_antenna(q, budget),
+            lambda q: sca.project_power(q, budget, shape[0]),
             _row_tangent,
         ),
     )
@@ -565,14 +560,14 @@ def test_run_from_any_start(small_scene, power_constraint):
     # a start is its basis coefficients alone: `run` takes any P0 of the
     # default's shape and climbs from V P0 projected onto the constraint set
     cfg = SolverConfig(power_constraint=power_constraint)
-    project = sca.project_total_power if power_constraint == "total" else sca.project_per_antenna
+    groups = 1 if power_constraint == "total" else small_scene.n_tx
     core = sca.solver_core(small_scene, WTS)
     k, budget = small_scene.n_users, small_scene.power_budget
     shape = sca.start_coefficients(small_scene, None).shape
     rng = philox(0xA11)
     for _ in range(3):
         p0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        w0 = project(core.basis @ p0, budget)
+        w0 = sca.project_power(core.basis @ p0, budget, groups)
         start = metrics.objective(small_scene, Beamformer(w0[:, :k], w0[:, k:], budget), WTS)
         result = sca.run(core, p0, cfg, 0.0)
         assert result.objective_trace[0] == pytest.approx(start, rel=1e-9)
@@ -580,7 +575,7 @@ def test_run_from_any_start(small_scene, power_constraint):
         assert np.all(np.diff(result.objective_trace) >= 0.0)
         assert result.objective > start
         w = result.beamformer.matrix
-        assert np.allclose(project(w, budget), w, rtol=1e-9)  # on the constraint set
+        assert np.allclose(sca.project_power(w, budget, groups), w, rtol=1e-9)  # on the constraint set
 
 
 HIGH_SNR_SCENES = [(seed, 40, -120) for seed in range(3)] + [(0, p, 0) for p in (200, -200, -300)]
@@ -612,9 +607,9 @@ def test_high_transmit_snr_solves_stay_finite(front_end, cfg, seed, power_dbm, n
     assert result.converged
     assert np.isfinite([result.objective, result.sum_rate, result.crlb_trace]).all()
     assert np.all(np.diff(result.objective_trace) >= 0.0)
-    project = sca.project_total_power if cfg.power_constraint == "total" else sca.project_per_antenna
+    groups = 1 if cfg.power_constraint == "total" else scene.n_tx
     w = result.beamformer.matrix
-    assert np.allclose(project(w, scene.power_budget), w, rtol=1e-9, atol=0.0)
+    assert np.allclose(sca.project_power(w, scene.power_budget, groups), w, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -709,7 +704,7 @@ def test_solve_sensing_only(default_scene):
         metrics.fim(
             default_scene,
             result.beamformer.replace_matrix(
-                sca.project_total_power(np.ones_like(result.beamformer.matrix), 10.0)
+                sca.project_power(np.ones_like(result.beamformer.matrix), 10.0, 1)
             ),
         )
     )
