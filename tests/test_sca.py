@@ -25,6 +25,17 @@ from isacbeam.scene import Scene, philox
 WTS = Weights(0.25, 1.0)
 
 
+def test_project_total_power_known_case():
+    out = sca.project_power(np.ones((2, 2)), 8.0, 1)
+    assert np.allclose(out, np.sqrt(2.0))
+    assert np.allclose(sca.project_power(out, 8.0, 1), out)  # idempotent
+
+
+def test_project_total_power_rejects_zero():
+    with pytest.raises(ValueError):
+        sca.project_power(np.zeros((2, 2)), 1.0, 1)
+
+
 @pytest.mark.parametrize("groups", [1, 4], ids=["total", "rows"])
 def test_project_power(rng, groups):
     # one group is the total-power sphere, one per row the per-antenna
