@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import math
 import warnings
 from dataclasses import replace
 
@@ -49,6 +50,21 @@ def test_project_power(rng, groups):
     x.reshape(groups, -1)[-1] = 0.0  # a zero group has no direction to scale
     with pytest.raises(ValueError, match="zero group"):
         sca.project_power(x, 8.0, groups)
+
+
+@pytest.mark.parametrize("shape", [(10, 4), (1, 1), (16, 3)])
+def test_project_power_one_group_is_the_row_wise_form(rng, shape):
+    # one group runs whole-array arithmetic, and its bits are those of the
+    # row-wise form with a single row, at any scale of the entries
+    for scale in (1e-100, 1e-50, 1.0, 1e50, 1e100):
+        x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for budget in (8.0, 1e-3):
+            r = x.reshape(1, -1)
+            expect = math.sqrt(budget) / np.sqrt(np.vecdot(r, r, keepdims=True).real) * x
+            assert np.array_equal(sca.project_power(x, budget, 1), expect)
+    for groups in (1, shape[0]):
+        with pytest.raises(ValueError, match="zero group"):
+            sca.project_power(np.zeros(shape, dtype=complex), 8.0, groups)
 
 
 def test_comm_aux_matches_direct_computation(rng):
@@ -467,6 +483,39 @@ def test_a_pass_inverts_only_the_fisher_matrix(default_scene, constraint, monkey
     assert windows["evaluate"] and all(made == ["cholesky", "inv"] for made in windows["evaluate"])
 
 
+@pytest.mark.parametrize(
+    "front_end, constraint",
+    [(solve, "total"), (solve_ld, "total"), (solve, "per-antenna")],
+    ids=["solve", "solve_ld", "solve-per-antenna"],
+)
+def test_one_group_takes_no_row_wise_calls(default_scene, front_end, constraint, monkeypatch):
+    # a total-power solve projects and takes tangents in whole-array
+    # arithmetic: the row-wise np.vecdot and np.count_nonzero are left to
+    # the per-antenna solve, which calls them on every pass
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in ("vecdot", "count_nonzero"):
+                return fn
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+    monkeypatch.setattr(sca, "np", Counting())
+    result = front_end(default_scene, WTS, SolverConfig(power_constraint=constraint))
+    assert result.converged
+    if constraint == "total":
+        assert calls == []
+    else:
+        assert calls.count("vecdot") >= result.iterations
+        assert calls.count("count_nonzero") >= result.iterations
+
+
 @pytest.mark.parametrize("front_end", [solve, solve_ld], ids=["solve", "solve_ld"])
 def test_history_never_sees_antenna_rows(front_end, monkeypatch):
     # the quasi-Newton model runs on frame coordinates alone, so its cost
@@ -587,6 +636,22 @@ def test_run_from_any_start(small_scene, power_constraint):
         assert result.objective > start
         w = result.beamformer.matrix
         assert np.allclose(sca.project_power(w, budget, groups), w, rtol=1e-9)  # on the constraint set
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_users, n_targets", [(1, 0), (2, 1), (0, 1), (3, 2)])
+def test_one_antenna_constraints_agree(seed, n_users, n_targets):
+    # on one transmit antenna the per-antenna constraint is the total one,
+    # so both solves take the one-group projection and tangent, one on W and
+    # one on the frame coordinates Q, and reach the same objective on the
+    # same pass
+    scene = sample_scene(seed, tx_geometry=ArrayGeometry(1, 1), n_users=n_users, n_targets=n_targets)
+    weights = WTS if n_targets else Weights(1.0, 0.0)
+    total = solve(scene, weights, SolverConfig(tol_objective=0.0))
+    per_antenna = solve(scene, weights, SolverConfig(tol_objective=0.0, power_constraint="per-antenna"))
+    assert total.converged and per_antenna.converged
+    assert total.iterations == per_antenna.iterations
+    assert per_antenna.objective == pytest.approx(total.objective, rel=1e-12, abs=0.0)
 
 
 HIGH_SNR_SCENES = [(seed, 40, -120) for seed in range(3)] + [(0, p, 0) for p in (200, -200, -300)]
