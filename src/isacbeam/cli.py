@@ -182,7 +182,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -2,8 +2,8 @@
 
 A sweep varies one axis (tradeoff weight, stream count, antenna count, user
 count, or transmit power) over a list of values, solving `trials` seeded
-instances per value. Records are emitted in a fixed sort order so results are
-independent of worker scheduling.
+instances per value. Records come in the order of the trials, (sweep value,
+seed, solver), so results are independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, lowdim, metrics, sca
 from .metrics import Weights
-from .scene import ArrayGeometry, check_integer, check_real, philox, sample_scene, scene_from_config
+from .scene import ArrayGeometry, _call, check_integer, check_real, philox, sample_scene, scene_from_config
 from .sca import SolverConfig
 
 __all__ = [
@@ -44,11 +44,9 @@ CSV_HEADER = (
     "sum_rate_nats,crlb_trace,objective,iterations,wall_ms"
 )
 
-_SWEEP_AXES = ("comm_weight", "n_sense", "n_tx", "n_users", "power_dbm")
-# the axes whose values are counts, with their least value
-_COUNT_AXES = {"n_sense": 0, "n_tx": 1, "n_users": 0}
-# the scene key that each trial of a sweep along these axes sets
-_SCENE_KEYS = {"n_tx": "tx_geometry", "n_users": "n_users", "power_dbm": "power_dbm"}
+# sweep axis: (least value of a count axis or None, the scene key each trial sets or None)
+_AXES = {"comm_weight": (None, None), "n_sense": (0, None), "n_tx": (1, "tx_geometry"),
+         "n_users": (0, "n_users"), "power_dbm": (None, "power_dbm")}
 _SOLVERS = ("full", "lowdim", "both")
 
 
@@ -60,8 +58,8 @@ class ExperimentConfig:
     base_seed + trial index) nor the key the sweep axis sets (tx_geometry
     under n_tx, n_users, power_dbm): either is a ValueError. comm_weight is
     the weight of sweeps along the other axes (`config_from_dict` rejects it
-    under a comm_weight sweep). measure_time=False zeroes wall_ms so repeated
-    runs emit byte-identical CSV.
+    under a comm_weight sweep). measure_time, a bool, set False zeroes
+    wall_ms so repeated runs emit byte-identical CSV.
     """
 
     sweep_axis: str = "comm_weight"
@@ -77,8 +75,9 @@ class ExperimentConfig:
     measure_time: bool = True
 
     def __post_init__(self):
-        if self.sweep_axis not in _SWEEP_AXES:
-            raise ValueError(f"sweep_axis must be one of {_SWEEP_AXES}")
+        if self.sweep_axis not in _AXES:
+            raise ValueError(f"sweep_axis must be one of {tuple(_AXES)}")
+        least, scene_key = _AXES[self.sweep_axis]
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
         values = tuple(self.sweep_values)
@@ -88,9 +87,11 @@ class ExperimentConfig:
         check_integer("workers", self.workers, 1)
         check_integer("base_seed", self.base_seed, 0)
         Weights(self.comm_weight, self.sense_weight)
+        if not isinstance(self.measure_time, bool):
+            raise ValueError(f"measure_time must be a bool, got {self.measure_time!r}")
         for value in values:
-            if self.sweep_axis in _COUNT_AXES:
-                check_integer(self.sweep_axis, value, _COUNT_AXES[self.sweep_axis])
+            if least is not None:
+                check_integer(self.sweep_axis, value, least)
             elif self.sweep_axis == "comm_weight":
                 Weights(value, self.sense_weight)
             else:
@@ -101,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("solver_config must be a SolverConfig")
         if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
             raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
-        for key in ("seed", _SCENE_KEYS.get(self.sweep_axis)):
+        for key in ("seed", scene_key):
             if key in self.scene:
                 raise ValueError(f"scene must not hold {key!r}, which each trial of this sweep sets")
         object.__setattr__(self, "sweep_values", values)
@@ -149,17 +150,13 @@ def _near_square(n: int) -> ArrayGeometry:
 def _trial_inputs(cfg: ExperimentConfig, value, seed: int):
     scene_cfg = {**cfg.scene, "seed": seed}
     weights = Weights(value if cfg.sweep_axis == "comm_weight" else cfg.comm_weight, cfg.sense_weight)
-    n_sense = None
-    if cfg.sweep_axis == "n_sense":
-        n_sense = value
-    elif cfg.sweep_axis == "n_tx":
+    scene_key = _AXES[cfg.sweep_axis][1]
+    if scene_key == "tx_geometry":
         geom = _near_square(value)
-        scene_cfg["tx_geometry"] = [geom.n_horizontal, geom.n_vertical]
-    elif cfg.sweep_axis == "n_users":
-        scene_cfg["n_users"] = value
-    elif cfg.sweep_axis == "power_dbm":
-        scene_cfg["power_dbm"] = value
-    return scene_cfg, weights, n_sense
+        value = [geom.n_horizontal, geom.n_vertical]
+    if scene_key is not None:
+        scene_cfg[scene_key] = value
+    return scene_cfg, weights, value if cfg.sweep_axis == "n_sense" else None
 
 
 def front_ends(solver: str) -> list:
@@ -300,8 +297,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (sweep value, seed, solver) trial and aggregate.
 
     Individual trial failures become failed rows; they never abort the sweep.
-    Output order is fixed by (sweep value, seed, solver) regardless of
-    worker completion order. With workers > 1 the trials run on a process
+    Records come in trial order however the workers finish (`Executor.map`
+    keeps its input's order). With workers > 1 the trials run on a process
     pool that is kept for later calls with the same workers and solve
     functions.
     """
@@ -310,7 +307,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         records = _pooled(cfg, args)
     else:
         records = [_run_trial(*a) for a in args]
-    records.sort(key=lambda r: (r.sweep_value, r.seed, r.solver))
     return ExperimentResult(records=tuple(records), summary=_summarize(records))
 
 
@@ -338,13 +334,14 @@ def records_to_csv(records, sweep_axis: str) -> str:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a flat JSON-style dict; comm_weight under a comm_weight sweep raises."""
+    """Build an ExperimentConfig from a flat JSON-style dict; comm_weight under
+    a comm_weight sweep, or an unknown key, is a ValueError naming it."""
     data = dict(raw)
     if "comm_weight" in data and data.get("sweep_axis", ExperimentConfig.sweep_axis) == "comm_weight":
         raise ValueError("comm_weight must not be set under a comm_weight sweep, whose values are the weights")
     if "solver_config" in data:
-        data["solver_config"] = SolverConfig(**data["solver_config"])
-    return ExperimentConfig(**data)
+        data["solver_config"] = _call(SolverConfig, "solver_config", data["solver_config"])
+    return _call(ExperimentConfig, "experiment config", data)
 
 
 # --- verification -----------------------------------------------------------

@@ -16,7 +16,6 @@ per-antenna constraint cannot be honoured here.
 """
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from . import sca
@@ -38,11 +37,11 @@ def solve_ld(
 
     n_sense defaults to the structural stream count of
     `sca.start_coefficients`. The start is B^H P0 scaled onto the sphere;
-    the result equals that of total-power `sca.solve`. Raises ValueError
-    for power_constraint="per-antenna", whose projection leaves span(V).
+    the result equals that of total-power `sca.solve`, and its timings also
+    start at `sca.run`'s entry. Raises ValueError for
+    power_constraint="per-antenna", whose projection leaves span(V).
     """
-    t0 = time.perf_counter()
     if cfg.power_constraint != "total":
         raise ValueError("solve_ld honours only power_constraint='total'")
     p0 = sca.start_coefficients(scene, n_sense)
-    return sca.run(sca.solver_core(scene, weights), p0, cfg, t0)
+    return sca.run(sca.solver_core(scene, weights), p0, cfg)

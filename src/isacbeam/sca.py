@@ -425,13 +425,14 @@ class _History:
         return r.view(complex).reshape(shape), length
 
 
-def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> SolveResult:
+def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     """The iteration of both front ends, from the start Pi(A^H P0) to
     tolerance or iteration budget, Pi the `project_power` of the constraint.
 
     p0 holds the start's basis coefficients, (K + 3M) x (K + n_sense), from
-    `start_coefficients` or any other start, and t0 is the front end's start
-    time. The constraint sets the matrix A through which the iterate X enters
+    `start_coefficients` or any other start. timings["setup_s"] runs from
+    this call's entry through the start's projection and first evaluation.
+    The constraint sets the matrix A through which the iterate X enters
     every quantity, Z = A X, the lift of X to the antenna domain and the group
     count of Pi: X = Q, A = B and one group under the total-power constraint,
     with W = V~ Q formed once, at the end; X = W, A = V^H and one group per
@@ -465,6 +466,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig, t0: float) -> Solve
     solves after one pass). converged=False means the run exhausted
     max_iters, and comes with one warning, never silently truncated.
     """
+    t0 = time.perf_counter()
     budget = core.scene.power_budget
     if cfg.power_constraint == "total":
         a, antenna, groups = core.frame, lambda q: core.orthonormal @ q, 1
@@ -582,6 +584,5 @@ def solve(
 
     n_sense defaults to the structural stream count of `start_coefficients`.
     """
-    t0 = time.perf_counter()
     p0 = start_coefficients(scene, n_sense)
-    return run(solver_core(scene, weights), p0, cfg, t0)
+    return run(solver_core(scene, weights), p0, cfg)

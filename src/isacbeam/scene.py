@@ -285,6 +285,11 @@ def target_geometry(
 _AZIMUTH_SPAN = 2.0 * np.pi / 3.0
 
 
+def _rcs(nu):
+    """`sample_scene`'s reflection coefficient at nu, a float or an array."""
+    return 0.1 * (1.0 + 0.2 * nu) * np.exp(2j * np.pi * nu)
+
+
 def philox(key: int) -> np.random.Generator:
     """The Philox stream keyed by an integer in [0, 2^64); ValueError otherwise."""
     if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
@@ -339,8 +344,7 @@ def sample_scene(
     )
     azimuth = rng.uniform(-_AZIMUTH_SPAN, _AZIMUTH_SPAN, size=n_targets)
     elevation = rng.uniform(-np.pi / 2, np.pi / 2, size=n_targets)
-    nu = rng.uniform(0.0, 1.0, size=n_targets)
-    rcs = 0.1 * (1.0 + 0.2 * nu) * np.exp(2j * np.pi * nu)
+    rcs = _rcs(rng.uniform(0.0, 1.0, size=n_targets))
     if targets is None:
         targets = tuple(
             Target(float(a), float(e), complex(r)) for a, e, r in zip(azimuth, elevation, rcs)
@@ -366,15 +370,11 @@ def benchmark_targets() -> tuple:
     instances diverge. Published aggregate figures therefore average over
     channel realizations with the target scene held fixed; this helper pins a
     representative well-conditioned geometry with reflection coefficients
-    from the standard model at nu = 0.3 and 0.7.
+    from `sample_scene`'s model at nu = 0.3 and 0.7.
     """
-
-    def rcs(nu: float) -> complex:
-        return complex(0.1 * (1.0 + 0.2 * nu) * np.exp(2j * np.pi * nu))
-
     return (
-        Target(azimuth=0.25, elevation=0.29, rcs=rcs(0.3)),
-        Target(azimuth=-0.31, elevation=0.40, rcs=rcs(0.7)),
+        Target(azimuth=0.25, elevation=0.29, rcs=complex(_rcs(0.3))),
+        Target(azimuth=-0.31, elevation=0.40, rcs=complex(_rcs(0.7))),
     )
 
 

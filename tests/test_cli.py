@@ -244,6 +244,17 @@ def test_sweep_rejects_settings_it_would_drop(config, tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_a_key_error_from_a_solve_propagates(scene_config, monkeypatch):
+    # no configuration raises KeyError, so one raised inside a solve is a
+    # defect, which the CLI used to print as an invalid configuration
+    def broken(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(cli.experiments.sca, "solve", broken)
+    with pytest.raises(KeyError, match="defect"):
+        cli.main(["solve", "--config", str(scene_config)])
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": 1}))

@@ -415,11 +415,24 @@ def test_config_from_dict_round_trip():
     )
     assert cfg.sweep_values == (1, 2)
     assert cfg.solver_config.max_iters == 10
-    with pytest.raises(TypeError):
+    # an unknown key is a ValueError naming it, as in a scene config
+    with pytest.raises(ValueError, match="bogus_key"):
         config_from_dict({"bogus_key": 1})
     # strict is the CLI's, which checks the records run_experiment returns
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="strict"):
         config_from_dict({"strict": True})
+    with pytest.raises(ValueError, match="init_mode"):
+        config_from_dict({"solver_config": {"init_mode": "random"}})
+
+
+@pytest.mark.parametrize("bad", ["false", 0, 1, None])
+def test_measure_time_must_be_a_bool(bad):
+    # the JSON string "false" is truthy, so a sweep meant to be
+    # byte-identical used to record wall time
+    with pytest.raises(ValueError, match="measure_time"):
+        ExperimentConfig(measure_time=bad)
+    with pytest.raises(ValueError, match="measure_time"):
+        config_from_dict({"measure_time": bad})
 
 
 def test_verify_passes_on_small_scene():

@@ -629,7 +629,9 @@ def test_run_from_any_start(small_scene, power_constraint):
         p0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         w0 = sca.project_power(core.basis @ p0, budget, groups)
         start = metrics.objective(small_scene, Beamformer(w0[:, :k], w0[:, k:], budget), WTS)
-        result = sca.run(core, p0, cfg, 0.0)
+        result = sca.run(core, p0, cfg)
+        # run reads its own start time: given 0.0, it used to report 17701.9 s
+        assert 0 < result.timings["setup_s"] < 1
         assert result.objective_trace[0] == pytest.approx(start, rel=1e-9)
         assert result.converged
         assert np.all(np.diff(result.objective_trace) >= 0.0)

@@ -248,6 +248,12 @@ def test_seed_must_be_a_64_bit_key():
     assert np.array_equal(top.channels, sample_scene(np.uint64(2**64 - 1)).channels)
 
 
+def test_benchmark_targets_follow_the_reflection_model():
+    # sample_scene draws its coefficients from the same model, 0.1 (1 + 0.2 nu) exp(2j pi nu)
+    for target, nu in zip(benchmark_targets(), (0.3, 0.7)):
+        assert target.rcs == complex(0.1 * (1.0 + 0.2 * nu) * np.exp(2j * np.pi * nu))
+
+
 def test_targets_override_keeps_channels():
     base = sample_scene(5)
     override = sample_scene(5, targets=benchmark_targets())
