@@ -1,8 +1,8 @@
 """Command-line interface: single solves, sweeps, and the verification suite.
 
 A flag given on the command line overrides the config file's value; an absent
-flag leaves the file's value, or the default (seed 0, solver full, total power
-constraint).
+flag leaves the file's value, or the default: seed 0, and otherwise the
+`ExperimentConfig` and `SolverConfig` field defaults.
 
 Exit codes: 0 success, 1 invalid configuration (usage errors included),
 2 verification failure, 3 nonconvergence in strict mode.
@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import experiments
 from .metrics import Weights
-from .sca import SolverConfig
+from .sca import _POWER_CONSTRAINTS, SolverConfig
 from .scene import scene_from_config
 
 __all__ = ["main", "build_parser"]
@@ -52,17 +52,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="base RNG seed (default 0)")
     solvers = argparse.ArgumentParser(add_help=False)
     solvers.add_argument(
-        "--solver", choices=("full", "lowdim", "both"),
-        help="which solver(s) to run (default full)",
+        "--solver", choices=experiments._SOLVERS,
+        help=f"which solver(s) to run (default {experiments.ExperimentConfig.solver})",
     )
     solvers.add_argument(
-        "--power-constraint", choices=("total", "per-antenna"),
-        help="transmit power constraint handled by the projection step (default total)",
+        "--power-constraint", choices=_POWER_CONSTRAINTS,
+        help=f"transmit power constraint handled by the projection step (default {SolverConfig.power_constraint})",
     )
 
     p_solve = sub.add_parser("solve", parents=[common, solvers], help="solve one instance")
-    p_solve.add_argument("--comm-weight", type=float, default=0.25)
-    p_solve.add_argument("--sense-weight", type=float, default=1.0)
+    p_solve.add_argument("--comm-weight", type=float, help=f"default {experiments.ExperimentConfig.comm_weight}")
+    p_solve.add_argument("--sense-weight", type=float, help=f"default {experiments.ExperimentConfig.sense_weight}")
     p_solve.add_argument("--out", type=Path, help="write metrics JSON here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", parents=[common, solvers], help="run a configured sweep")
@@ -80,9 +80,12 @@ def _load_json(path: Optional[Path]) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(path.read_text())
+        config = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not {type(config).__name__}")
+    return config
 
 
 def _check_out(path: Optional[Path]) -> None:
@@ -117,15 +120,17 @@ def _scene_config(args) -> dict:
 
 def _cmd_solve(args) -> int:
     scene = scene_from_config(_scene_config(args))
-    weights = Weights(args.comm_weight, args.sense_weight)
-    cfg = SolverConfig(power_constraint=args.power_constraint or "total")
+    cfg = experiments.ExperimentConfig(  # one trial's settings: the flags given, else the field defaults
+        **_given({}, solver=args.solver, comm_weight=args.comm_weight, sense_weight=args.sense_weight),
+        solver_config=SolverConfig(**_given({}, power_constraint=args.power_constraint)))
+    weights = Weights(cfg.comm_weight, cfg.sense_weight)
     report = {}
-    for name, runner in experiments.front_ends(args.solver or "full"):
-        result = runner(scene, weights, cfg)
+    for name, runner in experiments.front_ends(cfg.solver):
+        result = runner(scene, weights, cfg.solver_config)
         report[name] = {
             "sum_rate_nats": result.sum_rate,
             "crlb_trace": result.crlb_trace,
-            "objective": float(result.objective_trace[-1]),
+            "objective": result.objective,
             "iterations": result.iterations,
             "converged": result.converged,
             "stationarity": result.stationarity,
@@ -141,7 +146,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     raw = _given(_load_json(args.config), base_seed=args.seed, solver=args.solver, trials=args.trials)
-    raw["solver_config"] = _given(raw.get("solver_config", {}), power_constraint=args.power_constraint)
+    solver_config = raw.get("solver_config", {})
+    if not isinstance(solver_config, dict):
+        raise ValueError(f"solver_config must be a JSON object, got {solver_config!r}")
+    raw["solver_config"] = _given(solver_config, power_constraint=args.power_constraint)
     cfg = experiments.config_from_dict(raw)
     if args.out and (args.out.is_file() or not args.out.exists()):  # the summary goes beside it
         _check_out(args.out.with_suffix(".summary.json"))
@@ -182,7 +190,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -47,7 +47,7 @@ CSV_HEADER = (
 # sweep axis: (least value of a count axis or None, the scene key each trial sets or None)
 _AXES = {"comm_weight": (None, None), "n_sense": (0, None), "n_tx": (1, "tx_geometry"),
          "n_users": (0, "n_users"), "power_dbm": (None, "power_dbm")}
-_SOLVERS = ("full", "lowdim", "both")
+_SOLVERS = {"full": ("full",), "lowdim": ("lowdim",), "both": ("full", "lowdim")}
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,14 @@ class ExperimentConfig:
     measure_time: bool = True
 
     def __post_init__(self):
-        if self.sweep_axis not in _AXES:
-            raise ValueError(f"sweep_axis must be one of {tuple(_AXES)}")
+        if not isinstance(self.sweep_axis, str) or self.sweep_axis not in _AXES:
+            raise ValueError(f"sweep_axis must be one of {tuple(_AXES)}, got {self.sweep_axis!r}")
         least, scene_key = _AXES[self.sweep_axis]
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"solver must be one of {_SOLVERS}")
-        values = tuple(self.sweep_values)
+        front_ends(self.solver)
+        try:
+            values = tuple(self.sweep_values)
+        except TypeError:
+            raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}") from None
         if not values:
             raise ValueError("sweep_values must be nonempty")
         check_integer("trials", self.trials, 1)
@@ -102,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("solver_config must be a SolverConfig")
         if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
             raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
+        if not isinstance(self.scene, dict):
+            raise ValueError(f"scene must be a dict of scene keys, got {self.scene!r}")
         for key in ("seed", scene_key):
             if key in self.scene:
                 raise ValueError(f"scene must not hold {key!r}, which each trial of this sweep sets")
@@ -160,11 +164,12 @@ def _trial_inputs(cfg: ExperimentConfig, value, seed: int):
 
 
 def front_ends(solver: str) -> list:
-    """(name, solve function) pairs that a solver choice runs; "both" runs
-    full, then lowdim. The functions are looked up when called, so a rebound
-    sca.solve or lowdim.solve_ld is the one that runs."""
-    names = ("full", "lowdim") if solver == "both" else (solver,)
-    return [(name, lowdim.solve_ld if name == "lowdim" else sca.solve) for name in names]
+    """(name, solve function) pairs that a solver choice (a key of _SOLVERS)
+    runs, in record order; another choice is a ValueError. The functions are
+    looked up when called, so a rebound sca.solve or lowdim.solve_ld runs."""
+    if not isinstance(solver, str) or solver not in _SOLVERS:
+        raise ValueError(f"solver must be one of {tuple(_SOLVERS)}, got {solver!r}")
+    return [(name, lowdim.solve_ld if name == "lowdim" else sca.solve) for name in _SOLVERS[solver]]
 
 
 def _run_trial(cfg: ExperimentConfig, value, seed: int, solver_name: str) -> TrialRecord:
@@ -367,7 +372,7 @@ def verify(scene_config: Optional[dict] = None) -> list:
     scene_cfg = {"seed": 0, **(scene_config or {})}
     scene = scene_from_config(scene_cfg)
     seed = scene_cfg["seed"]
-    weights = Weights(0.25, 1.0)
+    weights = Weights(ExperimentConfig.comm_weight, ExperimentConfig.sense_weight)
     checks = []
 
     # the derived keys wrap, so that every seed in [0, 2^64) has them
@@ -404,7 +409,7 @@ def verify(scene_config: Optional[dict] = None) -> list:
     checks.append(_check("full_power_relative_error",
                          abs(w.total_power - scene.power_budget) / scene.power_budget, 1e-9))
     shrunk = w.replace_matrix(0.99 * w.matrix)
-    inward = metrics.objective(scene, shrunk, weights) - result.objective_trace[-1]
+    inward = metrics.objective(scene, shrunk, weights) - result.objective
     checks.append(_check("inward_scaling_gain", inward, 0.0))
     reported = analysis.obs_residuals(scene, scene.steering, w, weights).stationarity_residual
     checks.append(_check("stationarity_report_error",

@@ -109,6 +109,7 @@ MAX_RETRIES = 30
 # A change of at most this share of |f| is within the objective's rounding
 # and counts as no change, however small tol_objective is.
 ROUNDOFF = 1000 * np.finfo(float).eps
+_POWER_CONSTRAINTS = ("total", "per-antenna")  # the constraints `project_power` handles
 
 
 @dataclass(frozen=True)
@@ -120,13 +121,13 @@ class SolverConfig:
 
     max_iters: int = 5000
     tol_objective: float = 1e-4
-    power_constraint: str = "total"  # or "per-antenna"
+    power_constraint: str = "total"  # or another of _POWER_CONSTRAINTS
 
     def __post_init__(self):
         check_real("tol_objective", self.tol_objective, 0.0)
         check_integer("max_iters", self.max_iters, 1)
-        if self.power_constraint not in ("total", "per-antenna"):
-            raise ValueError(f"unknown power_constraint {self.power_constraint!r}")
+        if self.power_constraint not in _POWER_CONSTRAINTS:
+            raise ValueError(f"power_constraint must be one of {_POWER_CONSTRAINTS}, got {self.power_constraint!r}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,8 @@ class SolveResult:
     / (2 budget / groups): one under the total-power constraint (the figure
     `analysis.obs_residuals` reports as stationarity_residual), one per row
     under the per-antenna one. It comes after timings so that positional
-    construction keeps working. `run` returns objective_trace read-only."""
+    construction keeps working. `run` returns objective_trace read-only, its
+    last entry the objective, and timings holding setup_s and per_iteration_s."""
 
     beamformer: Beamformer
     objective_trace: np.ndarray
@@ -431,7 +433,8 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig) -> SolveResult:
 
     p0 holds the start's basis coefficients, (K + 3M) x (K + n_sense), from
     `start_coefficients` or any other start. timings["setup_s"] runs from
-    this call's entry through the start's projection and first evaluation.
+    this call's entry through the start's projection and first evaluation;
+    timings["per_iteration_s"] is the passes' time over their count.
     The constraint sets the matrix A through which the iterate X enters
     every quantity, Z = A X, the lift of X to the antenna domain and the group
     count of Pi: X = Q, A = B and one group under the total-power constraint,
@@ -534,7 +537,6 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             cfg.max_iters,
             tol,
         )
-    t2 = time.perf_counter()
     scene = core.scene
     wmat = antenna(x)
     w = Beamformer(wmat[:, : scene.n_users], wmat[:, scene.n_users :], scene.power_budget)
@@ -550,12 +552,6 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     grad = h.reshape(-1).view(float)
     norm = np.linalg.norm(grad)
     residual = np.linalg.norm(tangent(x.reshape(-1).view(float), grad)) / norm if norm else 0.0
-    timings = {
-        "setup_s": t_setup,
-        "iterations_s": t_iter,
-        "metrics_s": time.perf_counter() - t2,
-        "per_iteration_s": t_iter / iterations,
-    }
     objective_trace = np.array(trace)
     objective_trace.setflags(write=False)
     return SolveResult(
@@ -565,7 +561,7 @@ def run(core: SolverCore, p0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         crlb_trace=final_crlb,
         iterations=iterations,
         converged=converged,
-        timings=timings,
+        timings={"setup_s": t_setup, "per_iteration_s": t_iter / iterations},
         stationarity=float(residual),
     )
 

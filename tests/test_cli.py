@@ -255,6 +255,43 @@ def test_a_key_error_from_a_solve_propagates(scene_config, monkeypatch):
         cli.main(["solve", "--config", str(scene_config)])
 
 
+def test_a_type_error_from_a_solve_propagates(scene_config, monkeypatch):
+    # every configuration of a wrong JSON type is a ValueError, so the CLI
+    # no longer catches TypeError, which used to hide this defect too
+    def broken(*args, **kwargs):
+        raise TypeError("defect")
+
+    monkeypatch.setattr(cli.experiments.sca, "solve", broken)
+    with pytest.raises(TypeError, match="defect"):
+        cli.main(["solve"])
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("solve", {"tx_geometry": 4}, "tx_geometry"),
+        ("solve", {"rx_geometry": 4}, "rx_geometry"),
+        ("sweep", {"trials": 1, "scene": {"tx_geometry": 4}}, "tx_geometry"),
+        ("solve", {"targets": 5}, "targets"),
+        ("sweep", {"scene": 5}, "scene"),
+        ("sweep", {"sweep_values": 3}, "sweep_values"),
+        ("sweep", {"sweep_axis": ["power_dbm"]}, "sweep_axis"),
+        ("sweep", {"solver_config": 5}, "solver_config"),
+        ("solve", [TINY_SCENE], "config.json"),
+        ("sweep", [], "config.json"),
+    ],
+    ids=["tx-geometry", "rx-geometry", "sweep-tx-geometry", "targets", "sweep-scene", "sweep-values",
+         "sweep-axis", "solver-config", "solve-list", "sweep-list"],
+)
+def test_a_config_value_of_the_wrong_json_type_is_named(command, config, named, tmp_path, capsys):
+    # each used to escape as a bare TypeError, printed without the key
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and named in err
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": 1}))

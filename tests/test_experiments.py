@@ -15,7 +15,7 @@ import pytest
 
 from isacbeam import ArrayGeometry, ExperimentConfig, run_experiment
 from isacbeam import experiments, sca
-from isacbeam.experiments import CSV_HEADER, config_from_dict, records_to_csv, verify
+from isacbeam.experiments import CSV_HEADER, config_from_dict, front_ends, records_to_csv, verify
 from isacbeam.sca import SolverConfig
 
 TINY_SCENE = {
@@ -361,6 +361,13 @@ def test_process_pool_lives_across_calls(start_method, ending, tmp_path):
     finally:
         for pid in filter(_alive, workers):
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("solver", ["Full", "", ["full"]])
+def test_front_ends_reject_an_unknown_choice(solver):
+    # "Full" used to run sca.solve under that name
+    with pytest.raises(ValueError, match="solver must be one of"):
+        front_ends(solver)
 
 
 def test_n_sense_sweep_front_ends_agree():
