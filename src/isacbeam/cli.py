@@ -1,8 +1,8 @@
 """Command-line interface: single solves, sweeps, and the verification suite.
 
 A flag given on the command line overrides the config file's value; an absent
-flag leaves the file's value, or the default: seed 0, and otherwise the
-`ExperimentConfig` and `SolverConfig` field defaults.
+flag leaves the file's value, or the `ExperimentConfig` and `SolverConfig`
+field default (`base_seed` for the seed of `solve` and `verify` too).
 
 Exit codes: 0 success, 1 invalid configuration (usage errors included),
 2 verification failure, 3 nonconvergence in strict mode.
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON configuration file")
-    common.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+    common.add_argument("--seed", type=int, help=f"base RNG seed (default {experiments.ExperimentConfig.base_seed})")
     solvers = argparse.ArgumentParser(add_help=False)
     solvers.add_argument(
         "--solver", choices=experiments._SOLVERS,
@@ -114,12 +114,9 @@ def _given(config: dict, **flags) -> dict:
     return {**config, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def _scene_config(args) -> dict:
-    return _given({"seed": 0, **_load_json(args.config)}, seed=args.seed)
-
-
 def _cmd_solve(args) -> int:
-    scene = scene_from_config(_scene_config(args))
+    file = _load_json(args.config)
+    scene = scene_from_config(_given({"seed": experiments.ExperimentConfig.base_seed, **file}, seed=args.seed))
     cfg = experiments.ExperimentConfig(  # one trial's settings: the flags given, else the field defaults
         **_given({}, solver=args.solver, comm_weight=args.comm_weight, sense_weight=args.sense_weight),
         solver_config=SolverConfig(**_given({}, power_constraint=args.power_constraint)))
@@ -147,9 +144,8 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     raw = _given(_load_json(args.config), base_seed=args.seed, solver=args.solver, trials=args.trials)
     solver_config = raw.get("solver_config", {})
-    if not isinstance(solver_config, dict):
-        raise ValueError(f"solver_config must be a JSON object, got {solver_config!r}")
-    raw["solver_config"] = _given(solver_config, power_constraint=args.power_constraint)
+    if isinstance(solver_config, dict):  # config_from_dict rejects any other value, naming it
+        raw["solver_config"] = _given(solver_config, power_constraint=args.power_constraint)
     cfg = experiments.config_from_dict(raw)
     if args.out and (args.out.is_file() or not args.out.exists()):  # the summary goes beside it
         _check_out(args.out.with_suffix(".summary.json"))
@@ -169,7 +165,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = experiments.verify(_scene_config(args))
+    checks = experiments.verify(_given(_load_json(args.config), seed=args.seed))
     text = _json_text([dataclasses.asdict(c) for c in checks])
     if args.out:
         args.out.write_text(text + "\n")

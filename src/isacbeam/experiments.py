@@ -78,7 +78,10 @@ class ExperimentConfig:
         if not isinstance(self.sweep_axis, str) or self.sweep_axis not in _AXES:
             raise ValueError(f"sweep_axis must be one of {tuple(_AXES)}, got {self.sweep_axis!r}")
         least, scene_key = _AXES[self.sweep_axis]
-        front_ends(self.solver)
+        if not isinstance(self.solver_config, SolverConfig):
+            raise ValueError("solver_config must be a SolverConfig")
+        if "lowdim" in dict(front_ends(self.solver)):  # front_ends checks the choice
+            lowdim._check_config(self.solver_config)
         try:
             values = tuple(self.sweep_values)
         except TypeError:
@@ -100,10 +103,6 @@ class ExperimentConfig:
                 check_real(self.sweep_axis, value)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep_values must be strictly ascending")
-        if not isinstance(self.solver_config, SolverConfig):
-            raise ValueError("solver_config must be a SolverConfig")
-        if self.solver != "full" and self.solver_config.power_constraint == "per-antenna":
-            raise ValueError("the lowdim solver cannot honour power_constraint='per-antenna'")
         if not isinstance(self.scene, dict):
             raise ValueError(f"scene must be a dict of scene keys, got {self.scene!r}")
         for key in ("seed", scene_key):
@@ -142,13 +141,13 @@ class ExperimentResult:
     summary: dict
 
 
-def _near_square(n: int) -> ArrayGeometry:
-    """Closest-to-square factorization of an antenna count, wider side first."""
-    best = (n, 1)
+def _near_square(n: int) -> list:
+    """Closest-to-square [nh, nv] factorization of an antenna count, wider side first."""
+    best = [n, 1]
     for d in range(1, int(math.isqrt(n)) + 1):
         if n % d == 0:
-            best = (n // d, d)
-    return ArrayGeometry(*best)
+            best = [n // d, d]
+    return best
 
 
 def _trial_inputs(cfg: ExperimentConfig, value, seed: int):
@@ -156,8 +155,7 @@ def _trial_inputs(cfg: ExperimentConfig, value, seed: int):
     weights = Weights(value if cfg.sweep_axis == "comm_weight" else cfg.comm_weight, cfg.sense_weight)
     scene_key = _AXES[cfg.sweep_axis][1]
     if scene_key == "tx_geometry":
-        geom = _near_square(value)
-        value = [geom.n_horizontal, geom.n_vertical]
+        value = _near_square(value)
     if scene_key is not None:
         scene_cfg[scene_key] = value
     return scene_cfg, weights, value if cfg.sweep_axis == "n_sense" else None
@@ -368,8 +366,8 @@ def verify(scene_config: Optional[dict] = None) -> list:
     stationarity residual against `analysis.obs_residuals`, and
     stationary-structure residuals (the sensing one on the same scene
     without users, whose sensing streams are active). The scene_config seed
-    (default 0) seeds every scene and draw."""
-    scene_cfg = {"seed": 0, **(scene_config or {})}
+    (default `ExperimentConfig.base_seed`) seeds every scene and draw."""
+    scene_cfg = {"seed": ExperimentConfig.base_seed, **(scene_config or {})}
     scene = scene_from_config(scene_cfg)
     seed = scene_cfg["seed"]
     weights = Weights(ExperimentConfig.comm_weight, ExperimentConfig.sense_weight)

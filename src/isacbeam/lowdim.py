@@ -12,7 +12,7 @@ the sphere |Q|^2 = power budget is also the retraction of the quasi-Newton
 candidate, and W = V~ Q is formed once, at the end. Total-power `sca.solve`
 makes the same call, so both return the same result bit for bit. Only the
 one-group constraint of `sca.project_power` keeps span(V), so the
-per-antenna constraint cannot be honoured here.
+per-antenna one cannot be honoured here: `_check_config` refuses it.
 """
 from __future__ import annotations
 
@@ -38,10 +38,13 @@ def solve_ld(
     n_sense defaults to the structural stream count of
     `sca.start_coefficients`. The start is B^H P0 scaled onto the sphere;
     the result equals that of total-power `sca.solve`, and its timings also
-    start at `sca.run`'s entry. Raises ValueError for
-    power_constraint="per-antenna", whose projection leaves span(V).
+    start at `sca.run`'s entry. Another constraint is `_check_config`'s ValueError.
     """
-    if cfg.power_constraint != "total":
-        raise ValueError("solve_ld honours only power_constraint='total'")
+    _check_config(cfg)
     p0 = sca.start_coefficients(scene, n_sense)
     return sca.run(sca.solver_core(scene, weights), p0, cfg)
+
+
+def _check_config(cfg: SolverConfig) -> None:
+    if cfg.power_constraint != "total":
+        raise ValueError(f"the lowdim solver honours only power_constraint='total', got {cfg.power_constraint!r}")

@@ -381,12 +381,15 @@ def benchmark_targets() -> tuple:
 # --- serialization -----------------------------------------------------------
 
 def _call(function, what: str, kwargs: dict):
-    """function(**kwargs); a missing or unknown key is a ValueError naming it."""
+    """function(**kwargs); a missing or unknown key, or function's ValueError, is a ValueError prefixed with what."""
     try:
         inspect.signature(function).bind(**kwargs)
     except TypeError as exc:
         raise ValueError(f"{what}: {exc}") from None
-    return function(**kwargs)
+    try:
+        return function(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _target(azimuth, elevation, rcs_real, rcs_imag) -> Target:
@@ -398,17 +401,17 @@ def _target(azimuth, elevation, rcs_real, rcs_imag) -> Target:
 def scene_from_config(config: dict) -> Scene:
     """Build a scene from a flat JSON-style dict of `sample_scene`'s arguments,
     with tx_geometry/rx_geometry as [nh, nv] and targets as a list of
-    {azimuth, elevation, rcs_real, rcs_imag}. Only those are built here, and
-    a value of another JSON type is a ValueError naming its key; every other
-    value goes to `sample_scene` as it is, which checks it."""
+    {azimuth, elevation, rcs_real, rcs_imag}. Only those are built here, by
+    `_call`, so each ValueError of theirs names tx_geometry, rx_geometry or
+    targets[i]; every other value goes to `sample_scene`, which checks it."""
     kwargs = dict(config)
     for key in ("tx_geometry", "rx_geometry"):
         if key in kwargs:
             if not (isinstance(kwargs[key], (list, tuple)) and len(kwargs[key]) == 2):
                 raise ValueError(f"{key} must be a list [nh, nv], got {kwargs[key]!r}")
-            kwargs[key] = ArrayGeometry(*kwargs[key])
+            kwargs[key] = _call(ArrayGeometry, key, dict(zip(("n_horizontal", "n_vertical"), kwargs[key])))
     if "targets" in kwargs:
         if not isinstance(kwargs["targets"], (list, tuple)):
             raise ValueError(f"targets must be a list, got {kwargs['targets']!r}")
-        kwargs["targets"] = tuple(_call(_target, "scene target", t) for t in kwargs["targets"])
+        kwargs["targets"] = tuple(_call(_target, f"targets[{i}]", t) for i, t in enumerate(kwargs["targets"]))
     return _call(sample_scene, "scene config", kwargs)

@@ -381,11 +381,73 @@ def test_negative_seed_exits_one(command, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
-def test_lowdim_per_antenna_exits_one(scene_config, capsys):
-    argv = ["solve", "--config", str(scene_config), "--solver", "lowdim",
-            "--power-constraint", "per-antenna"]
-    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
-    assert "invalid configuration" in capsys.readouterr().err
+def test_lowdim_per_antenna_exits_one(small_scene, scene_config, tmp_path, capsys):
+    # with one message at every entry point: the CLI used to print
+    # ExperimentConfig's restatement, not solve_ld's own
+    per_antenna = isacbeam.SolverConfig(power_constraint="per-antenna")
+    with pytest.raises(ValueError) as refusal:
+        isacbeam.solve_ld(small_scene, isacbeam.Weights(0.25, 1.0), per_antenna)
+    message = str(refusal.value)
+    for solver in ("lowdim", "both"):
+        with pytest.raises(ValueError) as exc:
+            isacbeam.ExperimentConfig(solver=solver, solver_config=per_antenna)
+        assert str(exc.value) == message
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"trials": 1, "scene": TINY_SCENE}))
+    for command, config in (("solve", scene_config), ("sweep", sweep)):
+        for solver in ("lowdim", "both"):
+            argv = [command, "--config", str(config), "--solver", solver, "--power-constraint", "per-antenna"]
+            assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+            err = capsys.readouterr().err  # a sweep's names its source: "experiment config: ..."
+            assert "invalid configuration" in err and message in err
+
+
+_TARGET = {"azimuth": 0.2, "elevation": 0.3, "rcs_real": 0.1, "rcs_imag": 0.02}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "scene, named",
+    [({"rx_geometry": [2, 2.5]}, "rx_geometry: n_vertical must be an integer >= 1, got 2.5"),
+     ({"tx_geometry": [2.5, 2]}, "tx_geometry: n_horizontal must be an integer >= 1, got 2.5"),
+     ({"targets": [_TARGET, {**_TARGET, "azimuth": 9}]}, "targets[1]: azimuth must be"),
+     ({"targets": [_TARGET, {"elevation": 0.3}]}, "targets[1]: "),
+     ({"n_users": -1}, "scene config: n_users must be an integer >= 0, got -1")],
+    ids=["rx-geometry", "tx-geometry", "second-target", "second-target-fields", "n-users"],
+)
+def test_a_bad_scene_value_names_its_key(command, scene, named, tmp_path, capsys):
+    # both geometries used to print the same "n_horizontal/n_vertical must
+    # be ..." and a target its field without its index; in a sweep the first
+    # trial's scene_from_config raises
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(scene if command == "solve" else {"trials": 1, "scene": scene}))
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_BAD_CONFIG
+    assert f"error: invalid configuration: {named}" in capsys.readouterr().err
+
+
+def test_the_default_seed_is_the_base_seed_field_default(monkeypatch, capsys):
+    def solve(*flags):
+        assert cli.main(["solve", *flags]) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    assert solve() == solve("--seed", "0")
+    # cli and verify read ExperimentConfig.base_seed, the one home of the default
+    monkeypatch.setattr(isacbeam.ExperimentConfig, "base_seed", 7)
+    assert solve() == solve("--seed", "7") != solve("--seed", "0")
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--help"])
+    assert "base RNG seed (default 7)" in capsys.readouterr().out
+    seeds = []
+
+    def scene_seed(config):
+        seeds.append(config["seed"])
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli.experiments, "scene_from_config", scene_seed)
+    with pytest.raises(ValueError, match="stop"):
+        cli.experiments.verify()
+    assert cli.main(["verify"]) == cli.EXIT_BAD_CONFIG
+    assert seeds == [7, 7]
 
 
 def test_verify_exit_codes(scene_config, tmp_path, capsys, monkeypatch):

@@ -56,7 +56,7 @@ def test_config_validation():
         ExperimentConfig(workers=0)
     per_antenna = SolverConfig(power_constraint="per-antenna")
     for solver in ("lowdim", "both"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the lowdim solver honours only power_constraint='total'"):
             ExperimentConfig(solver=solver, solver_config=per_antenna)
     ExperimentConfig(solver="full", solver_config=per_antenna)
     # weights and the values of a real axis are checked here, as counts are:
@@ -171,9 +171,9 @@ def test_scene_must_not_hold_what_each_trial_sets(axis, key, value):
 
 
 def test_near_square_factorization():
-    assert (experiments._near_square(16).n_horizontal, experiments._near_square(16).n_vertical) == (4, 4)
-    assert (experiments._near_square(12).n_horizontal, experiments._near_square(12).n_vertical) == (4, 3)
-    assert (experiments._near_square(7).n_horizontal, experiments._near_square(7).n_vertical) == (7, 1)
+    assert experiments._near_square(16) == [4, 4]
+    assert experiments._near_square(12) == [4, 3]
+    assert experiments._near_square(7) == [7, 1]
 
 
 @pytest.mark.parametrize("axis, value, tx, n_users", [("n_tx", 12, (4, 3), 4), ("n_users", 3, (4, 4), 3)])

@@ -83,5 +83,5 @@ def test_empty_basis_raises():
 
 def test_per_antenna_constraint_rejected(small_scene):
     cfg = replace(SolverConfig(), power_constraint="per-antenna")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the lowdim solver honours only power_constraint='total', got 'per-antenna'"):
         solve_ld(small_scene, WTS, cfg)

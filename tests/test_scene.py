@@ -391,6 +391,34 @@ def test_scene_from_config_rejects_fractional_integers(key, value):
         scene_from_config({"seed": 0, key: value})
 
 
+@pytest.mark.parametrize("key", ["tx_geometry", "rx_geometry"])
+@pytest.mark.parametrize(
+    "value", [[2, 2.5], [2.5, 2], [0, 2], [2, True], ["2", 2], [2]],
+    ids=["fractional-vertical", "fractional-horizontal", "zero", "bool", "string", "one-entry"],
+)
+def test_scene_from_config_names_the_bad_geometry(key, value):
+    # both geometries used to print the same "n_vertical must be ..." alone
+    with pytest.raises(ValueError, match=f"^{key}"):
+        scene_from_config({"seed": 0, key: value})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"azimuth": 9}, {"elevation": -2.0}, {"rcs_real": float("nan")}, {"rcs_imag": True},
+     {"rcs_real": 0.0, "rcs_imag": 0.0}, {"bogus": 1}],
+    ids=["azimuth", "elevation", "rcs-real", "rcs-imag", "zero-rcs", "unknown-key"],
+)
+def test_scene_from_config_names_the_bad_target(bad):
+    good = {"azimuth": 0.2, "elevation": 0.3, "rcs_real": 0.1, "rcs_imag": 0.02}
+    for index in range(3):
+        targets = [good] * 3
+        targets[index] = {**good, **bad}
+        with pytest.raises(ValueError, match=rf"^targets\[{index}\]: "):
+            scene_from_config({"seed": 0, "targets": targets})
+    with pytest.raises(ValueError, match=r"^targets\[1\]: .*azimuth"):
+        scene_from_config({"seed": 0, "targets": [good, {k: v for k, v in good.items() if k != "azimuth"}]})
+
+
 def test_scene_from_config_explicit_targets():
     config = {
         "seed": 0,
